@@ -20,6 +20,7 @@ from .models import (
     MeasurementModel,
     ModelSet,
     MotionModel,
+    check_number,
 )
 from .resampling import ResampleConfig
 from .roughening import GordonConfig, RougheningConfig, velocity_jitter
@@ -52,6 +53,8 @@ class RunConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"run.master_seed must be >= 0, got {self.master_seed}")
         if not self.variants:
             raise ValueError("at least one filter variant is required")
         names = [v.name for v in self.variants]
@@ -63,8 +66,8 @@ class RunConfig:
                 f"exactly one mode=none baseline variant is required, got {none_arms}"
             )
         self.sweep_grid = tuple(float(v) for v in self.sweep_grid)
-        if any(v < 0 for v in self.sweep_grid):
-            raise ValueError("sweep grid values must be >= 0")
+        for v in self.sweep_grid:
+            check_number("run.sweep_grid", v, 0.0)
 
     @property
     def baseline_name(self) -> str:
@@ -180,6 +183,17 @@ def _pop(kv: dict, key: str, parse, default):
 
 
 def _build_roughening(name: str, fields: dict) -> RougheningConfig:
+    try:
+        config = _roughening_from_fields(fields)
+    except ValueError as exc:
+        raise ValueError(f"roughening.{name}: {exc}") from None
+    if fields:
+        raise ValueError(f"unknown roughening keys for variant {name!r}: {sorted(fields)}")
+    return config
+
+
+def _roughening_from_fields(fields: dict) -> RougheningConfig:
+    """Pop the known roughening fields; the caller rejects what is left."""
     mode = fields.pop("mode", "none")
     jitter = None
     if "jitter_std" in fields:
@@ -193,7 +207,7 @@ def _build_roughening(name: str, fields: dict) -> RougheningConfig:
             positive_exponent=_parse_bool(fields.pop("gordon_positive_exponent", "false")),
         )
     selective = fields.pop("selective_threshold", None)
-    config = RougheningConfig(
+    return RougheningConfig(
         mode=mode,
         jitter_std=jitter,
         gordon=gordon,
@@ -201,9 +215,6 @@ def _build_roughening(name: str, fields: dict) -> RougheningConfig:
         overlapped_only=_parse_bool(fields.pop("overlapped_only", "false")),
         cap_to_measurement=_parse_bool(fields.pop("cap_to_measurement", "true")),
     )
-    if fields:
-        raise ValueError(f"unknown roughening keys for variant {name!r}: {sorted(fields)}")
-    return config
 
 
 def run_config_from_mapping(kv: dict) -> RunConfig:

@@ -35,6 +35,8 @@ class FilterConfig:
     def __post_init__(self):
         if self.particles_per_target < 1:
             raise ValueError("particles_per_target must be >= 1")
+        if self.birth_particles is not None and self.birth_particles < 0:
+            raise ValueError(f"filter.birth_particles must be >= 0, got {self.birth_particles}")
         if self.min_particles is None:
             self.min_particles = math.ceil(self.particles_per_target / 2)
         if self.min_particles < 1:

@@ -9,6 +9,7 @@ serial or parallel.
 
 import logging
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -153,10 +154,17 @@ def _trial_task(item) -> TrialResult:
     return run_trial(config, index)
 
 
+def pool_size(workers: int, trials: int, cpus: int | None) -> int:
+    """Worker processes worth starting: no more than asked for, than there
+    are trials to run, or than there are CPUs (`cpus` None means unknown)."""
+    return max(1, min(workers, trials, cpus or workers))
+
+
 def run_trials(config: RunConfig, workers: int = 1) -> list:
     """All trials, optionally across processes; order is by trial index
     either way, so downstream output is identical."""
     indices = list(range(config.trials))
+    workers = pool_size(workers, len(indices), os.cpu_count())
     if workers <= 1:
         return [run_trial(config, i) for i in indices]
     with ProcessPoolExecutor(max_workers=workers) as pool:

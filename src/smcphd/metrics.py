@@ -15,6 +15,8 @@ from itertools import permutations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .models import check_number
+
 BRUTEFORCE_LIMIT = 8
 
 
@@ -24,10 +26,8 @@ class OspaParams:
     order: float = 2.0
 
     def __post_init__(self):
-        if self.cutoff <= 0:
-            raise ValueError("cutoff must be > 0")
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
+        check_number("ospa.cutoff", self.cutoff, 0.0, strict=True)
+        check_number("ospa.order", self.order, 1.0)
 
 
 def _as_points(points) -> np.ndarray:

@@ -18,6 +18,20 @@ VELOCITY_IDX = (1, 3)
 _TWO_PI = 2.0 * math.pi
 
 
+def check_number(key: str, value, minimum: float | None = None, *, strict: bool = False) -> None:
+    """Reject a parameter that is not a finite number, or that lies below
+    `minimum` (at or below it when `strict`); the message names `key`, the
+    parameter's config-file key."""
+    if minimum is None:
+        ok = math.isfinite(value)
+        bound = ""
+    else:
+        ok = math.isfinite(value) and (value > minimum if strict else value >= minimum)
+        bound = f" {'>' if strict else '>='} {minimum:g}"
+    if not ok:
+        raise ValueError(f"{key} must be a finite number{bound}, got {value}")
+
+
 def _as_state(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.shape[-1] != STATE_DIM:
@@ -36,10 +50,9 @@ class MotionModel:
     sigma_v2: float = 0.1
 
     def __post_init__(self):
-        if self.sampling_interval <= 0:
-            raise ValueError("sampling_interval must be > 0")
-        if self.sigma_v1 < 0 or self.sigma_v2 < 0:
-            raise ValueError("noise stds must be >= 0")
+        check_number("motion.sampling_interval", self.sampling_interval, 0.0, strict=True)
+        check_number("motion.sigma_v1", self.sigma_v1, 0.0)
+        check_number("motion.sigma_v2", self.sigma_v2, 0.0)
 
     def transition_matrix(self) -> np.ndarray:
         t = self.sampling_interval
@@ -80,8 +93,8 @@ class MeasurementModel:
     sigma_w2: float = 2.5
 
     def __post_init__(self):
-        if self.sigma_w1 < 0 or self.sigma_w2 < 0:
-            raise ValueError("measurement stds must be >= 0")
+        check_number("measurement.sigma_w1", self.sigma_w1, 0.0, strict=True)
+        check_number("measurement.sigma_w2", self.sigma_w2, 0.0, strict=True)
 
     def matrix(self) -> np.ndarray:
         return np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
@@ -106,14 +119,15 @@ class BirthModel:
     spawn_kernel: object = None
 
     def __post_init__(self):
-        if self.mass < 0:
-            raise ValueError("birth mass must be >= 0")
+        check_number("birth.mass", self.mass, 0.0)
         self.mean = tuple(float(v) for v in self.mean)
         self.cov_diag = tuple(float(v) for v in self.cov_diag)
         if len(self.mean) != STATE_DIM or len(self.cov_diag) != STATE_DIM:
             raise ValueError(f"birth mean/cov must have {STATE_DIM} components")
-        if any(v <= 0 for v in self.cov_diag):
-            raise ValueError("birth covariance diagonal entries must be > 0")
+        for v in self.mean:
+            check_number("birth.mean", v)
+        for v in self.cov_diag:
+            check_number("birth.cov_diag", v, 0.0, strict=True)
 
     def mean_state(self) -> np.ndarray:
         return np.array(self.mean)
@@ -130,11 +144,12 @@ class ClutterModel:
     region: tuple = (-100.0, 100.0, -100.0, 100.0)  # xmin, xmax, ymin, ymax
 
     def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError("clutter rate must be >= 0")
+        check_number("clutter.rate", self.rate, 0.0)
+        for v in self.region:
+            check_number("clutter.region", v)
         xmin, xmax, ymin, ymax = self.region
         if xmax <= xmin or ymax <= ymin:
-            raise ValueError("clutter region must have positive area")
+            raise ValueError(f"clutter.region must have positive area, got {self.region!r}")
 
     def area(self) -> float:
         xmin, xmax, ymin, ymax = self.region
@@ -155,8 +170,9 @@ class DetectionModel:
     p_detect: float = 0.95
 
     def __post_init__(self):
-        if not (0.0 <= self.p_survive <= 1.0 and 0.0 <= self.p_detect <= 1.0):
-            raise ValueError("probabilities must lie in [0, 1]")
+        for key, p in (("p_survive", self.p_survive), ("p_detect", self.p_detect)):
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"detection.{key} must lie in [0, 1], got {p}")
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import STATE_DIM, VELOCITY_IDX, MeasurementModel, MotionModel
+from .models import STATE_DIM, VELOCITY_IDX, MeasurementModel, MotionModel, check_number
 from .particles import ParticleSet
 
 logger = logging.getLogger(__name__)
@@ -37,8 +37,7 @@ class GordonConfig:
     positive_exponent: bool = False
 
     def __post_init__(self):
-        if self.tuning_constant < 0:
-            raise ValueError("tuning_constant must be >= 0")
+        check_number("gordon_constant", self.tuning_constant, 0.0)
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
 
@@ -70,8 +69,8 @@ class RougheningConfig:
             raise ValueError(f"unknown roughening mode {self.mode!r}")
         if self.jitter_std is not None:
             self.jitter_std = as_jitter_vector(self.jitter_std)
-            if np.any(self.jitter_std < 0):
-                raise ValueError("jitter_std components must be >= 0")
+            for v in self.jitter_std:
+                check_number("jitter_std", v, 0.0)
         if self.jitter_std is not None and self.gordon is not None:
             raise ValueError("set either a fixed jitter_std or gordon, not both")
         if self.mode != "none" and self.jitter_std is None and self.gordon is None:

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from smcphd.cli import main as cli_main
 from smcphd.config import (
     DEFAULT_SWEEP_GRID,
     RunConfig,
@@ -163,3 +166,34 @@ def test_filter_min_particles_propagates_to_resampling():
         {"filter.min_particles": "70", "resample.min_particles": "30"}
     )
     assert explicit.resample.min_particles == 30
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("motion.sigma_v1", "nan"),
+        ("measurement.sigma_w1", "0"),
+        ("clutter.rate", "inf"),
+        ("birth.mass", "nan"),
+        ("ospa.cutoff", "inf"),
+        ("run.sweep_grid", "nan"),
+        ("filter.birth_particles", "-3"),
+        ("run.master_seed", "-1"),
+    ],
+)
+def test_nonfinite_or_degenerate_parameter_fails_at_load(tmp_path, capsys, key, value):
+    with pytest.raises(ValueError, match=re.escape(key)):
+        run_config_from_mapping({key: value})
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{key} = {value}\n", encoding="utf-8")
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_roughening_parameter_errors_name_the_variant():
+    base = {"roughening.basic.mode": "none", "roughening.sep.mode": "separate"}
+    with pytest.raises(ValueError, match=r"roughening\.sep: jitter_std"):
+        run_config_from_mapping({**base, "roughening.sep.jitter_std": "nan"})
+    with pytest.raises(ValueError, match=r"roughening\.sep: gordon_constant"):
+        run_config_from_mapping({**base, "roughening.sep.gordon_constant": "inf"})

@@ -1,8 +1,129 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from smcphd.extraction import extract_states, weighted_kmeans
+from smcphd import extraction
+from smcphd.extraction import (
+    MAX_ITERATIONS,
+    REL_MOVE_TOL,
+    _seed_centers,
+    extract_states,
+    weighted_kmeans,
+)
 from smcphd.particles import ParticleSet
+
+
+# Reference implementation: the plain formulation of the Lloyd step and the
+# canonical sort.  The module's fast paths must reproduce it bit for bit.
+
+
+def _reference_kmeans(points, weights, k, rng, max_iterations=MAX_ITERATIONS, tol=REL_MOVE_TOL):
+    centers = _seed_centers(points, weights, k, rng)
+    for _ in range(max_iterations):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assign = np.argmin(d2, axis=1)
+        new_centers = centers.copy()
+        for j in range(k):
+            mask = assign == j
+            cluster_weight = weights[mask].sum()
+            if cluster_weight > 0:
+                new_centers[j] = weights[mask] @ points[mask] / cluster_weight
+        move = np.linalg.norm(new_centers - centers, axis=1)
+        ref = np.maximum(1.0, np.linalg.norm(centers, axis=1))
+        centers = new_centers
+        if np.max(move / ref) < tol:
+            break
+    return centers
+
+
+def _reference_extract(pset, n, rng):
+    total = pset.weights.sum()
+    order = np.lexsort(
+        (
+            pset.weights,
+            pset.states[:, 3],
+            pset.states[:, 2],
+            pset.states[:, 1],
+            pset.states[:, 0],
+        )
+    )
+    states = pset.states[order]
+    weights = pset.weights[order]
+    mean = weights @ states / total
+    var = weights @ (states - mean) ** 2 / total
+    std = np.sqrt(var)
+    std[std == 0] = 1.0
+    centers = _reference_kmeans((states - mean) / std, weights, n, rng)
+    return centers * std + mean
+
+
+def _random_cloud(seed, n_particles, n_clouds, zero_frac, tie_frac):
+    """Particles around a few target states, some with zero weight, and a
+    share of them with px snapped onto a coarse grid so px values repeat."""
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(0.0, 40.0, size=(n_clouds, 4)) * [1.0, 0.1, 1.0, 0.1]
+    states = centres[rng.integers(0, n_clouds, n_particles)]
+    states = states + rng.normal(size=(n_particles, 4)) * [2.0, 0.5, 2.0, 0.5]
+    tied = rng.random(n_particles) < tie_frac
+    states[tied, 0] = np.round(states[tied, 0] / 5.0) * 5.0
+    weights = rng.uniform(0.0, 0.01, n_particles)
+    weights[rng.random(n_particles) < zero_frac] = 0.0
+    weights[rng.integers(n_particles)] = 0.01  # keep the total weight positive
+    return ParticleSet(states=states, weights=weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_particles=st.integers(1, 600),
+    n_clouds=st.integers(1, 5),
+    k=st.integers(1, 8),
+    zero_frac=st.sampled_from([0.0, 0.3, 0.9]),
+    tie_frac=st.sampled_from([0.0, 0.0, 0.5, 1.0]),
+)
+def test_extract_states_bit_identical_to_reference(
+    seed, n_particles, n_clouds, k, zero_frac, tie_frac
+):
+    # k may exceed the number of distinct states (a single particle, or a
+    # cloud with few positive weights); duplicate centroids must match too.
+    pset = _random_cloud(seed, n_particles, n_clouds, zero_frac, tie_frac)
+    got = extract_states(pset, k, np.random.default_rng(seed))
+    expect = _reference_extract(pset, k, np.random.default_rng(seed))
+    assert np.array_equal(got.states, expect)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_points=st.integers(1, 300), k=st.integers(1, 6))
+def test_weighted_kmeans_bit_identical_to_reference(seed, n_points, k):
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n_points, 4)) * rng.uniform(0.1, 10.0, 4)
+    weights = rng.uniform(0.0, 1.0, n_points)
+    got = weighted_kmeans(points, weights, k, np.random.default_rng(seed + 1))
+    expect = _reference_kmeans(points, weights, k, np.random.default_rng(seed + 1))
+    assert np.array_equal(got, expect)
+
+
+def test_tied_px_takes_lexsort_fallback_and_matches(monkeypatch):
+    calls = []
+    lexsort = np.lexsort
+
+    def spy(keys):
+        calls.append(len(keys))
+        return lexsort(keys)
+
+    monkeypatch.setattr(extraction.np, "lexsort", spy)
+    pset = _random_cloud(11, 300, 3, 0.0, 0.0)
+    extract_states(pset, 3, np.random.default_rng(0))
+    assert calls == []  # distinct px: the one-key sort suffices
+
+    pset.states[::7, 0] = pset.states[1, 0]  # force ties in px only
+    px_only = np.argsort(pset.states[:, 0], kind="stable")
+    full = lexsort(pset.states.T[::-1])
+    assert not np.array_equal(px_only, full)  # ties are broken by later keys
+    got = extract_states(pset, 3, np.random.default_rng(0))
+    assert calls == [5]
+    expect = _reference_extract(pset, 3, np.random.default_rng(0))
+    assert np.array_equal(got.states, expect)
 
 
 def test_zero_targets_gives_empty_estimate():

@@ -7,6 +7,7 @@ import pytest
 from smcphd.cli import main as cli_main
 from smcphd.config import VariantSpec, benchmark_preset
 from smcphd.harness import (
+    pool_size,
     run,
     run_trial,
     run_trials,
@@ -133,6 +134,22 @@ def test_parallel_run_matches_serial_bytes():
     write_summary_table(summarize(config, serial), sum_a)
     write_summary_table(summarize(config, parallel), sum_b)
     assert sum_a.getvalue() == sum_b.getvalue()
+
+
+@pytest.mark.parametrize(
+    "workers, trials, cpus, expect",
+    [
+        (64, 3, 2, 2),  # CPUs bound
+        (64, 3, 16, 3),  # trials bound
+        (2, 100, 8, 2),  # the request bounds
+        (8, 100, None, 8),  # CPU count unknown
+        (1, 5, 4, 1),
+        (0, 5, 4, 1),
+        (4, 1, 4, 1),
+    ],
+)
+def test_pool_size_never_exceeds_trials_or_cpus(workers, trials, cpus, expect):
+    assert pool_size(workers, trials, cpus) == expect
 
 
 def test_mass_collapse_records_cutoff_for_remaining_steps():
