@@ -1,0 +1,30 @@
+"""Golden-output regression: the benchmark tables of a short np200 run.
+
+Any change to the filter, the random-stream layout or the table format
+that moves a byte of `trials.txt` or `summary.txt` fails here.  A change
+that is meant to move them updates both constants and says why.
+"""
+
+import hashlib
+import io
+
+from smcphd.config import benchmark_preset
+from smcphd.harness import run, write_summary_table, write_trials_table
+
+TRIALS_SHA256 = "671121729bc9023885d88982bbe51bc8747520989112753bae37c5d6a09a0f06"
+SUMMARY_SHA256 = "9435ade36c0fa8a0753b4171bd8e3e9e5bfc1a026be76b077d0eacc1fa6f5909"
+
+
+def _sha256(write) -> str:
+    buf = io.StringIO(newline="\n")
+    write(buf)
+    return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+
+
+def test_np200_three_trial_tables_match_golden_hashes():
+    config = benchmark_preset(200, trials=3, master_seed=1)
+    summary, results = run(config, workers=1)
+    trials = _sha256(lambda fh: write_trials_table(results, config.variant_names(), fh))
+    summary_hash = _sha256(lambda fh: write_summary_table(summary, fh))
+    assert trials == TRIALS_SHA256
+    assert summary_hash == SUMMARY_SHA256
