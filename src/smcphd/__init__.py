@@ -20,16 +20,15 @@ from .models import (
     MotionModel,
 )
 from .particles import ParticleSet, empty_set
-from .resampling import ResampleConfig, resample, target_count
+from .resampling import resample, target_count
 from .roughening import (
     GordonConfig,
     RougheningConfig,
-    direct_roughen_scale,
     gordon_std,
     separate_roughen,
     velocity_jitter,
 )
-from .scenario import ScanData, ScenarioConfig, TargetScript, generate_scan, generate_truth
+from .scenario import ScanData, ScenarioConfig, TargetScript, generate_truth
 
 __version__ = "0.1.0"
 
@@ -45,7 +44,6 @@ __all__ = [
     "MotionModel",
     "OspaParams",
     "ParticleSet",
-    "ResampleConfig",
     "RougheningConfig",
     "RunConfig",
     "RunSummary",
@@ -55,12 +53,10 @@ __all__ = [
     "TargetScript",
     "TrialResult",
     "VariantSpec",
-    "direct_roughen_scale",
     "empty_set",
     "estimate_cardinality",
     "extract_states",
     "gain_ratio",
-    "generate_scan",
     "generate_truth",
     "gordon_std",
     "load_preset",

@@ -2,7 +2,8 @@
 
 Subcommands: run (Monte Carlo comparison of the configured variants),
 sweep (gain ratio across jitter levels), scenario (dump one realization's
-truth and scans), selftest (built-in oracle and invariant checks).
+truth and scans).  Exit code 2 means the configuration or the output
+directory was rejected before any work started; 1 means a trial failed.
 """
 
 import argparse
@@ -11,6 +12,7 @@ from pathlib import Path
 
 from .config import PRESETS, load_preset, load_run_config, with_overrides
 from .harness import (
+    TrialError,
     run,
     sweep,
     write_summary_table,
@@ -19,7 +21,6 @@ from .harness import (
 )
 from .rng import TrialStreams
 from .scenario import generate_truth, simulate_scans, write_scans, write_truth
-from .selftest import run_selftest
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -35,6 +36,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=Path, default=Path("results"), help="output directory")
 
 
+def _trial_index(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _load_config(args):
     if args.config is not None:
         config = load_run_config(args.config)
@@ -43,10 +50,8 @@ def _load_config(args):
     return with_overrides(config, trials=args.trials, master_seed=args.seed)
 
 
-def _cmd_run(args) -> int:
-    config = _load_config(args)
+def _cmd_run(config, args) -> int:
     summary, results = run(config, workers=args.workers)
-    args.out.mkdir(parents=True, exist_ok=True)
     trials_path = args.out / "trials.txt"
     summary_path = args.out / "summary.txt"
     with open(trials_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -63,10 +68,8 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    config = _load_config(args)
+def _cmd_sweep(config, args) -> int:
     result, summary, results = sweep(config, workers=args.workers)
-    args.out.mkdir(parents=True, exist_ok=True)
     sweep_path = args.out / "sweep.txt"
     trials_path = args.out / "trials.txt"
     summary_path = args.out / "summary.txt"
@@ -86,19 +89,17 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_scenario(args) -> int:
-    config = _load_config(args)
+def _cmd_scenario(config, args) -> int:
     streams = TrialStreams(config.master_seed, args.trial)
-    truth = generate_truth(config.scenario, streams.truth)
+    truth = generate_truth(config.scenario, streams.get("truth"))
     scans = simulate_scans(
         truth,
         config.scenario,
-        streams.detection,
-        streams.measurement,
-        streams.clutter,
-        streams.shuffle,
+        streams.get("detection"),
+        streams.get("measurement"),
+        streams.get("clutter"),
+        streams.get("shuffle"),
     )
-    args.out.mkdir(parents=True, exist_ok=True)
     truth_path = args.out / "truth.txt"
     scans_path = args.out / "scans.txt"
     with open(truth_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -106,20 +107,6 @@ def _cmd_scenario(args) -> int:
     with open(scans_path, "w", encoding="utf-8", newline="\n") as fh:
         write_scans(scans, fh)
     print(f"wrote {truth_path} and {scans_path} (trial {args.trial})")
-    return 0
-
-
-def _cmd_selftest(args) -> int:
-    results = run_selftest()
-    failed = 0
-    for name, passed, detail in results:
-        status = "PASS" if passed else "FAIL"
-        print(f"{status}  {name}: {detail}")
-        failed += 0 if passed else 1
-    if failed:
-        print(f"{failed} of {len(results)} checks failed")
-        return 1
-    print(f"all {len(results)} checks passed")
     return 0
 
 
@@ -142,23 +129,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scen = sub.add_parser("scenario", help="dump one realization's truth and scans")
     _add_common(p_scen)
-    p_scen.add_argument("--trial", type=int, default=0, help="trial index to realize")
+    p_scen.add_argument("--trial", type=_trial_index, default=0, help="trial index to realize")
     p_scen.set_defaults(func=_cmd_scenario)
-
-    p_self = sub.add_parser("selftest", help="built-in oracle and invariant checks")
-    p_self.set_defaults(func=_cmd_selftest)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, NotImplementedError, OSError) as exc:
+        config = _load_config(args)
+        args.out.mkdir(parents=True, exist_ok=True)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        return args.func(config, args)
+    except TrialError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ from .models import (
     MotionModel,
     check_number,
 )
-from .resampling import ResampleConfig
 from .roughening import GordonConfig, RougheningConfig, velocity_jitter
 from .scenario import ScenarioConfig, TargetScript, benchmark_targets
 
@@ -42,7 +41,6 @@ class RunConfig:
 
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     filter: FilterConfig = field(default_factory=FilterConfig)
-    resample: ResampleConfig = field(default_factory=ResampleConfig)
     variants: list = field(default_factory=lambda: default_variants())
     trials: int = 100
     master_seed: int = 1
@@ -104,9 +102,8 @@ def benchmark_preset(particles_per_target: int = 200, trials: int = 100, master_
     return RunConfig(
         scenario=ScenarioConfig(steps=40, targets=benchmark_targets(), models=models),
         filter=FilterConfig(
-            particles_per_target=particles_per_target, detection=models.detection
+            particles_per_target=particles_per_target, resample_scheme="systematic"
         ),
-        resample=ResampleConfig(scheme="systematic", particles_per_target=particles_per_target),
         variants=default_variants(),
         trials=trials,
         master_seed=master_seed,
@@ -221,7 +218,6 @@ def run_config_from_mapping(kv: dict) -> RunConfig:
     """Build a RunConfig from parsed keys, starting from the published
     defaults; unknown keys are rejected."""
     kv = dict(kv)
-    base = benchmark_preset()
 
     motion = MotionModel(
         sampling_interval=_pop(kv, "motion.sampling_interval", float, 1.0),
@@ -253,17 +249,11 @@ def run_config_from_mapping(kv: dict) -> RunConfig:
         models=models,
     )
 
-    particles = _pop(kv, "filter.particles_per_target", int, 200)
     fconfig = FilterConfig(
-        particles_per_target=particles,
+        particles_per_target=_pop(kv, "filter.particles_per_target", int, 200),
         birth_particles=_pop(kv, "filter.birth_particles", int, None),
         min_particles=_pop(kv, "filter.min_particles", int, None),
-        detection=detection,
-    )
-    rconfig = ResampleConfig(
-        scheme=_pop(kv, "resample.scheme", str, "systematic"),
-        particles_per_target=_pop(kv, "resample.particles_per_target", int, particles),
-        min_particles=_pop(kv, "resample.min_particles", int, fconfig.min_particles),
+        resample_scheme=_pop(kv, "resample.scheme", str, "systematic"),
     )
     ospa = OspaParams(
         cutoff=_pop(kv, "ospa.cutoff", float, 100.0),
@@ -297,7 +287,6 @@ def run_config_from_mapping(kv: dict) -> RunConfig:
     return RunConfig(
         scenario=scenario,
         filter=fconfig,
-        resample=rconfig,
         variants=variants,
         trials=trials,
         master_seed=master_seed,

@@ -9,46 +9,48 @@ update.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import roughening as rough_mod
-from .models import DetectionModel, ModelSet, birth_sample, clutter_intensity, likelihood, propagate
+from .models import ModelSet, birth_sample, clutter_intensity, likelihood, propagate
 from .particles import ParticleSet, round_half_up
 from .roughening import RougheningConfig
 
 WEIGHT_FLOOR = 1e-300  # below this, weights are flushed to exactly zero
+RESAMPLE_SCHEMES = ("systematic", "multinomial")
 
 
 @dataclass
 class FilterConfig:
-    """Per-target particle budget and model assumptions used by the filter."""
+    """Particle budget and resampling scheme of the filter.
+
+    The model assumptions (survival, detection, clutter, birth) are read
+    from the `ModelSet` passed alongside, the same one the scenario
+    simulates with.
+    """
 
     particles_per_target: int = 200
     birth_particles: int | None = None  # default round(birth mass * particles_per_target)
     min_particles: int | None = None  # default ceil(particles_per_target / 2)
-    detection: DetectionModel = field(default_factory=DetectionModel)
-    proposal: str = "bootstrap"
-    birth_proposal: str = "birth"
+    resample_scheme: str = "systematic"
 
     def __post_init__(self):
         if self.particles_per_target < 1:
-            raise ValueError("particles_per_target must be >= 1")
+            raise ValueError(
+                f"filter.particles_per_target must be >= 1, got {self.particles_per_target}"
+            )
         if self.birth_particles is not None and self.birth_particles < 0:
             raise ValueError(f"filter.birth_particles must be >= 0, got {self.birth_particles}")
         if self.min_particles is None:
             self.min_particles = math.ceil(self.particles_per_target / 2)
         if self.min_particles < 1:
-            raise ValueError("min_particles must be >= 1")
-        if self.proposal != "bootstrap":
-            raise NotImplementedError(
-                f"proposal {self.proposal!r} not implemented; only 'bootstrap' is supported"
-            )
-        if self.birth_proposal != "birth":
-            raise NotImplementedError(
-                f"birth proposal {self.birth_proposal!r} not implemented; "
-                "only the birth density itself is supported"
+            raise ValueError(f"filter.min_particles must be >= 1, got {self.min_particles}")
+        if self.resample_scheme not in RESAMPLE_SCHEMES:
+            raise ValueError(
+                f"resample.scheme must be one of {', '.join(RESAMPLE_SCHEMES)}, "
+                f"got {self.resample_scheme!r}"
             )
 
     def birth_particle_count(self, birth_mass: float) -> int:
@@ -66,16 +68,13 @@ def predict(
 ) -> ParticleSet:
     """One prediction step: propagate survivors, append birth particles.
 
-    Under the bootstrap proposal each survivor keeps its state transition as
-    the proposal, so its weight is simply scaled by the survival
-    probability.  Birth particles are drawn from the birth density and each
-    carries weight mass/J, so the appended birth mass equals the configured
-    birth mass by construction.  With direct roughening enabled the
+    Survivors are moved by the motion model itself (the bootstrap filter),
+    so each survivor's weight is simply scaled by the survival probability.
+    Birth particles are drawn from the birth density and each carries
+    weight mass/J, so the appended birth mass equals the configured birth
+    mass by construction.  With direct roughening enabled the
     propagation noise stds are inflated to sqrt(sigma_v^2 + delta^2).
     """
-    if models.birth.spawn_kernel is not None:
-        raise NotImplementedError("spawn intensities are not supported")
-
     noise_std = None
     if roughening.mode == "direct":
         channel = rough_mod.direct_channel_jitter(
@@ -85,7 +84,7 @@ def predict(
 
     if len(prev) > 0:
         surv_states = propagate(prev.states, models.motion, rng, noise_std)
-        surv_weights = config.detection.p_survive * prev.weights
+        surv_weights = models.detection.p_survive * prev.weights
     else:
         surv_states = prev.states
         surv_weights = prev.weights
@@ -100,20 +99,10 @@ def predict(
         states = surv_states
         weights = surv_weights
 
-    return ParticleSet(
-        states=states,
-        weights=weights,
-        step=prev.step + 1,
-        survivor_count=len(prev),
-    )
+    return ParticleSet(states=states, weights=weights, step=prev.step + 1)
 
 
-def update(
-    pred: ParticleSet,
-    measurements,
-    models: ModelSet,
-    config: FilterConfig,
-) -> ParticleSet:
+def update(pred: ParticleSet, measurements, models: ModelSet) -> ParticleSet:
     """One data-update step; reweights particles, never moves them.
 
     Each particle's weight is multiplied by
@@ -125,7 +114,7 @@ def update(
     z_arr = np.asarray(measurements, dtype=float).reshape(-1, 2)
     if len(pred) == 0:
         return pred
-    p_d = config.detection.p_detect
+    p_d = models.detection.p_detect
     w = pred.weights
     factor = np.full(len(pred), 1.0 - p_d)
     for z in z_arr:
@@ -139,27 +128,17 @@ def update(
             factor = factor + (p_d * g) / denom
     new_weights = factor * w
     new_weights[new_weights < WEIGHT_FLOOR] = 0.0
-    return ParticleSet(
-        states=pred.states,
-        weights=new_weights,
-        step=pred.step,
-        survivor_count=pred.survivor_count,
-    )
+    return ParticleSet(states=pred.states, weights=new_weights, step=pred.step)
 
 
-def measurement_mass_terms(
-    pred: ParticleSet,
-    measurements,
-    models: ModelSet,
-    config: FilterConfig,
-) -> np.ndarray:
+def measurement_mass_terms(pred: ParticleSet, measurements, models: ModelSet) -> np.ndarray:
     """Per-measurement posterior mass contributions C(z)/(kappa(z)+C(z)).
 
     Each term lies in [0, 1]; together with (1-p_D) times the prior mass
     they account for the full post-update mass.
     """
     z_arr = np.asarray(measurements, dtype=float).reshape(-1, 2)
-    p_d = config.detection.p_detect
+    p_d = models.detection.p_detect
     terms = np.zeros(len(z_arr))
     for i, z in enumerate(z_arr):
         g = likelihood(z, pred.states, models.measurement)

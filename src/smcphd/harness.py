@@ -11,7 +11,7 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +26,17 @@ from .roughening import RougheningConfig, separate_roughen
 from .scenario import ScanData, generate_truth, simulate_scans
 
 logger = logging.getLogger(__name__)
+
+
+class TrialError(RuntimeError):
+    """A numeric or value fault raised while running a trial; the message
+    names the trial, the variant and the step it happened at."""
+
+
+def _trial_error(trial: int, variant: str, step: int, exc: Exception) -> TrialError:
+    return TrialError(
+        f"trial {trial}, variant {variant!r}, step {step}: {type(exc).__name__}: {exc}"
+    )
 
 
 @dataclass
@@ -61,14 +72,16 @@ class SweepResult:
     gain_ratios: dict  # (mode, delta) -> float
 
 
-def _run_variant(scans: ScanData, config: RunConfig, roughening: RougheningConfig, streams: TrialStreams):
+def _run_variant(scans: ScanData, config: RunConfig, variant: VariantSpec, streams: TrialStreams):
     """Run one filter variant over a trial's scans.
 
     Returns per-step cardinality estimates, per-step state estimates, and
     the step at which the posterior mass collapsed to zero (None if never).
     After a collapse the variant stops filtering; remaining steps report an
-    empty estimate.
+    empty estimate.  A ValueError or ArithmeticError inside a step is
+    re-raised as a TrialError that says where it happened.
     """
+    roughening = variant.roughening
     models = config.scenario.models
     steps = config.scenario.steps
     pset = empty_set(step=0)
@@ -79,21 +92,23 @@ def _run_variant(scans: ScanData, config: RunConfig, roughening: RougheningConfi
         if collapsed_at is not None:
             est_states[step - 1] = np.empty((0, 4))
             continue
-        pset = predict(pset, models, config.filter, roughening, streams.prediction)
-        pset = update(pset, scans.at(step), models, config.filter)
-        n_hat = estimate_cardinality(pset)
-        estimate = extract_states(pset, n_hat, streams.extraction)
-        est_counts[step - 1] = n_hat
-        est_states[step - 1] = estimate.states
-        if pset.total_weight() <= 0:
-            collapsed_at = step
-            logger.warning("track loss: posterior mass collapsed to zero at step %d", step)
-            continue
-        pset = resample(pset, config.resample, streams.resampling)
-        if roughening.mode == "separate":
-            pset = separate_roughen(
-                pset, roughening, models.motion, models.measurement, streams.roughening
-            )
+        try:
+            pset = predict(pset, models, config.filter, roughening, streams.get("prediction"))
+            pset = update(pset, scans.at(step), models)
+            n_hat = estimate_cardinality(pset)
+            estimate = extract_states(pset, n_hat, streams.get("extraction"))
+            est_counts[step - 1] = n_hat
+            est_states[step - 1] = estimate.states
+            if pset.total_weight() <= 0:
+                collapsed_at = step
+                logger.warning("track loss: posterior mass collapsed to zero at step %d", step)
+                continue
+            pset = resample(pset, config.filter, streams.get("resampling"))
+            if roughening.mode == "separate":
+                rng = streams.get("roughening")
+                pset = separate_roughen(pset, roughening, models.motion, models.measurement, rng)
+        except (ValueError, ArithmeticError) as exc:
+            raise _trial_error(streams.trial, variant.name, step, exc) from exc
     return est_counts, est_states, collapsed_at
 
 
@@ -105,14 +120,14 @@ def run_trial(config: RunConfig, trial_index: int) -> TrialResult:
     variants with identical roughening configs produce identical columns.
     """
     scenario_streams = TrialStreams(config.master_seed, trial_index)
-    truth = generate_truth(config.scenario, scenario_streams.truth)
+    truth = generate_truth(config.scenario, scenario_streams.get("truth"))
     scans = simulate_scans(
         truth,
         config.scenario,
-        scenario_streams.detection,
-        scenario_streams.measurement,
-        scenario_streams.clutter,
-        scenario_streams.shuffle,
+        scenario_streams.get("detection"),
+        scenario_streams.get("measurement"),
+        scenario_streams.get("clutter"),
+        scenario_streams.get("shuffle"),
     )
     scan_hash = scans.content_hash()
 
@@ -128,14 +143,17 @@ def run_trial(config: RunConfig, trial_index: int) -> TrialResult:
     collapsed: dict = {}
     for variant in config.variants:
         streams = TrialStreams(config.master_seed, trial_index)
-        counts, states, collapsed_at = _run_variant(scans, config, variant.roughening, streams)
+        counts, states, collapsed_at = _run_variant(scans, config, variant, streams)
         values = np.empty(steps)
         for k in range(steps):
             if collapsed_at is not None and (k + 1) > collapsed_at:
                 values[k] = config.ospa.cutoff
                 continue
             points = states[k] if config.ospa_full_state else states[k][:, [0, 2]]
-            values[k] = ospa(points, true_points[k], config.ospa)
+            try:
+                values[k] = ospa(points, true_points[k], config.ospa)
+            except (ValueError, ArithmeticError) as exc:
+                raise _trial_error(trial_index, variant.name, k + 1, exc) from exc
         est_counts[variant.name] = counts
         ospa_values[variant.name] = values
         collapsed[variant.name] = collapsed_at
@@ -239,8 +257,6 @@ def sweep_variants(config: RunConfig) -> list:
 
 def sweep(config: RunConfig, workers: int = 1):
     """Gain ratio of both roughening modes at each jitter level."""
-    from dataclasses import replace
-
     sweep_config = replace(config, variants=sweep_variants(config))
     summary, results = run(sweep_config, workers)
     baseline = summary.mean_ospa[sweep_config.baseline_name]

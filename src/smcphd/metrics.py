@@ -26,8 +26,17 @@ class OspaParams:
     order: float = 2.0
 
     def __post_init__(self):
+        self.cutoff = float(self.cutoff)
+        self.order = float(self.order)
         check_number("ospa.cutoff", self.cutoff, 0.0, strict=True)
         check_number("ospa.order", self.order, 1.0)
+        try:
+            self.cutoff**self.order  # the cardinality penalty; float ** raises on overflow
+        except OverflowError:
+            raise ValueError(
+                f"ospa.order = {self.order:g} is too large for ospa.cutoff = {self.cutoff:g}: "
+                "cutoff ** order overflows a float"
+            ) from None
 
 
 def _as_points(points) -> np.ndarray:

@@ -79,11 +79,6 @@ class MotionModel:
     def noise_stds(self) -> np.ndarray:
         return np.array([self.sigma_v1, self.sigma_v2])
 
-    def noise_covariance(self) -> np.ndarray:
-        """Process noise covariance in state space (rank 2)."""
-        g = self.noise_input_matrix()
-        return g @ np.diag(self.noise_stds() ** 2) @ g.T
-
 
 @dataclass
 class MeasurementModel:
@@ -96,9 +91,6 @@ class MeasurementModel:
         check_number("measurement.sigma_w1", self.sigma_w1, 0.0, strict=True)
         check_number("measurement.sigma_w2", self.sigma_w2, 0.0, strict=True)
 
-    def matrix(self) -> np.ndarray:
-        return np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
-
     def min_std(self) -> float:
         return min(self.sigma_w1, self.sigma_w2)
 
@@ -108,15 +100,12 @@ class BirthModel:
     """Gaussian intensity of newly appearing targets.
 
     `mass` is the expected number of new targets per step; the intensity is
-    mass * N(x; mean, diag(cov_diag)).  `spawn_kernel` is an optional
-    descriptor for target-spawned intensity; no concrete kernel is
-    implemented and the filter rejects a non-None value.
+    mass * N(x; mean, diag(cov_diag)).
     """
 
     mass: float = 0.2
     mean: tuple = (0.0, 3.0, 0.0, -3.0)
     cov_diag: tuple = (10.0, 1.0, 10.0, 1.0)
-    spawn_kernel: object = None
 
     def __post_init__(self):
         check_number("birth.mass", self.mass, 0.0)
@@ -128,12 +117,6 @@ class BirthModel:
             check_number("birth.mean", v)
         for v in self.cov_diag:
             check_number("birth.cov_diag", v, 0.0, strict=True)
-
-    def mean_state(self) -> np.ndarray:
-        return np.array(self.mean)
-
-    def cov(self) -> np.ndarray:
-        return np.diag(self.cov_diag)
 
 
 @dataclass
@@ -154,10 +137,6 @@ class ClutterModel:
     def area(self) -> float:
         xmin, xmax, ymin, ymax = self.region
         return (xmax - xmin) * (ymax - ymin)
-
-    def spatial_density(self) -> float:
-        """Uniform location density inside the region (integrates to 1)."""
-        return 1.0 / self.area()
 
     def intensity_level(self) -> float:
         """Clutter intensity inside the region (integrates to `rate`)."""
@@ -212,36 +191,6 @@ def propagate(
     return out[0] if single else out
 
 
-def transition_density(x, u, motion: MotionModel, rel_tol: float = 1e-9) -> float:
-    """Density of a one-step transition u -> x.
-
-    The process noise enters through a 4x2 matrix, so the 4-d transition
-    density is degenerate.  The unique noise pair is recovered from the
-    velocity change on each axis; if the position components are not
-    consistent with that pair the state is off the noise manifold and the
-    density is 0.  On the manifold the value is the product of the two 1-d
-    noise densities (noise coordinates; no Jacobian factor).
-    """
-    if motion.sigma_v1 <= 0 or motion.sigma_v2 <= 0:
-        raise ValueError("transition_density requires strictly positive noise stds")
-    xv = _as_state(x)
-    uv = _as_state(u)
-    if xv.ndim != 1 or uv.ndim != 1:
-        raise ValueError("transition_density takes single states")
-    t = motion.sampling_interval
-    pred = motion.transition_matrix() @ uv
-    dens = 1.0
-    for pos_i, vel_i, sigma in ((0, 1, motion.sigma_v1), (2, 3, motion.sigma_v2)):
-        v = (xv[vel_i] - pred[vel_i]) / t
-        pos_expected = pred[pos_i] + (t * t / 2.0) * v
-        err = abs(xv[pos_i] - pos_expected)
-        scale = max(1.0, abs(xv[pos_i]), abs(pos_expected))
-        if err > rel_tol * scale:
-            return 0.0
-        dens *= math.exp(-0.5 * (v / sigma) ** 2) / (math.sqrt(_TWO_PI) * sigma)
-    return dens
-
-
 def likelihood(z, states, meas: MeasurementModel):
     """Measurement likelihood N(zx; px, sw1^2) * N(zy; py, sw2^2).
 
@@ -261,19 +210,6 @@ def likelihood(z, states, meas: MeasurementModel):
     dy = (zv[1] - x2[:, 2]) / meas.sigma_w2
     norm = 1.0 / (_TWO_PI * meas.sigma_w1 * meas.sigma_w2)
     vals = norm * np.exp(-0.5 * (dx * dx + dy * dy))
-    return float(vals[0]) if single else vals
-
-
-def birth_intensity(states, birth: BirthModel):
-    """Birth intensity mass * N(x; mean, diag cov); integrates to mass."""
-    x = _as_state(states)
-    single = x.ndim == 1
-    x2 = x[None, :] if single else x
-    diag = np.array(birth.cov_diag)
-    delta = x2 - np.array(birth.mean)
-    quad = np.sum(delta * delta / diag, axis=1)
-    norm = 1.0 / math.sqrt((_TWO_PI) ** STATE_DIM * float(np.prod(diag)))
-    vals = birth.mass * norm * np.exp(-0.5 * quad)
     return float(vals[0]) if single else vals
 
 

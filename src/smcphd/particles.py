@@ -23,16 +23,13 @@ def round_half_up(value: float) -> int:
 class ParticleSet:
     """States (n, 4), weights (n,), and bookkeeping for one time step.
 
-    `survivor_count` is the number of leading particles that originate from
-    the previous population (the remainder are birth particles).  `ancestry`
-    holds, for a freshly resampled set, the index of each particle's source
-    in the pre-resampling population; None otherwise.
+    `ancestry` holds, for a freshly resampled set, the index of each
+    particle's source in the pre-resampling population; None otherwise.
     """
 
     states: np.ndarray
     weights: np.ndarray
     step: int = 0
-    survivor_count: int = 0
     ancestry: np.ndarray | None = None
 
     def __post_init__(self):
@@ -48,8 +45,6 @@ class ParticleSet:
             raise ValueError("particle states must be finite")
         if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0):
             raise ValueError("particle weights must be finite and >= 0")
-        if not 0 <= self.survivor_count <= len(self.weights):
-            raise ValueError("survivor_count out of range")
         if self.ancestry is not None:
             self.ancestry = np.asarray(self.ancestry, dtype=np.intp).ravel()
             if self.ancestry.shape[0] != self.weights.shape[0]:
@@ -62,14 +57,9 @@ class ParticleSet:
         """Exact (compensated) sum of the weights."""
         return math.fsum(self.weights.tolist())
 
-    def positions(self) -> np.ndarray:
-        return self.states[:, [0, 2]]
-
 
 def empty_set(step: int = 0) -> ParticleSet:
-    return ParticleSet(
-        states=np.empty((0, STATE_DIM)), weights=np.empty(0), step=step, survivor_count=0
-    )
+    return ParticleSet(states=np.empty((0, STATE_DIM)), weights=np.empty(0), step=step)
 
 
 def write_particles(pset: ParticleSet, fileobj) -> None:
@@ -79,23 +69,3 @@ def write_particles(pset: ParticleSet, fileobj) -> None:
             f"{pset.step} {state[0]:.17g} {state[1]:.17g} "
             f"{state[2]:.17g} {state[3]:.17g} {w:.17g}\n"
         )
-
-
-def read_particles(fileobj) -> ParticleSet:
-    """Read a dump produced by `write_particles` (single step per file)."""
-    states, weights, steps = [], [], []
-    for line in fileobj:
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 6:
-            raise ValueError(f"malformed particle line: {line!r}")
-        steps.append(int(parts[0]))
-        states.append([float(v) for v in parts[1:5]])
-        weights.append(float(parts[5]))
-    if steps and len(set(steps)) != 1:
-        raise ValueError("particle dump mixes time steps")
-    if not steps:
-        return empty_set()
-    return ParticleSet(states=np.array(states), weights=np.array(weights), step=steps[0])

@@ -6,31 +6,14 @@ so the population cannot die out while the expected count is small.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .filter import FilterConfig
 from .particles import ParticleSet, round_half_up
 
 
-@dataclass
-class ResampleConfig:
-    scheme: str = "systematic"  # systematic | multinomial
-    particles_per_target: int = 200
-    min_particles: int | None = None  # default ceil(particles_per_target / 2)
-
-    def __post_init__(self):
-        if self.scheme not in ("systematic", "multinomial"):
-            raise ValueError(f"unknown resampling scheme {self.scheme!r}")
-        if self.particles_per_target < 1:
-            raise ValueError("particles_per_target must be >= 1")
-        if self.min_particles is None:
-            self.min_particles = math.ceil(self.particles_per_target / 2)
-        if self.min_particles < 1:
-            raise ValueError("min_particles must be >= 1")
-
-
-def target_count(mass: float, config: ResampleConfig) -> int:
+def target_count(mass: float, config: FilterConfig) -> int:
     """Particle budget for an expected target count: round(mass) per-target
     blocks, hard-floored at `min_particles`."""
     if mass < 0:
@@ -101,7 +84,7 @@ def _equalized_weights(total: float, count: int) -> np.ndarray:
     raise ArithmeticError("weight equalization failed to converge")
 
 
-def resample(pset: ParticleSet, config: ResampleConfig, rng: np.random.Generator) -> ParticleSet:
+def resample(pset: ParticleSet, config: FilterConfig, rng: np.random.Generator) -> ParticleSet:
     """Draw a new population proportional to weight and equalize the weights.
 
     The output has target_count(total mass) particles, total mass preserved
@@ -113,7 +96,7 @@ def resample(pset: ParticleSet, config: ResampleConfig, rng: np.random.Generator
     if total <= 0:
         raise ValueError("cannot resample a particle set with zero total weight")
     count = target_count(total, config)
-    if config.scheme == "systematic":
+    if config.resample_scheme == "systematic":
         idx = systematic_indices(pset.weights, count, rng)
     else:
         idx = multinomial_indices(pset.weights, count, rng)
@@ -121,6 +104,5 @@ def resample(pset: ParticleSet, config: ResampleConfig, rng: np.random.Generator
         states=pset.states[idx].copy(),
         weights=_equalized_weights(total, count),
         step=pset.step,
-        survivor_count=count,
         ancestry=idx,
     )

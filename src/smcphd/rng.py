@@ -43,8 +43,8 @@ def stream(master_seed: int, trial: int, purpose: str) -> np.random.Generator:
 class TrialStreams:
     """Named random streams for one trial.
 
-    Each attribute access creates the generator lazily on first use and then
-    keeps consuming from it, so a purpose's draws form one sequence per
+    `get(purpose)` creates the generator lazily on first use and then keeps
+    consuming from it, so a purpose's draws form one sequence per
     instance.  Construct a fresh instance per (trial, variant) run.
     """
 
@@ -59,39 +59,3 @@ class TrialStreams:
             gen = stream(self.master_seed, self.trial, purpose)
             self._streams[purpose] = gen
         return gen
-
-    @property
-    def truth(self) -> np.random.Generator:
-        return self.get("truth")
-
-    @property
-    def detection(self) -> np.random.Generator:
-        return self.get("detection")
-
-    @property
-    def measurement(self) -> np.random.Generator:
-        return self.get("measurement")
-
-    @property
-    def clutter(self) -> np.random.Generator:
-        return self.get("clutter")
-
-    @property
-    def shuffle(self) -> np.random.Generator:
-        return self.get("shuffle")
-
-    @property
-    def prediction(self) -> np.random.Generator:
-        return self.get("prediction")
-
-    @property
-    def resampling(self) -> np.random.Generator:
-        return self.get("resampling")
-
-    @property
-    def roughening(self) -> np.random.Generator:
-        return self.get("roughening")
-
-    @property
-    def extraction(self) -> np.random.Generator:
-        return self.get("extraction")

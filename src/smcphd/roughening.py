@@ -220,7 +220,6 @@ def separate_roughen(
         states=states,
         weights=pset.weights,
         step=pset.step,
-        survivor_count=pset.survivor_count,
         ancestry=pset.ancestry,
     )
 
@@ -268,25 +267,3 @@ def combined_noise_std(channel_jitter: np.ndarray, motion: MotionModel) -> np.nd
     d = np.asarray(channel_jitter, dtype=float)
     s = np.array([motion.sigma_v1, motion.sigma_v2])
     return np.where(d == 0, s, np.sqrt(s * s + d * d))
-
-
-def direct_roughen_scale(config: RougheningConfig, motion: MotionModel) -> np.ndarray:
-    """Per-axis noise multiplier m = sqrt(1 + (delta/sigma_v)^2).
-
-    Only defined for a fixed jitter vector and strictly positive model noise
-    on the jittered axes; the propagation path uses `combined_noise_std`,
-    which also covers the sigma_v = 0 case by passing the absolute combined
-    std instead of a multiplier.
-    """
-    if config.mode != "direct":
-        raise ValueError("direct_roughen_scale requires mode='direct'")
-    if config.jitter_std is None:
-        raise ValueError("direct_roughen_scale requires a fixed jitter_std")
-    d = channel_jitter_std(config.jitter_std, motion)
-    s = np.array([motion.sigma_v1, motion.sigma_v2])
-    if np.any((s == 0) & (d > 0)):
-        raise ValueError(
-            "noise multiplier undefined for sigma_v = 0; use combined_noise_std"
-        )
-    ratio = np.divide(d, s, out=np.zeros_like(d), where=s > 0)
-    return np.sqrt(1.0 + ratio * ratio)

@@ -45,13 +45,10 @@ class ScenarioConfig:
     steps: int = 40
     targets: list[TargetScript] = field(default_factory=benchmark_targets)
     models: ModelSet = field(default_factory=ModelSet)
-    region: tuple | None = None  # surveillance window; defaults to the clutter region
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.region is None:
-            self.region = self.models.clutter.region
         for t in self.targets:
             if not (1 <= t.birth_step <= t.death_step <= self.steps):
                 raise ValueError(
@@ -126,13 +123,6 @@ def generate_truth(config: ScenarioConfig, rng: np.random.Generator) -> GroundTr
             states.append(state)
         tracks[tid] = (script.birth_step, np.vstack(states))
     return GroundTruth(steps=config.steps, tracks=tracks)
-
-
-def generate_scan(
-    truth_states: np.ndarray, config: ScenarioConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """One scan from the alive states at a step, using a single stream."""
-    return _compose_scan(truth_states, config, rng, rng, rng, rng)
 
 
 def simulate_scans(

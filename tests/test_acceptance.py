@@ -16,12 +16,12 @@ import pytest
 
 from smcphd.cli import main as cli_main
 from smcphd.config import VariantSpec, benchmark_preset
-from smcphd.filter import measurement_mass_terms, predict, update
+from smcphd.filter import FilterConfig, measurement_mass_terms, predict, update
 from smcphd.harness import run, sweep, write_variant_table
 from smcphd.metrics import OspaParams, ospa, ospa_bruteforce
 from smcphd.models import BirthModel, MotionModel, propagate
 from smcphd.particles import ParticleSet, empty_set
-from smcphd.resampling import ResampleConfig, multinomial_indices, resample
+from smcphd.resampling import multinomial_indices, resample
 from smcphd.roughening import (
     RougheningConfig,
     channel_jitter_std,
@@ -102,8 +102,8 @@ def test_criterion_03_update_mass_identity():
             weights=rng.uniform(0, 0.05, size=n),
         )
         scan = rng.uniform(-100, 100, size=(int(rng.integers(0, 12)), 2))
-        post = update(pset, scan, models, config.filter)
-        terms = measurement_mass_terms(pset, scan, models, config.filter)
+        post = update(pset, scan, models)
+        terms = measurement_mass_terms(pset, scan, models)
         assert np.all(terms >= 0.0) and np.all(terms <= 1.0)
         expected = (1 - 0.95) * pset.total_weight() + math.fsum(terms)
         if expected > 0:
@@ -143,7 +143,7 @@ def test_criterion_04_prediction_mass_identity():
 
 def test_criterion_05_resampling_guarantees():
     rng = np.random.default_rng(105)
-    config = ResampleConfig(scheme="systematic", particles_per_target=120)
+    config = FilterConfig(particles_per_target=120, resample_scheme="systematic")
 
     for _ in range(300):
         n = int(rng.integers(1, 500))

@@ -15,6 +15,7 @@ from smcphd.config import (
     run_config_from_mapping,
     with_overrides,
 )
+from smcphd.resampling import target_count
 from smcphd.roughening import RougheningConfig
 
 CONFIG_TEXT = """
@@ -67,7 +68,7 @@ def test_full_config_document():
     assert np.array_equal(fixed.initial_state, [1.5, 2.0, 0.0, -2.0])
     assert config.filter.particles_per_target == 100
     assert config.filter.min_particles == 50
-    assert config.resample.particles_per_target == 100
+    assert config.filter.resample_scheme == "systematic"
     assert config.trials == 25
     assert config.master_seed == 77
     assert config.sweep_grid == (0.0, 0.2, 0.4)
@@ -84,6 +85,11 @@ def test_full_config_document():
 def test_unknown_keys_rejected():
     with pytest.raises(ValueError, match="unknown config keys"):
         run_config_from_mapping({"filter.particle_count": "10"})
+    # The particle budget has one owner, `filter.*`: no second key may
+    # disagree with it.
+    for key in ("resample.min_particles", "resample.particles_per_target"):
+        with pytest.raises(ValueError, match=rf"unknown config keys: \['{re.escape(key)}'\]"):
+            run_config_from_mapping({"filter.min_particles": "70", key: "30"})
     with pytest.raises(ValueError, match="unknown roughening keys"):
         run_config_from_mapping(
             {"roughening.basic.mode": "none", "roughening.basic.extra": "1"}
@@ -117,21 +123,19 @@ def test_exactly_one_baseline_required():
         RunConfig(
             scenario=base.scenario,
             filter=base.filter,
-            resample=base.resample,
             variants=[VariantSpec("a", RougheningConfig(mode="separate", jitter_std=0.4))],
         )
     with pytest.raises(ValueError):
         RunConfig(
             scenario=base.scenario,
             filter=base.filter,
-            resample=base.resample,
             variants=[
                 VariantSpec("a", RougheningConfig(mode="none")),
                 VariantSpec("b", RougheningConfig(mode="none")),
             ],
         )
     with pytest.raises(ValueError):
-        RunConfig(scenario=base.scenario, filter=base.filter, resample=base.resample, trials=0)
+        RunConfig(scenario=base.scenario, filter=base.filter, trials=0)
 
 
 def test_duplicate_variant_names_rejected():
@@ -140,7 +144,6 @@ def test_duplicate_variant_names_rejected():
         RunConfig(
             scenario=base.scenario,
             filter=base.filter,
-            resample=base.resample,
             variants=[
                 VariantSpec("x", RougheningConfig(mode="none")),
                 VariantSpec("x", RougheningConfig(mode="separate", jitter_std=0.4)),
@@ -161,11 +164,10 @@ def test_filter_min_particles_propagates_to_resampling():
         {"filter.particles_per_target": "100", "filter.min_particles": "70"}
     )
     assert config.filter.min_particles == 70
-    assert config.resample.min_particles == 70
-    explicit = run_config_from_mapping(
-        {"filter.min_particles": "70", "resample.min_particles": "30"}
-    )
-    assert explicit.resample.min_particles == 30
+    assert target_count(0.2, config.filter) == 70
+    assert target_count(1.0, config.filter) == 100
+    multinomial = run_config_from_mapping({"resample.scheme": "multinomial"})
+    assert multinomial.filter.resample_scheme == "multinomial"
 
 
 @pytest.mark.parametrize(
@@ -179,6 +181,8 @@ def test_filter_min_particles_propagates_to_resampling():
         ("run.sweep_grid", "nan"),
         ("filter.birth_particles", "-3"),
         ("run.master_seed", "-1"),
+        ("ospa.order", "1e308"),
+        ("ospa.order", "200"),
     ],
 )
 def test_nonfinite_or_degenerate_parameter_fails_at_load(tmp_path, capsys, key, value):

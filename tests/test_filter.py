@@ -36,17 +36,15 @@ def _models(**overrides):
     return ModelSet(**base)
 
 
-def _config(**overrides):
-    kwargs = dict(particles_per_target=200, detection=DetectionModel())
-    kwargs.update(overrides)
-    return FilterConfig(**kwargs)
+def _config():
+    return FilterConfig(particles_per_target=200)
 
 
 def test_predict_survivor_weights_are_exact_products():
     rng = np.random.default_rng(0)
     prev = ParticleSet(states=rng.normal(size=(50, 4)), weights=rng.uniform(0, 0.1, 50))
     out = predict(prev, _models(), _config(), NO_ROUGHENING, np.random.default_rng(1))
-    assert out.survivor_count == 50
+    assert len(out) == 50 + 40  # survivors first, then round(0.2 * 200) births
     assert np.array_equal(out.weights[:50], 0.95 * prev.weights)
     single = ParticleSet(states=np.zeros((1, 4)), weights=[0.04])
     out = predict(single, _models(), _config(), NO_ROUGHENING, np.random.default_rng(2))
@@ -56,7 +54,6 @@ def test_predict_survivor_weights_are_exact_products():
 def test_predict_birth_mass_and_weights():
     out = predict(empty_set(), _models(), _config(), NO_ROUGHENING, np.random.default_rng(3))
     assert len(out) == 40  # round(0.2 * 200)
-    assert out.survivor_count == 0
     assert np.all(out.weights == 0.2 / 40)
     assert math.fsum(out.weights.tolist()) == 0.2
     assert out.step == 1
@@ -74,10 +71,9 @@ def test_predict_survivor_mass_exact_for_dyadic_weights():
 
 def test_predict_zero_survival_and_no_births():
     models = _models(birth=BirthModel(mass=0.0), detection=DetectionModel(p_survive=0.0))
-    config = _config(detection=DetectionModel(p_survive=0.0))
     rng = np.random.default_rng(5)
     prev = ParticleSet(states=rng.normal(size=(10, 4)), weights=np.full(10, 0.1))
-    out = predict(prev, models, config, NO_ROUGHENING, rng)
+    out = predict(prev, models, _config(), NO_ROUGHENING, rng)
     assert out.total_weight() == 0.0
     assert len(out) == 10
 
@@ -87,12 +83,6 @@ def test_predict_empty_input_zero_birth_gives_empty_output():
     out = predict(empty_set(), models, _config(), NO_ROUGHENING, np.random.default_rng(6))
     assert len(out) == 0
     assert out.step == 1
-
-
-def test_predict_rejects_spawn_kernel():
-    models = _models(birth=BirthModel(mass=0.2, spawn_kernel=object()))
-    with pytest.raises(NotImplementedError):
-        predict(empty_set(), models, _config(), NO_ROUGHENING, np.random.default_rng(7))
 
 
 def test_predict_direct_zero_jitter_bitwise_equals_basic():
@@ -123,15 +113,15 @@ def test_predict_direct_inflates_velocity_noise():
 def test_update_identity_when_undetectable():
     rng = np.random.default_rng(11)
     pred = ParticleSet(states=rng.normal(size=(20, 4)), weights=rng.uniform(0, 1, 20))
-    config = _config(detection=DetectionModel(p_detect=0.0))
-    out = update(pred, rng.uniform(-50, 50, (5, 2)), _models(), config)
+    models = _models(detection=DetectionModel(p_detect=0.0))
+    out = update(pred, rng.uniform(-50, 50, (5, 2)), models)
     assert np.array_equal(out.weights, pred.weights)
 
 
 def test_update_empty_scan_scales_by_missed_detection():
     rng = np.random.default_rng(12)
     pred = ParticleSet(states=rng.normal(size=(20, 4)), weights=rng.uniform(0, 1, 20))
-    out = update(pred, np.empty((0, 2)), _models(), _config())
+    out = update(pred, np.empty((0, 2)), _models())
     assert np.allclose(out.weights, 0.05 * pred.weights, rtol=1e-15)
 
 
@@ -141,7 +131,7 @@ def test_update_single_particle_hand_computed():
     sigma = math.sqrt(1.0 / (0.2 * math.pi))
     models = _models(measurement=MeasurementModel(sigma_w1=sigma, sigma_w2=sigma))
     pred = ParticleSet(states=np.zeros((1, 4)), weights=[1.0])
-    out = update(pred, np.zeros((1, 2)), models, _config())
+    out = update(pred, np.zeros((1, 2)), models)
     g = 0.1
     c = 0.95 * g * 1.0
     expected = (1 - 0.95 + 0.95 * g / (2.5e-4 + c)) * 1.0
@@ -152,7 +142,6 @@ def test_update_single_particle_hand_computed():
 def test_update_mass_decomposition_identity():
     rng = np.random.default_rng(13)
     models = _models()
-    config = _config()
     for _ in range(200):
         n = int(rng.integers(1, 300))
         pred = ParticleSet(
@@ -160,8 +149,8 @@ def test_update_mass_decomposition_identity():
             weights=rng.uniform(0, 0.05, size=n),
         )
         scan = rng.uniform(-90, 90, size=(int(rng.integers(0, 10)), 2))
-        post = update(pred, scan, models, config)
-        terms = measurement_mass_terms(pred, scan, models, config)
+        post = update(pred, scan, models)
+        terms = measurement_mass_terms(pred, scan, models)
         assert np.all(terms >= 0.0) and np.all(terms <= 1.0)
         expected = 0.05 * pred.total_weight() + math.fsum(terms)
         assert post.total_weight() == pytest.approx(expected, rel=1e-10)
@@ -171,7 +160,7 @@ def test_update_never_moves_particles():
     rng = np.random.default_rng(14)
     pred = ParticleSet(states=rng.normal(size=(40, 4)), weights=np.full(40, 0.02))
     before = pred.states.copy()
-    out = update(pred, rng.uniform(-5, 5, (3, 2)), _models(), _config())
+    out = update(pred, rng.uniform(-5, 5, (3, 2)), _models())
     assert np.array_equal(out.states, before)
 
 
@@ -184,7 +173,7 @@ def test_update_huge_clutter_discounts_measurements():
         states=rng.uniform(-50, 50, size=(100, 4)), weights=rng.uniform(0, 0.05, 100)
     )
     scan = rng.uniform(-50, 50, size=(6, 2))
-    out = update(pred, scan, models, _config())
+    out = update(pred, scan, models)
     assert out.total_weight() == pytest.approx(0.05 * pred.total_weight(), rel=1e-9)
 
 
@@ -193,7 +182,7 @@ def test_update_zero_denominator_contributes_nothing():
     # far-away particles flushed to zero: the term is dropped, not a crash.
     models = _models(clutter=ClutterModel(rate=0.0, region=(-100, 100, -100, 100)))
     pred = ParticleSet(states=np.full((3, 4), 1e4), weights=np.full(3, 0.1))
-    out = update(pred, np.array([[-1e4, -1e4]]), models, _config())
+    out = update(pred, np.array([[-1e4, -1e4]]), models)
     assert np.allclose(out.weights, 0.05 * pred.weights, rtol=1e-15)
 
 
@@ -213,12 +202,13 @@ def test_filter_config_defaults_and_validation():
     assert config.birth_particle_count(0.2) == 40
     assert FilterConfig(particles_per_target=1000).birth_particle_count(0.2) == 200
     assert FilterConfig(particles_per_target=200, birth_particles=17).birth_particle_count(0.2) == 17
-    with pytest.raises(NotImplementedError):
-        FilterConfig(proposal="optimal")
-    with pytest.raises(NotImplementedError):
-        FilterConfig(birth_proposal="measurement-driven")
-    with pytest.raises(ValueError):
+    assert config.resample_scheme == "systematic"
+    with pytest.raises(ValueError, match="filter.particles_per_target"):
         FilterConfig(particles_per_target=0)
+    with pytest.raises(ValueError, match="filter.min_particles"):
+        FilterConfig(min_particles=0)
+    with pytest.raises(ValueError, match="resample.scheme"):
+        FilterConfig(resample_scheme="stratified")
 
 
 def test_predict_direct_with_adaptive_bandwidth():

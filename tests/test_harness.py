@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from smcphd import harness
 from smcphd.cli import main as cli_main
 from smcphd.config import VariantSpec, benchmark_preset
 from smcphd.harness import (
@@ -153,22 +154,20 @@ def test_pool_size_never_exceeds_trials_or_cpus(workers, trials, cpus, expect):
 
 
 def test_mass_collapse_records_cutoff_for_remaining_steps():
-    # Filter believes detection is certain but the sensor never reports and
-    # there is no clutter: the first update zeroes every weight.
+    # Detection is certain and there is no clutter, but the target sits at
+    # (90, 90), far outside the birth density: no particle supports its
+    # measurement, so the first update multiplies every weight by 1 - p_D = 0.
     base = small_config(trials=1, particles=40, steps=6)
     models = ModelSet(
         motion=base.scenario.models.motion,
         measurement=base.scenario.models.measurement,
         birth=base.scenario.models.birth,
         clutter=ClutterModel(rate=0.0, region=(-100, 100, -100, 100)),
-        detection=DetectionModel(p_survive=0.95, p_detect=0.0),
+        detection=DetectionModel(p_survive=0.95, p_detect=1.0),
     )
-    scenario = ScenarioConfig(steps=6, targets=[TargetScript(1, 6)], models=models)
-    config = replace(
-        base,
-        scenario=scenario,
-        filter=replace(base.filter, detection=DetectionModel(p_survive=0.95, p_detect=1.0)),
-    )
+    target = TargetScript(1, 6, initial_state=[90.0, 0.0, 90.0, 0.0])
+    scenario = ScenarioConfig(steps=6, targets=[target], models=models)
+    config = replace(base, scenario=scenario)
     result = run_trial(config, 0)
     for name in config.variant_names():
         assert result.collapsed_at[name] == 1
@@ -249,6 +248,27 @@ def test_cli_scenario_dump(tmp_path):
     assert all(len(line.split("\t")) == 3 for line in scan_lines)
     # 8 steps of target 1 + 7 of target 2
     assert len(truth_lines) == 8 + 7
+    with pytest.raises(SystemExit) as exc:  # argparse's usage error, exit 2
+        cli_main(["scenario", "--config", str(cfg), "--out", str(out), "--trial", "-1"])
+    assert exc.value.code == 2
+
+
+def test_cli_run_fault_exits_1_and_names_trial_variant_step(tmp_path, capsys, monkeypatch):
+    # A fault during a run is not a configuration error: exit 1, and the
+    # message says where it happened.
+    real_update = harness.update
+
+    def failing_update(pset, measurements, models):
+        if pset.step == 3:
+            raise ValueError("injected fault")
+        return real_update(pset, measurements, models)
+
+    monkeypatch.setattr(harness, "update", failing_update)
+    cfg = _write_config(tmp_path)
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "trial 0, variant 'basic', step 3" in err
+    assert "ValueError: injected fault" in err
 
 
 def test_cli_rejects_bad_config(tmp_path):
@@ -286,7 +306,6 @@ def test_single_target_clean_sensor_tracks_tightly():
     config = replace(
         base,
         scenario=ScenarioConfig(steps=40, targets=[TargetScript(1, 40)], models=models),
-        filter=replace(base.filter, detection=DetectionModel(p_survive=0.95, p_detect=1.0)),
         variants=[VariantSpec("basic", RougheningConfig(mode="none"))],
     )
     summary, _ = run(config, workers=2)
@@ -313,11 +332,3 @@ def test_cli_sweep_writes_tables(tmp_path):
     # baseline row + 2 grid values x 2 modes
     assert len(lines) == 1 + 1 + 2 * 2
     assert (out / "summary.txt").exists() and (out / "trials.txt").exists()
-
-
-def test_selftest_checks_pass():
-    from smcphd.selftest import run_selftest
-
-    results = run_selftest()
-    failures = [(name, detail) for name, ok, detail in results if not ok]
-    assert not failures, failures

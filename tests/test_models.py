@@ -10,14 +10,12 @@ from smcphd.models import (
     DetectionModel,
     MeasurementModel,
     MotionModel,
-    birth_intensity,
     birth_sample,
     clutter_intensity,
     clutter_sample,
     likelihood,
     measure,
     propagate,
-    transition_density,
 )
 
 
@@ -58,30 +56,6 @@ def test_propagate_rejects_non_finite_state():
         propagate(np.array([np.nan, 0.0, 0.0, 0.0]), motion, np.random.default_rng(0))
 
 
-def test_transition_density_mode_at_noise_free_prediction():
-    motion = MotionModel(sigma_v1=1.0, sigma_v2=0.1)
-    u = np.array([1.0, 2.0, 3.0, -1.0])
-    x = motion.transition_matrix() @ u
-    expected = 1.0 / (2 * math.pi * motion.sigma_v1 * motion.sigma_v2)
-    assert transition_density(x, u, motion) == pytest.approx(expected, rel=1e-12)
-
-
-def test_transition_density_off_manifold_is_zero():
-    motion = MotionModel(sigma_v1=1.0, sigma_v2=0.1)
-    u = np.array([0.0, 1.0, 0.0, 1.0])
-    x = motion.transition_matrix() @ u
-    x[1] += 2.0  # velocity changed without the matching position shift
-    assert transition_density(x, u, motion) == 0.0
-
-
-def test_transition_density_noise_coordinates():
-    motion = MotionModel(sigma_v1=1.0, sigma_v2=0.1)
-    u = np.array([4.0, -1.0, 2.0, 0.5])
-    x = motion.transition_matrix() @ u + motion.noise_input_matrix() @ np.array([1.0, 0.0])
-    expected = stats.norm.pdf(1.0, 0.0, 1.0) * stats.norm.pdf(0.0, 0.0, 0.1)
-    assert transition_density(x, u, motion) == pytest.approx(expected, rel=1e-12)
-
-
 def test_likelihood_examples():
     meas = MeasurementModel(sigma_w1=2.5, sigma_w2=2.5)
     x = np.array([0.0, 1.0, 0.0, -1.0])
@@ -100,34 +74,6 @@ def test_likelihood_vectorized_nonnegative_finite():
     vals = likelihood(np.array([0.0, 0.0]), states, meas)
     assert vals.shape == (500,)
     assert np.all(vals >= 0) and np.all(np.isfinite(vals))
-
-
-def test_birth_intensity_at_mean():
-    birth = BirthModel(mass=0.2, mean=(0, 3, 0, -3), cov_diag=(10, 1, 10, 1))
-    det_q = 10 * 1 * 10 * 1
-    expected = 0.2 / ((2 * math.pi) ** 2 * math.sqrt(det_q))
-    assert birth_intensity(np.array([0.0, 3.0, 0.0, -3.0]), birth) == pytest.approx(
-        expected, rel=1e-12
-    )
-
-
-def test_birth_intensity_zero_mass():
-    birth = BirthModel(mass=0.0)
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        assert birth_intensity(rng.normal(size=4), birth) == 0.0
-
-
-def test_birth_intensity_integrates_to_mass():
-    # Importance-sampling quadrature with a wider Gaussian as the sampler.
-    birth = BirthModel(mass=0.2, mean=(0, 3, 0, -3), cov_diag=(10, 1, 10, 1))
-    rng = np.random.default_rng(7)
-    sampler_cov = 4.0 * np.diag(birth.cov_diag)
-    n = 1_000_000
-    draws = rng.multivariate_normal(birth.mean_state(), sampler_cov, size=n)
-    sampler_pdf = stats.multivariate_normal.pdf(draws, birth.mean_state(), sampler_cov)
-    integral = float(np.mean(birth_intensity(draws, birth) / sampler_pdf))
-    assert integral == pytest.approx(0.2, rel=0.01)
 
 
 def test_clutter_intensity_values():
@@ -165,7 +111,7 @@ def test_birth_sample_moments():
     birth = BirthModel()
     rng = np.random.default_rng(17)
     draws = birth_sample(birth, rng, 50_000)
-    assert np.allclose(draws.mean(axis=0), birth.mean_state(), atol=0.06)
+    assert np.allclose(draws.mean(axis=0), np.array(birth.mean), atol=0.06)
     assert np.allclose(draws.var(axis=0), birth.cov_diag, rtol=0.05)
 
 
@@ -180,17 +126,3 @@ def test_model_validation():
         ClutterModel(region=(0, 0, -1, 1))
     with pytest.raises(ValueError):
         DetectionModel(p_detect=1.5)
-
-
-def test_transition_density_nonnegative_finite_fuzz():
-    motion = MotionModel(sigma_v1=1.0, sigma_v2=0.1)
-    rng = np.random.default_rng(19)
-    for _ in range(500):
-        u = rng.uniform(-50, 50, size=4)
-        if rng.random() < 0.5:
-            x = rng.uniform(-50, 50, size=4)  # almost surely off-manifold
-        else:
-            noise = rng.normal(size=2) * [1.0, 0.1]
-            x = motion.transition_matrix() @ u + motion.noise_input_matrix() @ noise
-        val = transition_density(x, u, motion)
-        assert np.isfinite(val) and val >= 0.0

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from smcphd.particles import ParticleSet, empty_set, read_particles, round_half_up, write_particles
+from smcphd.particles import ParticleSet, empty_set, round_half_up, write_particles
 
 
 def test_round_half_up():
@@ -25,8 +25,6 @@ def test_particle_set_validation():
         ParticleSet(states=np.full((1, 4), np.inf), weights=np.ones(1))
     with pytest.raises(ValueError):
         ParticleSet(states=np.zeros((2, 4)), weights=[-0.1, 0.1])
-    with pytest.raises(ValueError):
-        ParticleSet(states=np.zeros((2, 4)), weights=np.ones(2), survivor_count=3)
     with pytest.raises(ValueError):
         ParticleSet(states=np.zeros((2, 4)), weights=np.ones(2), ancestry=[0])
 
@@ -56,15 +54,7 @@ def test_serialization_roundtrip_bitwise():
     buf = io.StringIO()
     write_particles(pset, buf)
     buf.seek(0)
-    back = read_particles(buf)
-    assert back.step == 12
-    assert np.array_equal(back.states, pset.states)
-    assert np.array_equal(back.weights, pset.weights)
-
-
-def test_read_rejects_malformed_and_mixed_steps():
-    with pytest.raises(ValueError):
-        read_particles(io.StringIO("1 2 3\n"))
-    with pytest.raises(ValueError):
-        read_particles(io.StringIO("1 0 0 0 0 0.5\n2 0 0 0 0 0.5\n"))
-    assert len(read_particles(io.StringIO(""))) == 0
+    rows = np.loadtxt(buf, ndmin=2)  # step px vx py vy weight
+    assert np.all(rows[:, 0] == 12)
+    assert np.array_equal(rows[:, 1:5], pset.states)
+    assert np.array_equal(rows[:, 5], pset.weights)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from smcphd.filter import FilterConfig
 from smcphd.particles import ParticleSet
 from smcphd.resampling import (
-    ResampleConfig,
     multinomial_indices,
     resample,
     systematic_indices,
@@ -20,7 +20,7 @@ def _pset(weights, rng=None):
 
 
 def test_target_count_policy():
-    config = ResampleConfig(particles_per_target=200)
+    config = FilterConfig(particles_per_target=200)
     assert config.min_particles == 100
     assert target_count(3.2, config) == 600
     assert target_count(0.3, config) == 100
@@ -29,7 +29,7 @@ def test_target_count_policy():
 
 
 def test_systematic_uniform_weights_copy_each_once():
-    config = ResampleConfig(particles_per_target=2, min_particles=1)
+    config = FilterConfig(particles_per_target=2, min_particles=1)
     pset = _pset([0.5, 0.5, 0.5, 0.5])  # mass 2.0 -> 4 output particles
     out = resample(pset, config, np.random.default_rng(5))
     assert np.array_equal(out.ancestry, [0, 1, 2, 3])
@@ -39,7 +39,7 @@ def test_systematic_uniform_weights_copy_each_once():
 
 def test_mass_preserved_exactly_random_inputs():
     rng = np.random.default_rng(6)
-    config = ResampleConfig(particles_per_target=150)
+    config = FilterConfig(particles_per_target=150)
     for _ in range(300):
         n = int(rng.integers(1, 400))
         pset = _pset(rng.uniform(0, 0.03, size=n), rng)
@@ -99,7 +99,7 @@ def test_unbiasedness_three_sigma(scheme):
 
 
 def test_zero_mass_rejected():
-    config = ResampleConfig(particles_per_target=10)
+    config = FilterConfig(particles_per_target=10)
     pset = _pset([0.0, 0.0])
     with pytest.raises(ValueError):
         resample(pset, config, np.random.default_rng(0))
@@ -107,15 +107,15 @@ def test_zero_mass_rejected():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ResampleConfig(scheme="stratified")
+        FilterConfig(resample_scheme="stratified")
     with pytest.raises(ValueError):
-        ResampleConfig(particles_per_target=0)
-    assert ResampleConfig(particles_per_target=7).min_particles == 4
+        FilterConfig(particles_per_target=0)
+    assert FilterConfig(particles_per_target=7).min_particles == 4
 
 
 def test_equalized_weights_are_near_uniform():
     rng = np.random.default_rng(10)
-    config = ResampleConfig(particles_per_target=100)
+    config = FilterConfig(particles_per_target=100)
     pset = _pset(rng.uniform(0, 0.05, size=123), rng)
     out = resample(pset, config, rng)
     total = pset.total_weight()

@@ -26,11 +26,11 @@ def test_unknown_purpose_rejected():
 
 def test_trial_streams_are_lazy_and_persistent():
     streams = TrialStreams(11, 2)
-    first = streams.prediction.random(4)
-    # same attribute keeps consuming the same generator
-    second = streams.prediction.random(4)
+    first = streams.get("prediction").random(4)
+    # the same purpose keeps consuming the same generator
+    second = streams.get("prediction").random(4)
     fresh = stream(11, 2, "prediction")
     assert np.array_equal(first, fresh.random(4))
     assert np.array_equal(second, fresh.random(4))
     # a purpose left untouched is not consumed by other purposes
-    assert np.array_equal(streams.roughening.random(4), stream(11, 2, "roughening").random(4))
+    assert np.array_equal(streams.get("roughening").random(4), stream(11, 2, "roughening").random(4))

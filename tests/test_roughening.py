@@ -11,7 +11,6 @@ from smcphd.roughening import (
     RougheningConfig,
     channel_jitter_std,
     combined_noise_std,
-    direct_roughen_scale,
     effective_jitter,
     gordon_std,
     separate_roughen,
@@ -130,9 +129,6 @@ def test_gordon_auto_uses_population_spread():
 
 def test_direct_scale_values():
     cfg = RougheningConfig(mode="direct", jitter_std=velocity_jitter(0.4))
-    scale = direct_roughen_scale(cfg, MOTION)
-    assert scale[0] == pytest.approx(math.sqrt(1.16), rel=1e-12)
-    assert scale[1] == pytest.approx(math.sqrt(1.0 + (0.4 / 0.1) ** 2), rel=1e-12)
     combined = combined_noise_std(channel_jitter_std(cfg.jitter_std, MOTION), MOTION)
     assert combined[0] == pytest.approx(math.sqrt(1.16), rel=1e-12)
     assert combined[1] == pytest.approx(math.sqrt(0.17), rel=1e-12)
@@ -140,16 +136,13 @@ def test_direct_scale_values():
 
 def test_direct_scale_zero_jitter_is_exact_identity():
     cfg = RougheningConfig(mode="direct", jitter_std=0.0)
-    assert np.all(direct_roughen_scale(cfg, MOTION) == 1.0)
     combined = combined_noise_std(channel_jitter_std(cfg.jitter_std, MOTION), MOTION)
     assert np.array_equal(combined, MOTION.noise_stds())  # bitwise
 
 
-def test_direct_scale_undefined_for_zero_model_noise():
+def test_direct_noise_with_zero_model_noise_is_the_jitter():
     motion = MotionModel(sigma_v1=0.0, sigma_v2=0.1)
     cfg = RougheningConfig(mode="direct", jitter_std=velocity_jitter(0.4))
-    with pytest.raises(ValueError):
-        direct_roughen_scale(cfg, motion)
     combined = combined_noise_std(channel_jitter_std(cfg.jitter_std, motion), motion)
     assert combined[0] == pytest.approx(0.4, rel=1e-12)  # absolute std still defined
 

@@ -13,7 +13,7 @@ from smcphd.rng import TrialStreams
 from smcphd.scenario import (
     ScenarioConfig,
     TargetScript,
-    generate_scan,
+    _compose_scan,
     generate_truth,
     benchmark_targets,
     simulate_scans,
@@ -30,6 +30,11 @@ def _models(**overrides):
     )
     base.update(overrides)
     return ModelSet(**base)
+
+
+def single_stream_scan(truth_states, config, rng):
+    """One scan drawn from a single stream for every noise source."""
+    return _compose_scan(truth_states, config, rng, rng, rng, rng)
 
 
 def test_noise_free_single_target_integrates_velocity():
@@ -70,7 +75,7 @@ def test_sampled_initial_states_follow_birth_density():
     initials = np.asarray(initials)
     birth = config.models.birth
     se = np.sqrt(np.array(birth.cov_diag) / len(initials))
-    assert np.all(np.abs(initials.mean(axis=0) - birth.mean_state()) <= 3 * se)
+    assert np.all(np.abs(initials.mean(axis=0) - np.array(birth.mean)) <= 3 * se)
 
 
 def test_scan_with_certain_detection_no_clutter():
@@ -80,7 +85,7 @@ def test_scan_with_certain_detection_no_clutter():
     config = ScenarioConfig(steps=1, targets=[TargetScript(1, 1)], models=models)
     state = np.array([[10.0, 0.0, -5.0, 0.0]])
     rng = np.random.default_rng(3)
-    scans = [generate_scan(state, config, rng) for _ in range(2000)]
+    scans = [single_stream_scan(state, config, rng) for _ in range(2000)]
     assert all(len(s) == 1 for s in scans)
     zs = np.vstack(scans)
     assert np.allclose(zs.mean(axis=0), [10.0, -5.0], atol=0.2)
@@ -92,14 +97,14 @@ def test_scan_clutter_only():
     config = ScenarioConfig(steps=1, targets=[TargetScript(1, 1)], models=models)
     state = np.array([[0.0, 0.0, 0.0, 0.0]])
     rng = np.random.default_rng(4)
-    counts = [len(generate_scan(state, config, rng)) for _ in range(5000)]
+    counts = [len(single_stream_scan(state, config, rng)) for _ in range(5000)]
     assert abs(np.mean(counts) - 10.0) <= 0.15
 
 
 def test_empty_truth_no_clutter_gives_empty_scan():
     models = _models(clutter=ClutterModel(rate=0.0))
     config = ScenarioConfig(steps=1, targets=[TargetScript(1, 1)], models=models)
-    scan = generate_scan(np.empty((0, 4)), config, np.random.default_rng(5))
+    scan = single_stream_scan(np.empty((0, 4)), config, np.random.default_rng(5))
     assert scan.shape == (0, 2)
 
 
@@ -109,7 +114,7 @@ def test_detection_frequency_matches_probability():
     state = np.array([[0.0, 0.0, 0.0, 0.0]])
     rng = np.random.default_rng(6)
     n = 10_000
-    hits = sum(len(generate_scan(state, config, rng)) for _ in range(n))
+    hits = sum(len(single_stream_scan(state, config, rng)) for _ in range(n))
     p = models.detection.p_detect
     se = np.sqrt(p * (1 - p) / n)
     assert abs(hits / n - p) <= 3 * se
@@ -122,10 +127,10 @@ def test_same_seed_reproduces_truth_and_scans_bitwise():
 
     def realize(seed):
         streams = TrialStreams(seed, 0)
-        truth = generate_truth(config, streams.truth)
+        truth = generate_truth(config, streams.get("truth"))
         scans = simulate_scans(
-            truth, config, streams.detection, streams.measurement,
-            streams.clutter, streams.shuffle,
+            truth, config, streams.get("detection"), streams.get("measurement"),
+            streams.get("clutter"), streams.get("shuffle"),
         )
         return truth, scans
 
@@ -146,10 +151,10 @@ def test_detections_bounded_by_alive_targets():
     models = _models(clutter=ClutterModel(rate=0.0))
     config = ScenarioConfig(steps=40, targets=benchmark_targets(), models=models)
     streams = TrialStreams(9, 0)
-    truth = generate_truth(config, streams.truth)
+    truth = generate_truth(config, streams.get("truth"))
     scans = simulate_scans(
-        truth, config, streams.detection, streams.measurement,
-        streams.clutter, streams.shuffle,
+        truth, config, streams.get("detection"), streams.get("measurement"),
+        streams.get("clutter"), streams.get("shuffle"),
     )
     for step in range(1, 41):
         assert len(scans.at(step)) <= truth.count_at(step)
