@@ -13,14 +13,14 @@ from pathlib import Path
 from .config import PRESETS, load_preset, load_run_config, with_overrides
 from .harness import (
     TrialError,
+    realize_trial,
     run,
     sweep,
     write_summary_table,
     write_sweep_table,
     write_trials_table,
 )
-from .rng import TrialStreams
-from .scenario import generate_truth, simulate_scans, write_scans, write_truth
+from .scenario import write_scans, write_truth
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -90,16 +90,7 @@ def _cmd_sweep(config, args) -> int:
 
 
 def _cmd_scenario(config, args) -> int:
-    streams = TrialStreams(config.master_seed, args.trial)
-    truth = generate_truth(config.scenario, streams.get("truth"))
-    scans = simulate_scans(
-        truth,
-        config.scenario,
-        streams.get("detection"),
-        streams.get("measurement"),
-        streams.get("clutter"),
-        streams.get("shuffle"),
-    )
+    truth, scans = realize_trial(config, args.trial)
     truth_path = args.out / "truth.txt"
     scans_path = args.out / "scans.txt"
     with open(truth_path, "w", encoding="utf-8", newline="\n") as fh:

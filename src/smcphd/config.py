@@ -7,23 +7,13 @@ tokens `birth:death` optionally extended with a fixed initial state
 `birth:death:px:vx:py:vy`.
 """
 
-from dataclasses import dataclass, field, replace
-
-import numpy as np
+from dataclasses import dataclass, field, fields, replace
 
 from .filter import FilterConfig
 from .metrics import OspaParams
-from .models import (
-    BirthModel,
-    ClutterModel,
-    DetectionModel,
-    MeasurementModel,
-    ModelSet,
-    MotionModel,
-    check_number,
-)
+from .models import ModelSet, check_number
 from .roughening import GordonConfig, RougheningConfig, velocity_jitter
-from .scenario import ScenarioConfig, TargetScript, benchmark_targets
+from .scenario import ScenarioConfig, TargetScript
 
 DEFAULT_SWEEP_GRID = (0.0, 0.1, 0.2, 0.4, 0.8, 1.6, 2.5)
 DEFAULT_JITTER_STD = 0.4
@@ -50,7 +40,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ValueError(f"run.trials must be >= 1, got {self.trials}")
         if self.master_seed < 0:
             raise ValueError(f"run.master_seed must be >= 0, got {self.master_seed}")
         if not self.variants:
@@ -90,21 +80,15 @@ def default_variants(jitter: float = DEFAULT_JITTER_STD) -> list:
     ]
 
 
-def benchmark_preset(particles_per_target: int = 200, trials: int = 100, master_seed: int = 1) -> RunConfig:
-    """The stock benchmark scenario backing the built-in presets."""
-    models = ModelSet(
-        motion=MotionModel(sampling_interval=1.0, sigma_v1=1.0, sigma_v2=0.1),
-        measurement=MeasurementModel(sigma_w1=2.5, sigma_w2=2.5),
-        birth=BirthModel(mass=0.2, mean=(0.0, 3.0, 0.0, -3.0), cov_diag=(10.0, 1.0, 10.0, 1.0)),
-        clutter=ClutterModel(rate=10.0, region=(-100.0, 100.0, -100.0, 100.0)),
-        detection=DetectionModel(p_survive=0.95, p_detect=0.95),
-    )
+def benchmark_preset(
+    particles_per_target: int = FilterConfig.particles_per_target,
+    trials: int = RunConfig.trials,
+    master_seed: int = RunConfig.master_seed,
+) -> RunConfig:
+    """The stock benchmark scenario backing the built-in presets: every
+    parameter but the particle budget is its dataclass default."""
     return RunConfig(
-        scenario=ScenarioConfig(steps=40, targets=benchmark_targets(), models=models),
-        filter=FilterConfig(
-            particles_per_target=particles_per_target, resample_scheme="systematic"
-        ),
-        variants=default_variants(),
+        filter=FilterConfig(particles_per_target=particles_per_target),
         trials=trials,
         master_seed=master_seed,
     )
@@ -173,126 +157,123 @@ def _parse_targets(value: str) -> list:
     return scripts
 
 
-def _pop(kv: dict, key: str, parse, default):
-    if key in kv:
-        return parse(kv.pop(key))
-    return default
+def _parse_jitter(value: str):
+    values = _parse_floats(value)
+    return values[0] if len(values) == 1 else values
 
 
-def _build_roughening(name: str, fields: dict) -> RougheningConfig:
+# Config-file key -> (section, dataclass field, parser).  A section names
+# the dataclass that owns the field's default: one of the `ModelSet` parts,
+# `scenario` (ScenarioConfig), `filter` (FilterConfig), `ospa` (OspaParams)
+# or `run` (RunConfig itself).  Unset keys are not passed, so the default
+# applies.
+CONFIG_KEYS = {
+    "scenario.steps": ("scenario", "steps", int),
+    "scenario.targets": ("scenario", "targets", _parse_targets),
+    "motion.sampling_interval": ("motion", "sampling_interval", float),
+    "motion.sigma_v1": ("motion", "sigma_v1", float),
+    "motion.sigma_v2": ("motion", "sigma_v2", float),
+    "measurement.sigma_w1": ("measurement", "sigma_w1", float),
+    "measurement.sigma_w2": ("measurement", "sigma_w2", float),
+    "birth.mass": ("birth", "mass", float),
+    "birth.mean": ("birth", "mean", _parse_floats),
+    "birth.cov_diag": ("birth", "cov_diag", _parse_floats),
+    "clutter.rate": ("clutter", "rate", float),
+    "clutter.region": ("clutter", "region", _parse_floats),
+    "detection.p_survive": ("detection", "p_survive", float),
+    "detection.p_detect": ("detection", "p_detect", float),
+    "filter.particles_per_target": ("filter", "particles_per_target", int),
+    "filter.birth_particles": ("filter", "birth_particles", int),
+    "filter.min_particles": ("filter", "min_particles", int),
+    "resample.scheme": ("filter", "resample_scheme", str),
+    "ospa.cutoff": ("ospa", "cutoff", float),
+    "ospa.order": ("ospa", "order", float),
+    "ospa.full_state": ("run", "ospa_full_state", _parse_bool),
+    "run.trials": ("run", "trials", int),
+    "run.master_seed": ("run", "master_seed", int),
+    "run.sweep_grid": ("run", "sweep_grid", _parse_floats),
+}
+
+# `roughening.<variant>.<field>` -> (section, dataclass field, parser), with
+# sections `roughening` (RougheningConfig) and `gordon` (GordonConfig).
+ROUGHENING_KEYS = {
+    "mode": ("roughening", "mode", str),
+    "jitter_std": ("roughening", "jitter_std", _parse_jitter),
+    "selective_threshold": ("roughening", "selective_threshold", float),
+    "overlapped_only": ("roughening", "overlapped_only", _parse_bool),
+    "cap_to_measurement": ("roughening", "cap_to_measurement", _parse_bool),
+    "gordon_constant": ("gordon", "tuning_constant", float),
+    "gordon_dimension": ("gordon", "dimension", int),
+    "gordon_positive_exponent": ("gordon", "positive_exponent", _parse_bool),
+}
+
+
+def _parse_into(table: dict, texts: dict) -> tuple:
+    """Parse `texts` (key -> value text) through `table` into per-section
+    constructor arguments; returns them with the keys the table lacks."""
+    args = {section: {} for section, _, _ in table.values()}
+    unknown = []
+    for key, text in texts.items():
+        if key not in table:
+            unknown.append(key)
+            continue
+        section, name, parse = table[key]
+        try:
+            args[section][name] = parse(text)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    return args, sorted(unknown)
+
+
+def _build_roughening(name: str, texts: dict) -> RougheningConfig:
     try:
-        config = _roughening_from_fields(fields)
+        args, unknown = _parse_into(ROUGHENING_KEYS, texts)
+        gordon = args["gordon"]
+        if gordon:
+            if "tuning_constant" not in gordon:
+                raise ValueError(
+                    "gordon_constant is required when gordon_dimension or "
+                    "gordon_positive_exponent is set"
+                )
+            args["roughening"]["gordon"] = GordonConfig(**gordon)
+        config = RougheningConfig(**args["roughening"])
     except ValueError as exc:
         raise ValueError(f"roughening.{name}: {exc}") from None
-    if fields:
-        raise ValueError(f"unknown roughening keys for variant {name!r}: {sorted(fields)}")
+    if unknown:
+        raise ValueError(f"unknown roughening keys for variant {name!r}: {unknown}")
     return config
 
 
-def _roughening_from_fields(fields: dict) -> RougheningConfig:
-    """Pop the known roughening fields; the caller rejects what is left."""
-    mode = fields.pop("mode", "none")
-    jitter = None
-    if "jitter_std" in fields:
-        values = _parse_floats(fields.pop("jitter_std"))
-        jitter = values[0] if len(values) == 1 else np.array(values)
-    gordon = None
-    if "gordon_constant" in fields:
-        gordon = GordonConfig(
-            tuning_constant=float(fields.pop("gordon_constant")),
-            dimension=int(fields.pop("gordon_dimension", 4)),
-            positive_exponent=_parse_bool(fields.pop("gordon_positive_exponent", "false")),
-        )
-    selective = fields.pop("selective_threshold", None)
-    return RougheningConfig(
-        mode=mode,
-        jitter_std=jitter,
-        gordon=gordon,
-        selective_threshold=float(selective) if selective is not None else None,
-        overlapped_only=_parse_bool(fields.pop("overlapped_only", "false")),
-        cap_to_measurement=_parse_bool(fields.pop("cap_to_measurement", "true")),
-    )
-
-
 def run_config_from_mapping(kv: dict) -> RunConfig:
-    """Build a RunConfig from parsed keys, starting from the published
-    defaults; unknown keys are rejected."""
-    kv = dict(kv)
-
-    motion = MotionModel(
-        sampling_interval=_pop(kv, "motion.sampling_interval", float, 1.0),
-        sigma_v1=_pop(kv, "motion.sigma_v1", float, 1.0),
-        sigma_v2=_pop(kv, "motion.sigma_v2", float, 0.1),
-    )
-    measurement = MeasurementModel(
-        sigma_w1=_pop(kv, "measurement.sigma_w1", float, 2.5),
-        sigma_w2=_pop(kv, "measurement.sigma_w2", float, 2.5),
-    )
-    birth = BirthModel(
-        mass=_pop(kv, "birth.mass", float, 0.2),
-        mean=tuple(_pop(kv, "birth.mean", _parse_floats, [0.0, 3.0, 0.0, -3.0])),
-        cov_diag=tuple(_pop(kv, "birth.cov_diag", _parse_floats, [10.0, 1.0, 10.0, 1.0])),
-    )
-    region = tuple(_pop(kv, "clutter.region", _parse_floats, [-100.0, 100.0, -100.0, 100.0]))
-    clutter = ClutterModel(rate=_pop(kv, "clutter.rate", float, 10.0), region=region)
-    detection = DetectionModel(
-        p_survive=_pop(kv, "detection.p_survive", float, 0.95),
-        p_detect=_pop(kv, "detection.p_detect", float, 0.95),
-    )
-    models = ModelSet(
-        motion=motion, measurement=measurement, birth=birth, clutter=clutter, detection=detection
-    )
-
-    scenario = ScenarioConfig(
-        steps=_pop(kv, "scenario.steps", int, 40),
-        targets=_pop(kv, "scenario.targets", _parse_targets, benchmark_targets()),
-        models=models,
-    )
-
-    fconfig = FilterConfig(
-        particles_per_target=_pop(kv, "filter.particles_per_target", int, 200),
-        birth_particles=_pop(kv, "filter.birth_particles", int, None),
-        min_particles=_pop(kv, "filter.min_particles", int, None),
-        resample_scheme=_pop(kv, "resample.scheme", str, "systematic"),
-    )
-    ospa = OspaParams(
-        cutoff=_pop(kv, "ospa.cutoff", float, 100.0),
-        order=_pop(kv, "ospa.order", float, 2.0),
-    )
-    ospa_full_state = _pop(kv, "ospa.full_state", _parse_bool, False)
-
-    trials = _pop(kv, "run.trials", int, 100)
-    master_seed = _pop(kv, "run.master_seed", int, 1)
-    sweep_grid = tuple(_pop(kv, "run.sweep_grid", _parse_floats, list(DEFAULT_SWEEP_GRID)))
-
+    """Build a RunConfig from parsed keys; a key that is not set keeps its
+    dataclass default, and unknown keys are rejected."""
     variant_fields: dict[str, dict] = {}
-    for key in [k for k in kv if k.startswith("roughening.")]:
+    plain = {}
+    for key, text in kv.items():
+        if not key.startswith("roughening."):
+            plain[key] = text
+            continue
         parts = key.split(".")
         if len(parts) != 3:
             raise ValueError(f"roughening keys look like roughening.<variant>.<field>: {key!r}")
-        _, vname, fname = parts
-        variant_fields.setdefault(vname, {})[fname] = kv.pop(key)
+        variant_fields.setdefault(parts[1], {})[parts[2]] = text
+    args, unknown = _parse_into(CONFIG_KEYS, plain)
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
 
+    # Each ModelSet part's section is its field name; its type builds it.
+    models = ModelSet(**{part.name: part.type(**args[part.name]) for part in fields(ModelSet)})
+    run_args = args["run"]
     if variant_fields:
-        variants = [
-            VariantSpec(name, _build_roughening(name, fields))
-            for name, fields in variant_fields.items()
+        run_args["variants"] = [
+            VariantSpec(name, _build_roughening(name, variant))
+            for name, variant in variant_fields.items()
         ]
-    else:
-        variants = default_variants()
-
-    if kv:
-        raise ValueError(f"unknown config keys: {sorted(kv)}")
-
     return RunConfig(
-        scenario=scenario,
-        filter=fconfig,
-        variants=variants,
-        trials=trials,
-        master_seed=master_seed,
-        ospa=ospa,
-        ospa_full_state=ospa_full_state,
-        sweep_grid=sweep_grid,
+        scenario=ScenarioConfig(models=models, **args["scenario"]),
+        filter=FilterConfig(**args["filter"]),
+        ospa=OspaParams(**args["ospa"]),
+        **run_args,
     )
 
 

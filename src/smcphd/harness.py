@@ -23,7 +23,7 @@ from .particles import empty_set
 from .resampling import resample
 from .rng import TrialStreams
 from .roughening import RougheningConfig, separate_roughen
-from .scenario import ScanData, generate_truth, simulate_scans
+from .scenario import GroundTruth, ScanData, generate_truth, simulate_scans
 
 logger = logging.getLogger(__name__)
 
@@ -77,9 +77,10 @@ def _run_variant(scans: ScanData, config: RunConfig, variant: VariantSpec, strea
 
     Returns per-step cardinality estimates, per-step state estimates, and
     the step at which the posterior mass collapsed to zero (None if never).
-    After a collapse the variant stops filtering; remaining steps report an
-    empty estimate.  A ValueError or ArithmeticError inside a step is
-    re-raised as a TrialError that says where it happened.
+    A collapse stops the variant: later steps keep a zero count and no state
+    estimate, and `run_trial` scores them at the OSPA cutoff.  A ValueError
+    or ArithmeticError inside a step is re-raised as a TrialError that says
+    where it happened.
     """
     roughening = variant.roughening
     models = config.scenario.models
@@ -89,9 +90,6 @@ def _run_variant(scans: ScanData, config: RunConfig, variant: VariantSpec, strea
     est_states = [None] * steps
     collapsed_at = None
     for step in range(1, steps + 1):
-        if collapsed_at is not None:
-            est_states[step - 1] = np.empty((0, 4))
-            continue
         try:
             pset = predict(pset, models, config.filter, roughening, streams.get("prediction"))
             pset = update(pset, scans.at(step), models)
@@ -102,7 +100,7 @@ def _run_variant(scans: ScanData, config: RunConfig, variant: VariantSpec, strea
             if pset.total_weight() <= 0:
                 collapsed_at = step
                 logger.warning("track loss: posterior mass collapsed to zero at step %d", step)
-                continue
+                break
             pset = resample(pset, config.filter, streams.get("resampling"))
             if roughening.mode == "separate":
                 rng = streams.get("roughening")
@@ -112,6 +110,21 @@ def _run_variant(scans: ScanData, config: RunConfig, variant: VariantSpec, strea
     return est_counts, est_states, collapsed_at
 
 
+def realize_trial(config: RunConfig, trial_index: int) -> tuple[GroundTruth, ScanData]:
+    """One trial's ground truth and scans, drawn from its scenario streams."""
+    streams = TrialStreams(config.master_seed, trial_index)
+    truth = generate_truth(config.scenario, streams.get("truth"))
+    scans = simulate_scans(
+        truth,
+        config.scenario,
+        streams.get("detection"),
+        streams.get("measurement"),
+        streams.get("clutter"),
+        streams.get("shuffle"),
+    )
+    return truth, scans
+
+
 def run_trial(config: RunConfig, trial_index: int) -> TrialResult:
     """One trial: one realization, every variant on the same scans.
 
@@ -119,16 +132,7 @@ def run_trial(config: RunConfig, trial_index: int) -> TrialResult:
     so a variant's draws do not depend on which other variants run, and two
     variants with identical roughening configs produce identical columns.
     """
-    scenario_streams = TrialStreams(config.master_seed, trial_index)
-    truth = generate_truth(config.scenario, scenario_streams.get("truth"))
-    scans = simulate_scans(
-        truth,
-        config.scenario,
-        scenario_streams.get("detection"),
-        scenario_streams.get("measurement"),
-        scenario_streams.get("clutter"),
-        scenario_streams.get("shuffle"),
-    )
+    truth, scans = realize_trial(config, trial_index)
     scan_hash = scans.content_hash()
 
     steps = config.scenario.steps

@@ -70,12 +70,14 @@ def _ordered_pair(xa: np.ndarray, ya: np.ndarray):
 def _cost_matrix(x: np.ndarray, y: np.ndarray, params: OspaParams) -> np.ndarray:
     diff = x[:, None, :] - y[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
-    return np.minimum(dist, params.cutoff) ** params.order
+    return (np.minimum(dist, params.cutoff) / params.cutoff) ** params.order
 
 
 def _finalize(cost: float, m: int, n: int, params: OspaParams) -> float:
+    """OSPA from the optimal cost in units of c^p; working in those units
+    keeps c^p (n - m) from overflowing at large orders."""
     c, p = params.cutoff, params.order
-    return ((cost + c**p * (n - m)) / n) ** (1.0 / p)
+    return c * ((cost + (n - m)) / n) ** (1.0 / p)
 
 
 def ospa(x, y, params: OspaParams) -> float:

@@ -128,6 +128,12 @@ class ClutterModel:
 
     def __post_init__(self):
         check_number("clutter.rate", self.rate, 0.0)
+        self.region = tuple(float(v) for v in self.region)
+        if len(self.region) != 4:
+            raise ValueError(
+                f"clutter.region must have 4 values (xmin, xmax, ymin, ymax), "
+                f"got {len(self.region)}"
+            )
         for v in self.region:
             check_number("clutter.region", v)
         xmin, xmax, ymin, ymax = self.region

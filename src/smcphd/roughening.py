@@ -39,7 +39,7 @@ class GordonConfig:
     def __post_init__(self):
         check_number("gordon_constant", self.tuning_constant, 0.0)
         if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+            raise ValueError(f"gordon_dimension must be >= 1, got {self.dimension}")
 
 
 @dataclass

@@ -48,11 +48,12 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+            raise ValueError(f"scenario.steps must be >= 1, got {self.steps}")
         for t in self.targets:
             if not (1 <= t.birth_step <= t.death_step <= self.steps):
                 raise ValueError(
-                    f"target schedule {t.birth_step}..{t.death_step} outside 1..{self.steps}"
+                    f"scenario.targets: schedule {t.birth_step}..{t.death_step} "
+                    f"outside 1..{self.steps}"
                 )
 
 

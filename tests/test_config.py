@@ -183,6 +183,11 @@ def test_filter_min_particles_propagates_to_resampling():
         ("run.master_seed", "-1"),
         ("ospa.order", "1e308"),
         ("ospa.order", "200"),
+        ("filter.particles_per_target", "abc"),
+        ("run.trials", "1.5"),
+        ("scenario.targets", "1:x"),
+        ("clutter.region", "1,2,3"),
+        ("ospa.full_state", "maybe"),
     ],
 )
 def test_nonfinite_or_degenerate_parameter_fails_at_load(tmp_path, capsys, key, value):
@@ -201,3 +206,7 @@ def test_roughening_parameter_errors_name_the_variant():
         run_config_from_mapping({**base, "roughening.sep.jitter_std": "nan"})
     with pytest.raises(ValueError, match=r"roughening\.sep: gordon_constant"):
         run_config_from_mapping({**base, "roughening.sep.gordon_constant": "inf"})
+    with pytest.raises(ValueError, match=r"roughening\.sep: selective_threshold: "):
+        run_config_from_mapping({**base, "roughening.sep.selective_threshold": "x"})
+    with pytest.raises(ValueError, match=r"roughening\.sep: gordon_constant is required"):
+        run_config_from_mapping({**base, "roughening.sep.gordon_dimension": "3"})

@@ -6,9 +6,10 @@ import pytest
 
 from smcphd import harness
 from smcphd.cli import main as cli_main
-from smcphd.config import VariantSpec, benchmark_preset
+from smcphd.config import VariantSpec, benchmark_preset, load_run_config
 from smcphd.harness import (
     pool_size,
+    realize_trial,
     run,
     run_trial,
     run_trials,
@@ -20,7 +21,7 @@ from smcphd.harness import (
 )
 from smcphd.models import ClutterModel, DetectionModel, ModelSet
 from smcphd.roughening import RougheningConfig
-from smcphd.scenario import ScenarioConfig, TargetScript
+from smcphd.scenario import ScenarioConfig, TargetScript, write_scans
 
 
 def small_config(trials=3, particles=60, steps=10, seed=5, variants=None):
@@ -248,6 +249,13 @@ def test_cli_scenario_dump(tmp_path):
     assert all(len(line.split("\t")) == 3 for line in scan_lines)
     # 8 steps of target 1 + 7 of target 2
     assert len(truth_lines) == 8 + 7
+    # The dump is the realization `run_trial` filters.
+    config = load_run_config(cfg)
+    _, scans = realize_trial(config, 1)
+    buf = io.StringIO()
+    write_scans(scans, buf)
+    assert (out / "scans.txt").read_text() == buf.getvalue()
+    assert scans.content_hash() == run_trial(config, 1).scan_hash
     with pytest.raises(SystemExit) as exc:  # argparse's usage error, exit 2
         cli_main(["scenario", "--config", str(cfg), "--out", str(out), "--trial", "-1"])
     assert exc.value.code == 2

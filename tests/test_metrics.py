@@ -31,6 +31,22 @@ def test_cardinality_penalty_hand_case():
     assert ospa_bruteforce(x, y, PARAMS) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        ([[0.0, 0.0]], [[1.0, 1.0], [50.0, 50.0], [60.0, 60.0]]),
+        ([[0.0, 0.0], [10.0, 10.0]], [[1.0, 1.0], [50.0, 50.0], [60.0, 60.0], [-80.0, 20.0]]),
+    ],
+)
+def test_cardinality_penalty_finite_at_the_largest_order(x, y):
+    # cutoff ** order is about 1e308 here: the penalty for two or more
+    # unmatched points must not overflow to inf.
+    params = OspaParams(cutoff=100.0, order=154.0)
+    d = ospa(x, y, params)
+    assert math.isfinite(d)
+    assert d == ospa_bruteforce(x, y, params)
+
+
 def test_single_pair_below_cutoff():
     assert ospa([[0.0, 0.0]], [[3.0, 4.0]], PARAMS) == pytest.approx(5.0, rel=1e-12)
 
