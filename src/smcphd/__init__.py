@@ -7,7 +7,7 @@ Carlo benchmark harness with deterministic named random streams.
 """
 
 from .config import RunConfig, VariantSpec, load_preset, load_run_config, benchmark_preset
-from .extraction import Estimate, extract_states
+from .extraction import extract_states
 from .filter import FilterConfig, estimate_cardinality, predict, update
 from .harness import RunSummary, SweepResult, TrialResult, run, run_trial, sweep
 from .metrics import OspaParams, gain_ratio, ospa, ospa_bruteforce
@@ -24,6 +24,7 @@ from .resampling import resample, target_count
 from .roughening import (
     GordonConfig,
     RougheningConfig,
+    direct_motion,
     gordon_std,
     separate_roughen,
     velocity_jitter,
@@ -36,7 +37,6 @@ __all__ = [
     "BirthModel",
     "ClutterModel",
     "DetectionModel",
-    "Estimate",
     "FilterConfig",
     "GordonConfig",
     "MeasurementModel",
@@ -53,6 +53,7 @@ __all__ = [
     "TargetScript",
     "TrialResult",
     "VariantSpec",
+    "direct_motion",
     "empty_set",
     "estimate_cardinality",
     "extract_states",

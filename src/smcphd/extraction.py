@@ -14,8 +14,6 @@ results are bit-identical to the plain k-means, which the tests keep as a
 reference implementation.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .models import STATE_DIM
@@ -23,12 +21,6 @@ from .particles import ParticleSet
 
 MAX_ITERATIONS = 100
 REL_MOVE_TOL = 1e-6
-
-
-@dataclass
-class Estimate:
-    cardinality: int
-    states: np.ndarray  # (cardinality, 4)
 
 
 def _weighted_pick(cumulative: np.ndarray, rng: np.random.Generator) -> int:
@@ -148,8 +140,9 @@ def _canonical_order(pset: ParticleSet) -> np.ndarray:
     )
 
 
-def extract_states(pset: ParticleSet, n: int, rng: np.random.Generator) -> Estimate:
-    """Cluster the weighted particles into n target-state estimates.
+def extract_states(pset: ParticleSet, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Cluster the weighted particles into n target-state estimates, an
+    (n, 4) array.
 
     States are standardized per dimension (weighted mean/std) before
     clustering so position and velocity scales contribute comparably, and
@@ -158,7 +151,7 @@ def extract_states(pset: ParticleSet, n: int, rng: np.random.Generator) -> Estim
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
-        return Estimate(cardinality=0, states=np.empty((0, STATE_DIM)))
+        return np.empty((0, STATE_DIM))
     total = pset.weights.sum()
     if total <= 0:
         raise ValueError("cannot extract states from a set with zero total weight")
@@ -174,4 +167,4 @@ def extract_states(pset: ParticleSet, n: int, rng: np.random.Generator) -> Estim
 
     normalized = (states - mean) / std
     centers = weighted_kmeans(normalized, weights, n, rng)
-    return Estimate(cardinality=n, states=centers * std + mean)
+    return centers * std + mean

@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import roughening as rough_mod
 from .models import ModelSet, birth_sample, clutter_intensity, likelihood, propagate
 from .particles import ParticleSet, round_half_up
-from .roughening import RougheningConfig
 
 WEIGHT_FLOOR = 1e-300  # below this, weights are flushed to exactly zero
 RESAMPLE_SCHEMES = ("systematic", "multinomial")
@@ -63,7 +61,6 @@ def predict(
     prev: ParticleSet,
     models: ModelSet,
     config: FilterConfig,
-    roughening: RougheningConfig,
     rng: np.random.Generator,
 ) -> ParticleSet:
     """One prediction step: propagate survivors, append birth particles.
@@ -72,18 +69,11 @@ def predict(
     so each survivor's weight is simply scaled by the survival probability.
     Birth particles are drawn from the birth density and each carries
     weight mass/J, so the appended birth mass equals the configured birth
-    mass by construction.  With direct roughening enabled the
-    propagation noise stds are inflated to sqrt(sigma_v^2 + delta^2).
+    mass by construction.  Direct roughening is a motion model with
+    inflated noise (`roughening.direct_motion`) passed in `models`.
     """
-    noise_std = None
-    if roughening.mode == "direct":
-        channel = rough_mod.direct_channel_jitter(
-            prev, roughening, models.motion, models.measurement
-        )
-        noise_std = rough_mod.combined_noise_std(channel, models.motion)
-
     if len(prev) > 0:
-        surv_states = propagate(prev.states, models.motion, rng, noise_std)
+        surv_states = propagate(prev.states, models.motion, rng)
         surv_weights = models.detection.p_survive * prev.weights
     else:
         surv_states = prev.states

@@ -22,7 +22,7 @@ from .metrics import gain_ratio, ospa
 from .particles import empty_set
 from .resampling import resample
 from .rng import TrialStreams
-from .roughening import RougheningConfig, separate_roughen
+from .roughening import RougheningConfig, direct_motion, separate_roughen
 from .scenario import GroundTruth, ScanData, generate_truth, simulate_scans
 
 logger = logging.getLogger(__name__)
@@ -72,14 +72,21 @@ class SweepResult:
     gain_ratios: dict  # (mode, delta) -> float
 
 
-def _run_variant(scans: ScanData, config: RunConfig, variant: VariantSpec, streams: TrialStreams):
-    """Run one filter variant over a trial's scans.
+def _run_variant(
+    scans: ScanData,
+    true_points: list,
+    config: RunConfig,
+    variant: VariantSpec,
+    streams: TrialStreams,
+):
+    """Run one filter variant over a trial's scans, scoring each step.
 
-    Returns per-step cardinality estimates, per-step state estimates, and
-    the step at which the posterior mass collapsed to zero (None if never).
-    A collapse stops the variant: later steps keep a zero count and no state
-    estimate, and `run_trial` scores them at the OSPA cutoff.  A ValueError
-    or ArithmeticError inside a step is re-raised as a TrialError that says
+    The one place a variant's roughening mode enters a step: direct mode
+    predicts with `direct_motion`, separate mode jitters the resampled set.
+    Returns per-step cardinality estimates and OSPA values, and the step at
+    which the posterior mass collapsed to zero (None if never); later steps
+    keep a zero count and score the OSPA cutoff.  A ValueError or
+    ArithmeticError inside a step is re-raised as a TrialError that says
     where it happened.
     """
     roughening = variant.roughening
@@ -87,27 +94,36 @@ def _run_variant(scans: ScanData, config: RunConfig, variant: VariantSpec, strea
     steps = config.scenario.steps
     pset = empty_set(step=0)
     est_counts = np.zeros(steps, dtype=int)
-    est_states = [None] * steps
+    ospa_values = np.full(steps, config.ospa.cutoff)
     collapsed_at = None
     for step in range(1, steps + 1):
         try:
-            pset = predict(pset, models, config.filter, roughening, streams.get("prediction"))
+            step_models = models
+            if roughening.mode == "direct":
+                motion = direct_motion(pset, roughening, models.motion, models.measurement)
+                step_models = replace(models, motion=motion)
+            pset = predict(pset, step_models, config.filter, streams.get("prediction"))
             pset = update(pset, scans.at(step), models)
             n_hat = estimate_cardinality(pset)
-            estimate = extract_states(pset, n_hat, streams.get("extraction"))
+            states = extract_states(pset, n_hat, streams.get("extraction"))
             est_counts[step - 1] = n_hat
-            est_states[step - 1] = estimate.states
             if pset.total_weight() <= 0:
                 collapsed_at = step
-                logger.warning("track loss: posterior mass collapsed to zero at step %d", step)
-                break
-            pset = resample(pset, config.filter, streams.get("resampling"))
-            if roughening.mode == "separate":
-                rng = streams.get("roughening")
-                pset = separate_roughen(pset, roughening, models.motion, models.measurement, rng)
+            else:
+                pset = resample(pset, config.filter, streams.get("resampling"))
+                if roughening.mode == "separate":
+                    rng = streams.get("roughening")
+                    pset = separate_roughen(
+                        pset, roughening, models.motion, models.measurement, rng
+                    )
+            points = states if config.ospa_full_state else states[:, [0, 2]]
+            ospa_values[step - 1] = ospa(points, true_points[step - 1], config.ospa)
         except (ValueError, ArithmeticError) as exc:
             raise _trial_error(streams.trial, variant.name, step, exc) from exc
-    return est_counts, est_states, collapsed_at
+        if collapsed_at is not None:
+            logger.warning("track loss: posterior mass collapsed to zero at step %d", step)
+            break
+    return est_counts, ospa_values, collapsed_at
 
 
 def realize_trial(config: RunConfig, trial_index: int) -> tuple[GroundTruth, ScanData]:
@@ -147,17 +163,7 @@ def run_trial(config: RunConfig, trial_index: int) -> TrialResult:
     collapsed: dict = {}
     for variant in config.variants:
         streams = TrialStreams(config.master_seed, trial_index)
-        counts, states, collapsed_at = _run_variant(scans, config, variant, streams)
-        values = np.empty(steps)
-        for k in range(steps):
-            if collapsed_at is not None and (k + 1) > collapsed_at:
-                values[k] = config.ospa.cutoff
-                continue
-            points = states[k] if config.ospa_full_state else states[k][:, [0, 2]]
-            try:
-                values[k] = ospa(points, true_points[k], config.ospa)
-            except (ValueError, ArithmeticError) as exc:
-                raise _trial_error(trial_index, variant.name, k + 1, exc) from exc
+        counts, values, collapsed_at = _run_variant(scans, true_points, config, variant, streams)
         est_counts[variant.name] = counts
         ospa_values[variant.name] = values
         collapsed[variant.name] = collapsed_at

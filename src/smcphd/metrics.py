@@ -30,8 +30,11 @@ class OspaParams:
         self.order = float(self.order)
         check_number("ospa.cutoff", self.cutoff, 0.0, strict=True)
         check_number("ospa.order", self.order, 1.0)
+        # A finite cutoff ** order keeps (d / cutoff) ** order, at least
+        # cutoff ** -order, above zero for every distance d >= 1, so a pair of
+        # distinct points never scores 0.  float ** raises on overflow.
         try:
-            self.cutoff**self.order  # the cardinality penalty; float ** raises on overflow
+            self.cutoff**self.order
         except OverflowError:
             raise ValueError(
                 f"ospa.order = {self.order:g} is too large for ospa.cutoff = {self.cutoff:g}: "

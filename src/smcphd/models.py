@@ -171,26 +171,17 @@ class ModelSet:
     detection: DetectionModel = field(default_factory=DetectionModel)
 
 
-def propagate(
-    states,
-    motion: MotionModel,
-    rng: np.random.Generator,
-    noise_std=None,
-) -> np.ndarray:
-    """Advance states one step: F @ x + G @ v with v ~ N(0, diag(noise_std^2)).
+def propagate(states, motion: MotionModel, rng: np.random.Generator) -> np.ndarray:
+    """Advance states one step: F @ x + G @ v with v ~ N(0, diag(sigma_v^2)).
 
-    `noise_std` overrides the model's per-axis noise stds (used for noise
-    inflation); None means the model values.  When both effective stds are
-    zero the noise draw is skipped entirely so the result is exactly F @ x.
-    Accepts a single state (4,) or a batch (n, 4).
+    When both noise stds are zero the noise draw is skipped entirely so the
+    result is exactly F @ x.  Accepts a single state (4,) or a batch (n, 4).
     """
     x = _as_state(states)
     single = x.ndim == 1
     x2 = x[None, :] if single else x
     out = x2 @ motion.transition_matrix().T
-    stds = motion.noise_stds() if noise_std is None else np.asarray(noise_std, dtype=float)
-    if np.any(stds < 0):
-        raise ValueError("noise stds must be >= 0")
+    stds = motion.noise_stds()
     if np.any(stds > 0):
         v = rng.standard_normal((x2.shape[0], 2)) * stds
         out = out + v @ motion.noise_input_matrix().T

@@ -10,11 +10,18 @@ relative to the measurement noise.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .models import STATE_DIM, VELOCITY_IDX, MeasurementModel, MotionModel, check_number
+from .models import (
+    POSITION_IDX,
+    STATE_DIM,
+    VELOCITY_IDX,
+    MeasurementModel,
+    MotionModel,
+    check_number,
+)
 from .particles import ParticleSet
 
 logger = logging.getLogger(__name__)
@@ -48,7 +55,8 @@ class RougheningConfig:
 
     `jitter_std` is a per-state-dimension std vector; a scalar is shorthand
     for jitter on the velocity dimensions only (the usual tracking choice).
-    Exactly one of `jitter_std` and `gordon` must be set for an active mode.
+    Exactly one of `jitter_std` and `gordon` must be set for an active mode;
+    direct mode takes velocity jitter only (see `direct_motion`).
     `selective_threshold` skips roughening while the fraction of unique
     ancestor indices is at or above the threshold; `overlapped_only`
     restricts jitter to particles that share an ancestor with another
@@ -77,11 +85,17 @@ class RougheningConfig:
             raise ValueError(f"mode {self.mode!r} requires jitter_std or gordon")
         if self.selective_threshold is not None and not (0 < self.selective_threshold <= 1):
             raise ValueError("selective_threshold must lie in (0, 1]")
-        if self.mode == "direct" and (self.overlapped_only or self.selective_threshold is not None):
-            raise ValueError(
-                "per-particle guards (overlapped_only, selective_threshold) "
-                "apply to separate mode only; direct mode inflates all propagation noise"
-            )
+        if self.mode == "direct":
+            if self.jitter_std is not None and np.any(self.jitter_std[list(POSITION_IDX)]):
+                raise ValueError(
+                    "jitter_std: direct roughening cannot express position-dimension jitter, "
+                    f"got {self.jitter_std.tolist()}"
+                )
+            if self.overlapped_only or self.selective_threshold is not None:
+                raise ValueError(
+                    "per-particle guards (overlapped_only, selective_threshold) "
+                    "apply to separate mode only; direct mode inflates all propagation noise"
+                )
 
 
 def as_jitter_vector(value) -> np.ndarray:
@@ -224,46 +238,23 @@ def separate_roughen(
     )
 
 
-def channel_jitter_std(jitter: np.ndarray, motion: MotionModel) -> np.ndarray:
-    """Map a per-state-dimension jitter vector onto the 2-d noise channel.
-
-    Direct roughening perturbs the propagation noise, which enters velocity
-    with gain T, so only velocity-dimension jitter is expressible; position
-    entries must be zero.
-    """
-    jitter = as_jitter_vector(jitter)
-    if jitter[0] != 0 or jitter[2] != 0:
-        raise ValueError("direct roughening cannot express position-dimension jitter")
-    t = motion.sampling_interval
-    return np.array([jitter[1], jitter[3]]) / t
-
-
-def direct_channel_jitter(
+def direct_motion(
     pset: ParticleSet,
     config: RougheningConfig,
     motion: MotionModel,
     meas: MeasurementModel,
-) -> np.ndarray:
-    """Noise-channel jitter stds for direct mode on the current population.
+) -> MotionModel:
+    """The motion model of one direct-roughening step.
 
-    With the adaptive bandwidth the per-dimension jitter includes position
-    components that the noise channel cannot express; only the velocity
-    components are folded into the propagation noise.
-    """
-    jitter = effective_jitter(pset, config, motion, meas)
-    if config.gordon is not None:
-        masked = np.zeros_like(jitter)
-        masked[list(VELOCITY_IDX)] = jitter[list(VELOCITY_IDX)]
-        jitter = masked
-    return channel_jitter_std(jitter, motion)
-
-
-def combined_noise_std(channel_jitter: np.ndarray, motion: MotionModel) -> np.ndarray:
-    """Per-axis propagation noise std with jitter folded in: sqrt(s^2 + d^2).
-
-    Zero-jitter axes return the model std bit for bit, so disabling the
+    The propagation noise enters velocity with gain T, so velocity jitter
+    delta becomes channel jitter d = delta / T and each axis's noise std
+    sqrt(sigma_v^2 + d^2).  Position components of the jitter (which a
+    Gordon bandwidth has) are not expressible and are dropped.  A
+    zero-jitter axis keeps the model std bit for bit, so disabling the
     jitter reproduces the unmodified dynamics exactly.
     """
-    d = np.asarray(channel_jitter, dtype=float)
-    s = np.array([motion.sigma_v1, motion.sigma_v2])
-    return np.where(d == 0, s, np.sqrt(s * s + d * d))
+    jitter = effective_jitter(pset, config, motion, meas)
+    d = jitter[list(VELOCITY_IDX)] / motion.sampling_interval
+    s = motion.noise_stds()
+    sigma_v1, sigma_v2 = np.where(d == 0, s, np.sqrt(s * s + d * d))
+    return replace(motion, sigma_v1=float(sigma_v1), sigma_v2=float(sigma_v2))

@@ -19,13 +19,12 @@ from smcphd.config import VariantSpec, benchmark_preset
 from smcphd.filter import FilterConfig, measurement_mass_terms, predict, update
 from smcphd.harness import run, sweep, write_variant_table
 from smcphd.metrics import OspaParams, ospa, ospa_bruteforce
-from smcphd.models import BirthModel, MotionModel, propagate
+from smcphd.models import BirthModel, MeasurementModel, MotionModel, propagate
 from smcphd.particles import ParticleSet, empty_set
 from smcphd.resampling import multinomial_indices, resample
 from smcphd.roughening import (
     RougheningConfig,
-    channel_jitter_std,
-    combined_noise_std,
+    direct_motion,
     separate_roughen,
     velocity_jitter,
 )
@@ -116,24 +115,23 @@ def test_criterion_04_prediction_mass_identity():
     config = benchmark_preset()
     models = config.scenario.models
     rng = np.random.default_rng(104)
-    none = RougheningConfig(mode="none")
 
     # Survivor weights are the exact per-particle products p_S * w.
     prev = ParticleSet(states=rng.normal(size=(200, 4)), weights=rng.uniform(0, 0.02, 200))
-    out = predict(prev, models, config.filter, none, rng)
+    out = predict(prev, models, config.filter, rng)
     assert np.array_equal(out.weights[:200], 0.95 * prev.weights)
 
     # With dyadic weights the products are exact, so the mass identity holds
     # with zero tolerance through compensated summation.
     dyadic = ParticleSet(states=np.zeros((6, 4)), weights=2.0 ** -np.arange(1, 7))
     models_nobirth = replace(models, birth=BirthModel(mass=0.0))
-    out_d = predict(dyadic, models_nobirth, config.filter, none, rng)
+    out_d = predict(dyadic, models_nobirth, config.filter, rng)
     assert math.fsum(out_d.weights.tolist()) == 0.95 * math.fsum(dyadic.weights.tolist())
 
     # Birth mass appended equals the birth-mass parameter exactly.
     for particles in (200, 1000):
         cfg = benchmark_preset(particles_per_target=particles)
-        birth_out = predict(empty_set(), models, cfg.filter, none, rng)
+        birth_out = predict(empty_set(), models, cfg.filter, rng)
         j = cfg.filter.birth_particle_count(0.2)
         assert len(birth_out) == j
         assert np.all(birth_out.weights == 0.2 / j)
@@ -245,8 +243,6 @@ def test_criterion_10_roughening_moment_checks():
     base = ParticleSet(states=np.tile([0.0, 1.0, 0.0, -1.0], (n, 1)), weights=np.full(n, 1e-3))
 
     sep_cfg = RougheningConfig(mode="separate", jitter_std=velocity_jitter(0.4))
-    from smcphd.models import MeasurementModel
-
     jittered = separate_roughen(
         base, sep_cfg, motion, MeasurementModel(), np.random.default_rng(110)
     )
@@ -256,8 +252,8 @@ def test_criterion_10_roughening_moment_checks():
     assert np.array_equal(jittered.states[:, [0, 2]], base.states[:, [0, 2]])
 
     dir_cfg = RougheningConfig(mode="direct", jitter_std=velocity_jitter(0.4))
-    noise_std = combined_noise_std(channel_jitter_std(dir_cfg.jitter_std, motion), motion)
-    out = propagate(base.states, motion, np.random.default_rng(111), noise_std=noise_std)
+    dir_motion = direct_motion(base, dir_cfg, motion, MeasurementModel())
+    out = propagate(base.states, dir_motion, np.random.default_rng(111))
     dvel = out[:, [1, 3]] - base.states[:, [1, 3]]
     expected = np.array([math.sqrt(1.0 + 0.16), math.sqrt(0.01 + 0.16)])
     rel = np.abs(dvel.std(axis=0) - expected) / expected

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from smcphd.extraction import extract_states
+from smcphd.filter import FilterConfig, update
+from smcphd.models import ModelSet
 from smcphd.particles import ParticleSet
+from smcphd.resampling import resample
 
 pytestmark = pytest.mark.bench
 
@@ -33,8 +36,33 @@ def _filter_like_cloud(n_particles: int, seed: int = 0) -> ParticleSet:
     return ParticleSet(states=states, weights=weights)
 
 
+def _scan(seed: int = 0) -> np.ndarray:
+    """One benchmark-like scan: a detection near each target plus ten
+    clutter points over the surveillance region."""
+    rng = np.random.default_rng(seed)
+    detections = _filter_like_cloud(TARGETS, seed).states[:, [0, 2]]
+    clutter = rng.uniform(-100.0, 100.0, size=(10, 2))
+    return np.vstack([detections, clutter])
+
+
 @pytest.mark.parametrize("n_particles", [800, 4000])
 def test_extract_states(benchmark, n_particles):
     pset = _filter_like_cloud(n_particles)
     est = benchmark(lambda: extract_states(pset, TARGETS, np.random.default_rng(1)))
-    assert est.states.shape == (TARGETS, 4)
+    assert est.shape == (TARGETS, 4)
+
+
+@pytest.mark.parametrize("n_particles", [800, 4000])
+def test_update(benchmark, n_particles):
+    pset = _filter_like_cloud(n_particles)
+    scan = _scan()
+    post = benchmark(lambda: update(pset, scan, ModelSet()))
+    assert len(post) == n_particles
+
+
+@pytest.mark.parametrize("n_particles", [800, 4000])
+def test_resample(benchmark, n_particles):
+    pset = _filter_like_cloud(n_particles)
+    config = FilterConfig(particles_per_target=n_particles // TARGETS)
+    out = benchmark(lambda: resample(pset, config, np.random.default_rng(1)))
+    assert len(out) == n_particles

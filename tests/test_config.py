@@ -200,7 +200,7 @@ def test_nonfinite_or_degenerate_parameter_fails_at_load(tmp_path, capsys, key, 
     assert not (tmp_path / "out").exists()
 
 
-def test_roughening_parameter_errors_name_the_variant():
+def test_roughening_parameter_errors_name_the_variant(tmp_path, capsys):
     base = {"roughening.basic.mode": "none", "roughening.sep.mode": "separate"}
     with pytest.raises(ValueError, match=r"roughening\.sep: jitter_std"):
         run_config_from_mapping({**base, "roughening.sep.jitter_std": "nan"})
@@ -210,3 +210,14 @@ def test_roughening_parameter_errors_name_the_variant():
         run_config_from_mapping({**base, "roughening.sep.selective_threshold": "x"})
     with pytest.raises(ValueError, match=r"roughening\.sep: gordon_constant is required"):
         run_config_from_mapping({**base, "roughening.sep.gordon_dimension": "3"})
+    # Direct mode folds jitter into the velocity noise only, so a fixed
+    # position jitter is a load-time error, not a fault mid-run.
+    text = "roughening.basic.mode = none\nroughening.dir.mode = direct\n"
+    text += "roughening.dir.jitter_std = 1, 0.4, 0, 0.4\n"
+    with pytest.raises(ValueError, match=r"roughening\.dir: jitter_std: .*position"):
+        run_config_from_mapping(parse_kv_text(text))
+    path = tmp_path / "direct.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "roughening.dir: jitter_std" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -89,7 +89,7 @@ def test_extract_states_bit_identical_to_reference(
     pset = _random_cloud(seed, n_particles, n_clouds, zero_frac, tie_frac)
     got = extract_states(pset, k, np.random.default_rng(seed))
     expect = _reference_extract(pset, k, np.random.default_rng(seed))
-    assert np.array_equal(got.states, expect)
+    assert np.array_equal(got, expect)
 
 
 @settings(max_examples=50, deadline=None)
@@ -123,14 +123,14 @@ def test_tied_px_takes_lexsort_fallback_and_matches(monkeypatch):
     got = extract_states(pset, 3, np.random.default_rng(0))
     assert calls == [5]
     expect = _reference_extract(pset, 3, np.random.default_rng(0))
-    assert np.array_equal(got.states, expect)
+    assert np.array_equal(got, expect)
 
 
 def test_zero_targets_gives_empty_estimate():
     pset = ParticleSet(states=np.random.default_rng(0).normal(size=(10, 4)), weights=np.full(10, 0.1))
     est = extract_states(pset, 0, np.random.default_rng(1))
-    assert est.cardinality == 0
-    assert est.states.shape == (0, 4)
+    assert len(est) == 0
+    assert est.shape == (0, 4)
 
 
 def test_two_separated_clouds_recover_weighted_means():
@@ -154,7 +154,7 @@ def test_two_separated_clouds_recover_weighted_means():
     mean_right = wr @ right / wr.sum()
 
     est = extract_states(pset, 2, np.random.default_rng(3))
-    got = est.states[np.argsort(est.states[:, 0])]
+    got = est[np.argsort(est[:, 0])]
     expect = np.vstack([mean_left, mean_right])
     assert np.all(np.abs(got - expect) <= 1e-6)
 
@@ -163,7 +163,7 @@ def test_all_identical_particles_single_cluster_is_exact():
     state = np.array([1.25, -0.5, 3.75, 0.125])
     pset = ParticleSet(states=np.tile(state, (20, 1)), weights=np.full(20, 0.05))
     est = extract_states(pset, 1, np.random.default_rng(4))
-    assert np.array_equal(est.states[0], state)
+    assert np.array_equal(est[0], state)
 
 
 def test_permutation_invariance_given_same_stream():
@@ -175,16 +175,16 @@ def test_permutation_invariance_given_same_stream():
     shuffled = ParticleSet(states=states[perm], weights=weights[perm])
     a = extract_states(pset, 3, np.random.default_rng(42))
     b = extract_states(shuffled, 3, np.random.default_rng(42))
-    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a, b)
 
 
 def test_more_clusters_than_distinct_states_allows_duplicates():
     states = np.array([[0.0, 0, 0, 0], [10.0, 0, 0, 0]])
     pset = ParticleSet(states=states, weights=np.array([1.0, 1.0]))
     est = extract_states(pset, 3, np.random.default_rng(6))
-    assert est.cardinality == 3
-    assert est.states.shape == (3, 4)
-    for row in est.states:
+    assert len(est) == 3
+    assert est.shape == (3, 4)
+    for row in est:
         assert any(np.allclose(row, s, atol=1e-12) for s in states)
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,9 +20,7 @@ from smcphd.models import (
     MotionModel,
 )
 from smcphd.particles import ParticleSet, empty_set
-from smcphd.roughening import RougheningConfig, velocity_jitter
-
-NO_ROUGHENING = RougheningConfig(mode="none")
+from smcphd.roughening import GordonConfig, RougheningConfig, direct_motion, velocity_jitter
 
 
 def _models(**overrides):
@@ -43,16 +42,16 @@ def _config():
 def test_predict_survivor_weights_are_exact_products():
     rng = np.random.default_rng(0)
     prev = ParticleSet(states=rng.normal(size=(50, 4)), weights=rng.uniform(0, 0.1, 50))
-    out = predict(prev, _models(), _config(), NO_ROUGHENING, np.random.default_rng(1))
+    out = predict(prev, _models(), _config(), np.random.default_rng(1))
     assert len(out) == 50 + 40  # survivors first, then round(0.2 * 200) births
     assert np.array_equal(out.weights[:50], 0.95 * prev.weights)
     single = ParticleSet(states=np.zeros((1, 4)), weights=[0.04])
-    out = predict(single, _models(), _config(), NO_ROUGHENING, np.random.default_rng(2))
+    out = predict(single, _models(), _config(), np.random.default_rng(2))
     assert out.weights[0] == 0.95 * 0.04
 
 
 def test_predict_birth_mass_and_weights():
-    out = predict(empty_set(), _models(), _config(), NO_ROUGHENING, np.random.default_rng(3))
+    out = predict(empty_set(), _models(), _config(), np.random.default_rng(3))
     assert len(out) == 40  # round(0.2 * 200)
     assert np.all(out.weights == 0.2 / 40)
     assert math.fsum(out.weights.tolist()) == 0.2
@@ -65,7 +64,7 @@ def test_predict_survivor_mass_exact_for_dyadic_weights():
     weights = np.array([0.5, 0.25, 0.125, 0.0625, 0.03125])
     prev = ParticleSet(states=np.zeros((5, 4)), weights=weights)
     models = _models(birth=BirthModel(mass=0.0))
-    out = predict(prev, models, _config(), NO_ROUGHENING, np.random.default_rng(4))
+    out = predict(prev, models, _config(), np.random.default_rng(4))
     assert math.fsum(out.weights.tolist()) == 0.95 * math.fsum(weights.tolist())
 
 
@@ -73,27 +72,33 @@ def test_predict_zero_survival_and_no_births():
     models = _models(birth=BirthModel(mass=0.0), detection=DetectionModel(p_survive=0.0))
     rng = np.random.default_rng(5)
     prev = ParticleSet(states=rng.normal(size=(10, 4)), weights=np.full(10, 0.1))
-    out = predict(prev, models, _config(), NO_ROUGHENING, rng)
+    out = predict(prev, models, _config(), rng)
     assert out.total_weight() == 0.0
     assert len(out) == 10
 
 
 def test_predict_empty_input_zero_birth_gives_empty_output():
     models = _models(birth=BirthModel(mass=0.0))
-    out = predict(empty_set(), models, _config(), NO_ROUGHENING, np.random.default_rng(6))
+    out = predict(empty_set(), models, _config(), np.random.default_rng(6))
     assert len(out) == 0
     assert out.step == 1
+
+
+def _direct_models(prev, roughening, models=None):
+    """The models of a direct-roughening prediction from `prev`."""
+    models = models or _models()
+    motion = direct_motion(prev, roughening, models.motion, models.measurement)
+    return replace(models, motion=motion)
 
 
 def test_predict_direct_zero_jitter_bitwise_equals_basic():
     rng = np.random.default_rng(8)
     prev = ParticleSet(states=rng.normal(size=(30, 4)), weights=np.full(30, 0.05))
-    basic = predict(prev, _models(), _config(), NO_ROUGHENING, np.random.default_rng(9))
+    basic = predict(prev, _models(), _config(), np.random.default_rng(9))
     direct0 = predict(
         prev,
-        _models(),
+        _direct_models(prev, RougheningConfig(mode="direct", jitter_std=0.0)),
         _config(),
-        RougheningConfig(mode="direct", jitter_std=0.0),
         np.random.default_rng(9),
     )
     assert np.array_equal(basic.states, direct0.states)
@@ -105,7 +110,7 @@ def test_predict_direct_inflates_velocity_noise():
     prev = ParticleSet(states=np.zeros((n, 4)), weights=np.full(n, 1e-4))
     models = _models(birth=BirthModel(mass=0.0))
     direct = RougheningConfig(mode="direct", jitter_std=velocity_jitter(0.4))
-    out = predict(prev, models, _config(), direct, np.random.default_rng(10))
+    out = predict(prev, _direct_models(prev, direct, models), _config(), np.random.default_rng(10))
     expected = [math.sqrt(1.0 + 0.16), math.sqrt(0.01 + 0.16)]
     assert np.allclose(out.states[:, [1, 3]].std(axis=0), expected, rtol=0.01)
 
@@ -212,11 +217,9 @@ def test_filter_config_defaults_and_validation():
 
 
 def test_predict_direct_with_adaptive_bandwidth():
-    from smcphd.roughening import GordonConfig
-
     rng = np.random.default_rng(16)
     prev = ParticleSet(states=rng.normal(size=(100, 4)), weights=np.full(100, 0.02))
     cfg = RougheningConfig(mode="direct", gordon=GordonConfig(tuning_constant=0.2))
-    out = predict(prev, _models(), _config(), cfg, np.random.default_rng(17))
+    out = predict(prev, _direct_models(prev, cfg), _config(), np.random.default_rng(17))
     assert len(out) == 140
     assert np.all(np.isfinite(out.states))

@@ -47,6 +47,16 @@ def test_cardinality_penalty_finite_at_the_largest_order(x, y):
     assert d == ospa_bruteforce(x, y, params)
 
 
+def test_distinct_points_score_above_zero_at_the_largest_order():
+    # The load-time order check keeps (d / cutoff) ** order >= 1e-308 > 0 for
+    # d >= 1; past it (order 1e4) this pair would score 0 and break identity.
+    params = OspaParams(cutoff=100.0, order=154.0)
+    x, y = [[0.0, 0.0]], [[1.0, 0.0]]
+    d = ospa(x, y, params)
+    assert d > 0
+    assert d == ospa_bruteforce(x, y, params)
+
+
 def test_single_pair_below_cutoff():
     assert ospa([[0.0, 0.0]], [[3.0, 4.0]], PARAMS) == pytest.approx(5.0, rel=1e-12)
 

@@ -1,16 +1,18 @@
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from smcphd.models import MeasurementModel, MotionModel, propagate
-from smcphd.particles import ParticleSet
+from smcphd.filter import FilterConfig, predict
+from smcphd.models import MeasurementModel, ModelSet, MotionModel, propagate
+from smcphd.particles import ParticleSet, empty_set
 from smcphd.roughening import (
     GordonConfig,
     RougheningConfig,
-    channel_jitter_std,
-    combined_noise_std,
+    direct_motion,
     effective_jitter,
     gordon_std,
     separate_roughen,
@@ -129,21 +131,21 @@ def test_gordon_auto_uses_population_spread():
 
 def test_direct_scale_values():
     cfg = RougheningConfig(mode="direct", jitter_std=velocity_jitter(0.4))
-    combined = combined_noise_std(channel_jitter_std(cfg.jitter_std, MOTION), MOTION)
+    combined = direct_motion(empty_set(), cfg, MOTION, MEAS).noise_stds()
     assert combined[0] == pytest.approx(math.sqrt(1.16), rel=1e-12)
     assert combined[1] == pytest.approx(math.sqrt(0.17), rel=1e-12)
 
 
 def test_direct_scale_zero_jitter_is_exact_identity():
     cfg = RougheningConfig(mode="direct", jitter_std=0.0)
-    combined = combined_noise_std(channel_jitter_std(cfg.jitter_std, MOTION), MOTION)
+    combined = direct_motion(empty_set(), cfg, MOTION, MEAS).noise_stds()
     assert np.array_equal(combined, MOTION.noise_stds())  # bitwise
 
 
 def test_direct_noise_with_zero_model_noise_is_the_jitter():
     motion = MotionModel(sigma_v1=0.0, sigma_v2=0.1)
     cfg = RougheningConfig(mode="direct", jitter_std=velocity_jitter(0.4))
-    combined = combined_noise_std(channel_jitter_std(cfg.jitter_std, motion), motion)
+    combined = direct_motion(empty_set(), cfg, motion, MEAS).noise_stds()
     assert combined[0] == pytest.approx(0.4, rel=1e-12)  # absolute std still defined
 
 
@@ -158,8 +160,8 @@ def test_mode_equivalence_velocity_moments():
     jittered = separate_roughen(base, sep_cfg, MOTION, MEAS, np.random.default_rng(31))
     sep_out = propagate(jittered.states, MOTION, np.random.default_rng(32))
     dir_cfg = RougheningConfig(mode="direct", jitter_std=velocity_jitter(delta))
-    noise_std = combined_noise_std(channel_jitter_std(dir_cfg.jitter_std, MOTION), MOTION)
-    dir_out = propagate(base.states, MOTION, np.random.default_rng(33), noise_std=noise_std)
+    dir_motion = direct_motion(base, dir_cfg, MOTION, MEAS)
+    dir_out = propagate(base.states, dir_motion, np.random.default_rng(33))
     for axis in (1, 3):
         s_sep = sep_out[:, axis].std()
         s_dir = dir_out[:, axis].std()
@@ -194,8 +196,8 @@ def test_config_validation():
         RougheningConfig(mode="separate", jitter_std=-0.1)
     with pytest.raises(ValueError):
         RougheningConfig(mode="jitterbug")
-    with pytest.raises(ValueError):
-        channel_jitter_std(np.array([1.0, 0.0, 0.0, 0.0]), MOTION)
+    with pytest.raises(ValueError, match="^jitter_std: "):
+        RougheningConfig(mode="direct", jitter_std=[1, 0, 0, 0])
 
 
 def test_roughening_preserves_mass_exactly():
@@ -207,14 +209,54 @@ def test_roughening_preserves_mass_exactly():
 
 
 def test_direct_mode_with_adaptive_bandwidth_runs():
-    from smcphd.roughening import direct_channel_jitter
-
     rng = np.random.default_rng(29)
     pset = _cloud(200, rng)
     cfg = RougheningConfig(
         mode="direct", gordon=GordonConfig(tuning_constant=0.2), cap_to_measurement=False
     )
-    channel = direct_channel_jitter(pset, cfg, MOTION, MEAS)
+    combined = direct_motion(pset, cfg, MOTION, MEAS).noise_stds()
     spread = state_spread(pset.states)
-    expected = 0.2 * spread[[1, 3]] * 200 ** (-0.25) / MOTION.sampling_interval
-    assert np.allclose(channel, expected, rtol=1e-12)
+    channel = 0.2 * spread[[1, 3]] * 200 ** (-0.25) / MOTION.sampling_interval
+    # Position spread is dropped: only the velocity bandwidth enters the noise.
+    expected = np.sqrt(MOTION.noise_stds() ** 2 + channel**2)
+    assert np.allclose(combined, expected, rtol=1e-12)
+
+
+_SIGMA_V = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+_SIGMA_W = st.floats(1e-3, 100.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    interval=st.floats(0.0, 5.0, exclude_min=True),
+    sigma_v=st.tuples(_SIGMA_V, _SIGMA_V),
+    sigma_w=st.tuples(_SIGMA_W, _SIGMA_W),
+    n=st.integers(0, 60),
+    seed=st.integers(0, 2**32 - 1),
+    gordon=st.booleans(),
+    cap=st.booleans(),
+)
+def test_zero_jitter_keeps_the_model_bit_for_bit(interval, sigma_v, sigma_w, n, seed, gordon, cap):
+    motion = MotionModel(interval, *sigma_v)
+    meas = MeasurementModel(*sigma_w)
+    rng = np.random.default_rng(seed)
+    pset = ParticleSet(
+        states=rng.normal(size=(n, 4)) * [50.0, 2.0, 50.0, 2.0],
+        weights=rng.uniform(0.0, 0.1, n),
+        ancestry=rng.integers(0, max(n, 1), n),
+    )
+    zero = {"gordon": GordonConfig(tuning_constant=0.0)} if gordon else {"jitter_std": 0.0}
+
+    direct_cfg = RougheningConfig("direct", cap_to_measurement=cap, **zero)
+    direct = direct_motion(pset, direct_cfg, motion, meas)
+    assert np.array_equal(direct.noise_stds(), motion.noise_stds())
+    models = ModelSet(motion=motion, measurement=meas)
+    plain = predict(pset, models, FilterConfig(), np.random.default_rng(seed))
+    rough = predict(pset, replace(models, motion=direct), FilterConfig(), np.random.default_rng(seed))
+    assert np.array_equal(plain.states, rough.states)
+    assert np.array_equal(plain.weights, rough.weights)
+
+    separate = RougheningConfig("separate", cap_to_measurement=cap, **zero)
+    probe = np.random.default_rng(seed)
+    assert separate_roughen(pset, separate, motion, meas, probe) is pset
+    assert probe.random() == np.random.default_rng(seed).random()  # nothing drawn
