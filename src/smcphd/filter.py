@@ -89,7 +89,7 @@ def predict(
         states = surv_states
         weights = surv_weights
 
-    return ParticleSet(states=states, weights=weights, step=prev.step + 1)
+    return ParticleSet(states=states, weights=weights)
 
 
 def update(pred: ParticleSet, measurements, models: ModelSet) -> ParticleSet:
@@ -107,8 +107,7 @@ def update(pred: ParticleSet, measurements, models: ModelSet) -> ParticleSet:
     p_d = models.detection.p_detect
     w = pred.weights
     factor = np.full(len(pred), 1.0 - p_d)
-    for z in z_arr:
-        g = likelihood(z, pred.states, models.measurement)
+    for z, g in zip(z_arr, likelihood(z_arr, pred.states, models.measurement)):
         c_z = p_d * float(g @ w)
         denom = clutter_intensity(z, models.clutter) + c_z
         if denom > 0:
@@ -118,7 +117,7 @@ def update(pred: ParticleSet, measurements, models: ModelSet) -> ParticleSet:
             factor = factor + (p_d * g) / denom
     new_weights = factor * w
     new_weights[new_weights < WEIGHT_FLOOR] = 0.0
-    return ParticleSet(states=pred.states, weights=new_weights, step=pred.step)
+    return ParticleSet(states=pred.states, weights=new_weights)
 
 
 def measurement_mass_terms(pred: ParticleSet, measurements, models: ModelSet) -> np.ndarray:
@@ -130,8 +129,8 @@ def measurement_mass_terms(pred: ParticleSet, measurements, models: ModelSet) ->
     z_arr = np.asarray(measurements, dtype=float).reshape(-1, 2)
     p_d = models.detection.p_detect
     terms = np.zeros(len(z_arr))
-    for i, z in enumerate(z_arr):
-        g = likelihood(z, pred.states, models.measurement)
+    g_rows = likelihood(z_arr, pred.states, models.measurement)
+    for i, (z, g) in enumerate(zip(z_arr, g_rows)):
         c_z = p_d * float(g @ pred.weights)
         denom = clutter_intensity(z, models.clutter) + c_z
         terms[i] = c_z / denom if denom > 0 else 0.0

@@ -30,13 +30,11 @@ logger = logging.getLogger(__name__)
 
 class TrialError(RuntimeError):
     """A numeric or value fault raised while running a trial; the message
-    names the trial, the variant and the step it happened at."""
+    names the trial and the scenario, or the variant and step, it hit."""
 
 
-def _trial_error(trial: int, variant: str, step: int, exc: Exception) -> TrialError:
-    return TrialError(
-        f"trial {trial}, variant {variant!r}, step {step}: {type(exc).__name__}: {exc}"
-    )
+def _trial_error(trial: int, where: str, exc: Exception) -> TrialError:
+    return TrialError(f"trial {trial}, {where}: {type(exc).__name__}: {exc}")
 
 
 @dataclass
@@ -92,7 +90,7 @@ def _run_variant(
     roughening = variant.roughening
     models = config.scenario.models
     steps = config.scenario.steps
-    pset = empty_set(step=0)
+    pset = empty_set()
     est_counts = np.zeros(steps, dtype=int)
     ospa_values = np.full(steps, config.ospa.cutoff)
     collapsed_at = None
@@ -119,7 +117,8 @@ def _run_variant(
             points = states if config.ospa_full_state else states[:, [0, 2]]
             ospa_values[step - 1] = ospa(points, true_points[step - 1], config.ospa)
         except (ValueError, ArithmeticError) as exc:
-            raise _trial_error(streams.trial, variant.name, step, exc) from exc
+            where = f"variant {variant.name!r}, step {step}"
+            raise _trial_error(streams.trial, where, exc) from exc
         if collapsed_at is not None:
             logger.warning("track loss: posterior mass collapsed to zero at step %d", step)
             break
@@ -127,17 +126,21 @@ def _run_variant(
 
 
 def realize_trial(config: RunConfig, trial_index: int) -> tuple[GroundTruth, ScanData]:
-    """One trial's ground truth and scans, drawn from its scenario streams."""
+    """One trial's ground truth and scans, drawn from its scenario streams;
+    a ValueError or ArithmeticError while drawing them becomes a TrialError."""
     streams = TrialStreams(config.master_seed, trial_index)
-    truth = generate_truth(config.scenario, streams.get("truth"))
-    scans = simulate_scans(
-        truth,
-        config.scenario,
-        streams.get("detection"),
-        streams.get("measurement"),
-        streams.get("clutter"),
-        streams.get("shuffle"),
-    )
+    try:
+        truth = generate_truth(config.scenario, streams.get("truth"))
+        scans = simulate_scans(
+            truth,
+            config.scenario,
+            streams.get("detection"),
+            streams.get("measurement"),
+            streams.get("clutter"),
+            streams.get("shuffle"),
+        )
+    except (ValueError, ArithmeticError) as exc:
+        raise _trial_error(trial_index, "scenario", exc) from exc
     return truth, scans
 
 

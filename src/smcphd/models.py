@@ -34,8 +34,8 @@ def check_number(key: str, value, minimum: float | None = None, *, strict: bool 
 
 def _as_state(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if arr.shape[-1] != STATE_DIM:
-        raise ValueError(f"state must have {STATE_DIM} components, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[1] != STATE_DIM:
+        raise ValueError(f"states must be an (n, {STATE_DIM}) array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("state contains non-finite components")
     return arr
@@ -172,42 +172,43 @@ class ModelSet:
 
 
 def propagate(states, motion: MotionModel, rng: np.random.Generator) -> np.ndarray:
-    """Advance states one step: F @ x + G @ v with v ~ N(0, diag(sigma_v^2)).
+    """Advance (n, 4) states one step: F @ x + G @ v with v ~ N(0, diag(sigma_v^2)).
 
     When both noise stds are zero the noise draw is skipped entirely so the
-    result is exactly F @ x.  Accepts a single state (4,) or a batch (n, 4).
+    result is exactly F @ x.
     """
     x = _as_state(states)
-    single = x.ndim == 1
-    x2 = x[None, :] if single else x
-    out = x2 @ motion.transition_matrix().T
+    out = x @ motion.transition_matrix().T
     stds = motion.noise_stds()
     if np.any(stds > 0):
-        v = rng.standard_normal((x2.shape[0], 2)) * stds
+        v = rng.standard_normal((x.shape[0], 2)) * stds
         out = out + v @ motion.noise_input_matrix().T
-    return out[0] if single else out
+    return out
 
 
-def likelihood(z, states, meas: MeasurementModel):
-    """Measurement likelihood N(zx; px, sw1^2) * N(zy; py, sw2^2).
+def likelihood(z, states, meas: MeasurementModel) -> np.ndarray:
+    """Measurement likelihoods N(zx; px, sw1^2) * N(zy; py, sw2^2).
 
-    `states` may be (4,) or (n, 4); returns a scalar or an (n,) array.
+    For measurements z (m, 2) and states (n, 4), returns the (m, n) array
+    whose row i holds g(z_i | x_j) for every state j.
     """
-    if meas.sigma_w1 <= 0 or meas.sigma_w2 <= 0:
-        raise ValueError("likelihood requires strictly positive measurement stds")
     zv = np.asarray(z, dtype=float)
-    if zv.shape != (2,):
-        raise ValueError("measurement must have exactly 2 components")
+    if zv.ndim != 2 or zv.shape[1] != 2:
+        raise ValueError(f"measurements must be an (m, 2) array, got shape {zv.shape}")
     if not np.all(np.isfinite(zv)):
         raise ValueError("measurement contains non-finite components")
     x = _as_state(states)
-    single = x.ndim == 1
-    x2 = x[None, :] if single else x
-    dx = (zv[0] - x2[:, 0]) / meas.sigma_w1
-    dy = (zv[1] - x2[:, 2]) / meas.sigma_w2
+    px = x[:, 0]
+    py = x[:, 2]
     norm = 1.0 / (_TWO_PI * meas.sigma_w1 * meas.sigma_w2)
-    vals = norm * np.exp(-0.5 * (dx * dx + dy * dy))
-    return float(vals[0]) if single else vals
+    # Row by row: the broadcast (m, n) form gives the same bits, at more peak memory.
+    out = np.empty((zv.shape[0], x.shape[0]))
+    for row, (zx, zy) in zip(out, zv):
+        dx = (zx - px) / meas.sigma_w1
+        dy = (zy - py) / meas.sigma_w2
+        np.exp(-0.5 * (dx * dx + dy * dy), out=row)
+        row *= norm
+    return out
 
 
 def birth_sample(birth: BirthModel, rng: np.random.Generator, count: int = 1) -> np.ndarray:
@@ -236,10 +237,7 @@ def clutter_sample(clutter: ClutterModel, rng: np.random.Generator) -> np.ndarra
 
 
 def measure(states, meas: MeasurementModel, rng: np.random.Generator) -> np.ndarray:
-    """Noisy position observation H @ x + w for one state or a batch."""
+    """Noisy position observations H @ x + w of (n, 4) states, as (n, 2)."""
     x = _as_state(states)
-    single = x.ndim == 1
-    x2 = x[None, :] if single else x
     stds = np.array([meas.sigma_w1, meas.sigma_w2])
-    z = x2[:, POSITION_IDX] + rng.standard_normal((x2.shape[0], 2)) * stds
-    return z[0] if single else z
+    return x[:, POSITION_IDX] + rng.standard_normal((x.shape[0], 2)) * stds

@@ -21,7 +21,7 @@ def round_half_up(value: float) -> int:
 
 @dataclass
 class ParticleSet:
-    """States (n, 4), weights (n,), and bookkeeping for one time step.
+    """States (n, 4), weights (n,), and the resampling ancestry.
 
     `ancestry` holds, for a freshly resampled set, the index of each
     particle's source in the pre-resampling population; None otherwise.
@@ -29,7 +29,6 @@ class ParticleSet:
 
     states: np.ndarray
     weights: np.ndarray
-    step: int = 0
     ancestry: np.ndarray | None = None
 
     def __post_init__(self):
@@ -58,14 +57,5 @@ class ParticleSet:
         return math.fsum(self.weights.tolist())
 
 
-def empty_set(step: int = 0) -> ParticleSet:
-    return ParticleSet(states=np.empty((0, STATE_DIM)), weights=np.empty(0), step=step)
-
-
-def write_particles(pset: ParticleSet, fileobj) -> None:
-    """Column-oriented debug dump: step px vx py vy weight, one particle per line."""
-    for state, w in zip(pset.states, pset.weights):
-        fileobj.write(
-            f"{pset.step} {state[0]:.17g} {state[1]:.17g} "
-            f"{state[2]:.17g} {state[3]:.17g} {w:.17g}\n"
-        )
+def empty_set() -> ParticleSet:
+    return ParticleSet(states=np.empty((0, STATE_DIM)), weights=np.empty(0))

@@ -103,6 +103,5 @@ def resample(pset: ParticleSet, config: FilterConfig, rng: np.random.Generator) 
     return ParticleSet(
         states=pset.states[idx].copy(),
         weights=_equalized_weights(total, count),
-        step=pset.step,
         ancestry=idx,
     )

@@ -179,7 +179,9 @@ def effective_jitter(
         jitter = config.jitter_std.copy()
     if config.cap_to_measurement:
         factors = position_projection_factors(motion)
-        bound = meas.min_std() / factors
+        # A subnormal T overflows the bound to inf, which caps nothing.
+        with np.errstate(over="ignore"):
+            bound = meas.min_std() / factors
         jitter = np.minimum(jitter, bound)
     return jitter
 
@@ -233,7 +235,6 @@ def separate_roughen(
     return ParticleSet(
         states=states,
         weights=pset.weights,
-        step=pset.step,
         ancestry=pset.ancestry,
     )
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import ModelSet, birth_sample, clutter_sample, measure, propagate
+from .models import ModelSet, birth_sample, check_number, clutter_sample, measure, propagate
 
 
 @dataclass
@@ -28,6 +28,8 @@ class TargetScript:
             self.initial_state = np.asarray(self.initial_state, dtype=float).ravel()
             if self.initial_state.shape[0] != 4:
                 raise ValueError("initial_state must have 4 components")
+            for v in self.initial_state:
+                check_number("scenario.targets", v)
 
 
 def benchmark_targets() -> list[TargetScript]:
@@ -115,9 +117,9 @@ def generate_truth(config: ScenarioConfig, rng: np.random.Generator) -> GroundTr
     tracks = {}
     for tid, script in enumerate(config.targets, start=1):
         if script.initial_state is not None:
-            state = script.initial_state.copy()
+            state = script.initial_state.reshape(1, 4)
         else:
-            state = birth_sample(models.birth, rng, 1)[0]
+            state = birth_sample(models.birth, rng, 1)
         states = [state]
         for _ in range(script.birth_step, script.death_step):
             state = propagate(state, models.motion, rng)

@@ -36,12 +36,13 @@ def _filter_like_cloud(n_particles: int, seed: int = 0) -> ParticleSet:
     return ParticleSet(states=states, weights=weights)
 
 
-def _scan(seed: int = 0) -> np.ndarray:
-    """One benchmark-like scan: a detection near each target plus ten
-    clutter points over the surveillance region."""
+def _scan(clutter_points: int, seed: int = 0) -> np.ndarray:
+    """One benchmark-like scan: a detection near each target plus
+    `clutter_points` clutter points over the surveillance region (10 in the
+    paper presets, 50 in perfbench's clutter50 workload)."""
     rng = np.random.default_rng(seed)
     detections = _filter_like_cloud(TARGETS, seed).states[:, [0, 2]]
-    clutter = rng.uniform(-100.0, 100.0, size=(10, 2))
+    clutter = rng.uniform(-100.0, 100.0, size=(clutter_points, 2))
     return np.vstack([detections, clutter])
 
 
@@ -52,10 +53,10 @@ def test_extract_states(benchmark, n_particles):
     assert est.shape == (TARGETS, 4)
 
 
-@pytest.mark.parametrize("n_particles", [800, 4000])
-def test_update(benchmark, n_particles):
+@pytest.mark.parametrize("n_particles, clutter_points", [(800, 10), (4000, 10), (800, 50)])
+def test_update(benchmark, n_particles, clutter_points):
     pset = _filter_like_cloud(n_particles)
-    scan = _scan()
+    scan = _scan(clutter_points)
     post = benchmark(lambda: update(pset, scan, ModelSet()))
     assert len(post) == n_particles
 

@@ -186,6 +186,7 @@ def test_filter_min_particles_propagates_to_resampling():
         ("filter.particles_per_target", "abc"),
         ("run.trials", "1.5"),
         ("scenario.targets", "1:x"),
+        ("scenario.targets", "1:40:inf:0:0:0"),
         ("clutter.region", "1,2,3"),
         ("ospa.full_state", "maybe"),
     ],

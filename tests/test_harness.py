@@ -8,6 +8,7 @@ from smcphd import harness
 from smcphd.cli import main as cli_main
 from smcphd.config import VariantSpec, benchmark_preset, load_run_config
 from smcphd.harness import (
+    TrialError,
     pool_size,
     realize_trial,
     run,
@@ -265,9 +266,12 @@ def test_cli_run_fault_exits_1_and_names_trial_variant_step(tmp_path, capsys, mo
     # A fault during a run is not a configuration error: exit 1, and the
     # message says where it happened.
     real_update = harness.update
+    calls = 0
 
     def failing_update(pset, measurements, models):
-        if pset.step == 3:
+        nonlocal calls
+        calls += 1
+        if calls == 3:
             raise ValueError("injected fault")
         return real_update(pset, measurements, models)
 
@@ -277,6 +281,20 @@ def test_cli_run_fault_exits_1_and_names_trial_variant_step(tmp_path, capsys, mo
     err = capsys.readouterr().err
     assert "trial 0, variant 'basic', step 3" in err
     assert "ValueError: injected fault" in err
+
+
+def test_scenario_fault_is_a_trial_error(tmp_path, capsys):
+    # A finite start state that overflows while the truth is drawn is a
+    # fault of the trial, not of the config: exit 1, naming the trial and
+    # the scenario.
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text("scenario.targets = 1:40:1e308:1e308:0:0\nrun.trials = 1\n", encoding="utf-8")
+    config = load_run_config(cfg)
+    with np.errstate(over="ignore"):
+        with pytest.raises(TrialError, match=r"^trial 0, scenario: ValueError: "):
+            run_trial(config, 0)
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "error: trial 0, scenario: ValueError: " in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_config(tmp_path):

@@ -22,18 +22,18 @@ from smcphd.models import (
 def test_propagate_zero_noise_is_matrix_product():
     motion = MotionModel(sampling_interval=1.0, sigma_v1=0.0, sigma_v2=0.0)
     rng = np.random.default_rng(0)
-    out = propagate(np.array([0.0, 3.0, 0.0, -3.0]), motion, rng)
-    assert np.array_equal(out, np.array([3.0, 3.0, -3.0, -3.0]))
-    assert np.array_equal(propagate(np.zeros(4), motion, rng), np.zeros(4))
+    out = propagate(np.array([[0.0, 3.0, 0.0, -3.0]]), motion, rng)
+    assert np.array_equal(out, np.array([[3.0, 3.0, -3.0, -3.0]]))
+    assert np.array_equal(propagate(np.zeros((1, 4)), motion, rng), np.zeros((1, 4)))
 
 
 def test_propagate_zero_noise_bit_reproducible():
     motion = MotionModel(sigma_v1=0.0, sigma_v2=0.0)
-    x = np.array([1.7, -2.3, 0.9, 4.1])
+    x = np.array([[1.7, -2.3, 0.9, 4.1]])
     a = propagate(x, motion, np.random.default_rng(1))
     b = propagate(x, motion, np.random.default_rng(2))
     assert np.array_equal(a, b)
-    assert np.array_equal(a, motion.transition_matrix() @ x)
+    assert np.array_equal(a[0], motion.transition_matrix() @ x[0])
 
 
 def test_propagate_noise_covariance_matches_analytic():
@@ -53,26 +53,41 @@ def test_propagate_noise_covariance_matches_analytic():
 def test_propagate_rejects_non_finite_state():
     motion = MotionModel()
     with pytest.raises(ValueError):
-        propagate(np.array([np.nan, 0.0, 0.0, 0.0]), motion, np.random.default_rng(0))
+        propagate(np.array([[np.nan, 0.0, 0.0, 0.0]]), motion, np.random.default_rng(0))
+
+
+def test_kernels_take_batches_only():
+    # A single (4,) state must not broadcast into a batch by accident.
+    rng = np.random.default_rng(0)
+    meas = MeasurementModel()
+    with pytest.raises(ValueError, match=r"\(n, 4\)"):
+        propagate(np.zeros(4), MotionModel(), rng)
+    with pytest.raises(ValueError, match=r"\(n, 4\)"):
+        measure(np.zeros(4), meas, rng)
+    with pytest.raises(ValueError, match=r"\(n, 4\)"):
+        likelihood(np.zeros((1, 2)), np.zeros(4), meas)
+    with pytest.raises(ValueError, match=r"\(m, 2\)"):
+        likelihood(np.zeros(2), np.zeros((1, 4)), meas)
 
 
 def test_likelihood_examples():
     meas = MeasurementModel(sigma_w1=2.5, sigma_w2=2.5)
-    x = np.array([0.0, 1.0, 0.0, -1.0])
+    x = np.array([[0.0, 1.0, 0.0, -1.0]])
     mode = 1.0 / (2 * math.pi * 2.5 * 2.5)
-    assert likelihood(np.array([0.0, 0.0]), x, meas) == pytest.approx(mode, rel=1e-12)
-    one_sigma = likelihood(np.array([2.5, 0.0]), x, meas)
+    assert likelihood(np.array([[0.0, 0.0]]), x, meas)[0, 0] == pytest.approx(mode, rel=1e-12)
+    one_sigma = likelihood(np.array([[2.5, 0.0]]), x, meas)[0, 0]
     assert one_sigma == pytest.approx(mode * math.exp(-0.5), rel=1e-12)
     expected = stats.norm.pdf(5.0, 0.0, 2.5) ** 2
-    assert likelihood(np.array([5.0, 5.0]), x, meas) == pytest.approx(expected, rel=1e-12)
+    at_five = likelihood(np.array([[5.0, 5.0]]), x, meas)[0, 0]
+    assert at_five == pytest.approx(expected, rel=1e-12)
 
 
 def test_likelihood_vectorized_nonnegative_finite():
     meas = MeasurementModel()
     rng = np.random.default_rng(3)
     states = rng.uniform(-200, 200, size=(500, 4))
-    vals = likelihood(np.array([0.0, 0.0]), states, meas)
-    assert vals.shape == (500,)
+    vals = likelihood(np.array([[0.0, 0.0]]), states, meas)
+    assert vals.shape == (1, 500)
     assert np.all(vals >= 0) and np.all(np.isfinite(vals))
 
 
@@ -101,8 +116,8 @@ def test_clutter_sample_poisson_moments():
 def test_measure_is_position_plus_noise():
     meas = MeasurementModel(sigma_w1=2.5, sigma_w2=2.5)
     rng = np.random.default_rng(13)
-    state = np.array([5.0, 1.0, -7.0, 2.0])
-    zs = np.array([measure(state, meas, rng) for _ in range(20_000)])
+    state = np.array([[5.0, 1.0, -7.0, 2.0]])
+    zs = np.array([measure(state, meas, rng)[0] for _ in range(20_000)])
     assert np.allclose(zs.mean(axis=0), [5.0, -7.0], atol=0.06)
     assert np.allclose(zs.std(axis=0), [2.5, 2.5], rtol=0.03)
 

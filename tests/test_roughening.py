@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -116,6 +117,18 @@ def test_measurement_cap_clamps_projected_jitter():
         mode="separate", jitter_std=np.array([9.0, 9.0, 9.0, 9.0]), cap_to_measurement=False
     )
     assert np.all(effective_jitter(pset, uncapped, MOTION, MEAS) == 9.0)
+
+
+def test_measurement_cap_with_subnormal_interval_is_silent():
+    # With T = 5e-324 the velocity bound min_std / T overflows to inf, which
+    # caps nothing; the overflow is not worth a warning.
+    motion = MotionModel(sampling_interval=5e-324)
+    cfg = RougheningConfig(mode="separate", jitter_std=velocity_jitter(0.4))
+    pset = _cloud(10, np.random.default_rng(27))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jitter = effective_jitter(pset, cfg, motion, MEAS)
+    assert np.array_equal(jitter, velocity_jitter(0.4))
 
 
 def test_gordon_auto_uses_population_spread():
