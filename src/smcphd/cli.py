@@ -126,11 +126,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _make_out_dir(path: Path) -> bool:
+    """Create the output directory (and its parents) if needed; True when
+    this call created it."""
+    try:
+        path.mkdir(parents=True)
+    except FileExistsError:
+        if not path.is_dir():
+            raise
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-        args.out.mkdir(parents=True, exist_ok=True)
+        created = _make_out_dir(args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -138,6 +150,13 @@ def main(argv=None) -> int:
         return args.func(config, args)
     except TrialError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if created:
+            # Leave no empty directory behind; one that already existed, or
+            # that now holds files, stays.
+            try:
+                args.out.rmdir()
+            except OSError:
+                pass
         return 1
 
 

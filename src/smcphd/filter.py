@@ -92,30 +92,44 @@ def predict(
     return ParticleSet(states=states, weights=weights)
 
 
+def _scan_support(pred: ParticleSet, z: np.ndarray, models: ModelSet):
+    """Likelihoods g (m, n) of scan z (m, 2) against the particles, supports
+    C(z) = p_D sum_j g(z|x_j) w_j (m,) and denominators kappa(z) + C(z) (m,)."""
+    g = likelihood(z, pred.states, models.measurement)
+    # One dot product per measurement: a single g @ w (gemv) sums in another
+    # order and does not reproduce these bits.
+    dots = np.array([row @ pred.weights for row in g])
+    c = models.detection.p_detect * dots
+    return g, c, clutter_intensity(z, models.clutter) + c
+
+
 def update(pred: ParticleSet, measurements, models: ModelSet) -> ParticleSet:
     """One data-update step; reweights particles, never moves them.
 
     Each particle's weight is multiplied by
     (1 - p_D) + sum_z p_D g(z|x) / (kappa(z) + C(z)) where
-    C(z) = sum_j p_D g(z|x_j) w_j.  A measurement whose denominator is zero
-    (no clutter and no particle support) contributes nothing rather than
-    dividing by zero.
+    C(z) = sum_j p_D g(z|x_j) w_j, the terms added in scan order.  A
+    measurement whose denominator is zero (no clutter and no particle
+    support) contributes nothing rather than dividing by zero.
     """
     z_arr = np.asarray(measurements, dtype=float).reshape(-1, 2)
     if len(pred) == 0:
         return pred
     p_d = models.detection.p_detect
-    w = pred.weights
+    rows, _, denom = _scan_support(pred, z_arr, models)
+    live = denom > 0
+    # (p_d * g) / denom stays finite even for a subnormal denominator (each
+    # ratio is bounded by 1 / w_j); p_d / denom alone can overflow and then
+    # turn zero likelihoods into NaNs.
+    rows *= p_d
+    np.divide(rows, denom[:, None], out=rows, where=live[:, None])
+    rows[~live] = 0.0
+    # Row by row: np.add.reduce over axis 0 sums pairwise when there is a
+    # single particle, which moves bits.
     factor = np.full(len(pred), 1.0 - p_d)
-    for z, g in zip(z_arr, likelihood(z_arr, pred.states, models.measurement)):
-        c_z = p_d * float(g @ w)
-        denom = clutter_intensity(z, models.clutter) + c_z
-        if denom > 0:
-            # (p_d * g) / denom stays finite even for a subnormal denominator
-            # (each ratio is bounded by 1 / w_j); p_d / denom alone can
-            # overflow and then turn zero likelihoods into NaNs.
-            factor = factor + (p_d * g) / denom
-    new_weights = factor * w
+    for row in rows:
+        factor += row
+    new_weights = factor * pred.weights
     new_weights[new_weights < WEIGHT_FLOOR] = 0.0
     return ParticleSet(states=pred.states, weights=new_weights)
 
@@ -124,19 +138,15 @@ def measurement_mass_terms(pred: ParticleSet, measurements, models: ModelSet) ->
     """Per-measurement posterior mass contributions C(z)/(kappa(z)+C(z)).
 
     Each term lies in [0, 1]; together with (1-p_D) times the prior mass
-    they account for the full post-update mass.
+    they account for the full post-update mass.  A zero denominator gives
+    a zero term.
     """
     z_arr = np.asarray(measurements, dtype=float).reshape(-1, 2)
-    p_d = models.detection.p_detect
-    terms = np.zeros(len(z_arr))
-    g_rows = likelihood(z_arr, pred.states, models.measurement)
-    for i, (z, g) in enumerate(zip(z_arr, g_rows)):
-        c_z = p_d * float(g @ pred.weights)
-        denom = clutter_intensity(z, models.clutter) + c_z
-        terms[i] = c_z / denom if denom > 0 else 0.0
-    return terms
+    _, c, denom = _scan_support(pred, z_arr, models)
+    return np.divide(c, denom, out=np.zeros_like(c), where=denom > 0)
 
 
-def estimate_cardinality(pset: ParticleSet) -> int:
-    """Expected-count estimate: weight sum rounded half-up."""
-    return round_half_up(pset.total_weight())
+def estimate_cardinality(mass: float) -> int:
+    """Expected-count estimate from the intensity mass (a particle set's
+    `total_weight()`): the mass rounded half-up."""
+    return round_half_up(mass)

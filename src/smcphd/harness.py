@@ -102,10 +102,11 @@ def _run_variant(
                 step_models = replace(models, motion=motion)
             pset = predict(pset, step_models, config.filter, streams.get("prediction"))
             pset = update(pset, scans.at(step), models)
-            n_hat = estimate_cardinality(pset)
+            mass = pset.total_weight()
+            n_hat = estimate_cardinality(mass)
             states = extract_states(pset, n_hat, streams.get("extraction"))
             est_counts[step - 1] = n_hat
-            if pset.total_weight() <= 0:
+            if mass <= 0:
                 collapsed_at = step
             else:
                 pset = resample(pset, config.filter, streams.get("resampling"))

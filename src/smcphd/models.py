@@ -17,6 +17,10 @@ VELOCITY_IDX = (1, 3)
 
 _TWO_PI = 2.0 * math.pi
 
+# np.exp returns exactly 0.0 for every argument below this: e^-750 < 2^-1082,
+# far under half the smallest subnormal double (2^-1075).
+EXP_ZERO_BELOW = -750.0
+
 
 def check_number(key: str, value, minimum: float | None = None, *, strict: bool = False) -> None:
     """Reject a parameter that is not a finite number, or that lies below
@@ -38,6 +42,15 @@ def _as_state(x) -> np.ndarray:
         raise ValueError(f"states must be an (n, {STATE_DIM}) array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("state contains non-finite components")
+    return arr
+
+
+def _as_measurements(z) -> np.ndarray:
+    arr = np.asarray(z, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"measurements must be an (m, 2) array, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("measurement contains non-finite components")
     return arr
 
 
@@ -178,11 +191,14 @@ def propagate(states, motion: MotionModel, rng: np.random.Generator) -> np.ndarr
     result is exactly F @ x.
     """
     x = _as_state(states)
-    out = x @ motion.transition_matrix().T
     stds = motion.noise_stds()
-    if np.any(stds > 0):
-        v = rng.standard_normal((x.shape[0], 2)) * stds
-        out = out + v @ motion.noise_input_matrix().T
+    # A finite but huge state can overflow to inf; the next kernel's finite
+    # check rejects it, so numpy's overflow warning would only be noise.
+    with np.errstate(over="ignore"):
+        out = x @ motion.transition_matrix().T
+        if np.any(stds > 0):
+            v = rng.standard_normal((x.shape[0], 2)) * stds
+            out = out + v @ motion.noise_input_matrix().T
     return out
 
 
@@ -190,25 +206,33 @@ def likelihood(z, states, meas: MeasurementModel) -> np.ndarray:
     """Measurement likelihoods N(zx; px, sw1^2) * N(zy; py, sw2^2).
 
     For measurements z (m, 2) and states (n, 4), returns the (m, n) array
-    whose row i holds g(z_i | x_j) for every state j.
+    whose row i holds g(z_i | x_j) for every state j.  Pairs whose exponent
+    lies below EXP_ZERO_BELOW are set to exactly 0.0 without calling `exp`,
+    which would return the same 0.0 only after a slow underflow path.
     """
-    zv = np.asarray(z, dtype=float)
-    if zv.ndim != 2 or zv.shape[1] != 2:
-        raise ValueError(f"measurements must be an (m, 2) array, got shape {zv.shape}")
-    if not np.all(np.isfinite(zv)):
-        raise ValueError("measurement contains non-finite components")
+    zv = _as_measurements(z)
     x = _as_state(states)
-    px = x[:, 0]
-    py = x[:, 2]
     norm = 1.0 / (_TWO_PI * meas.sigma_w1 * meas.sigma_w2)
-    # Row by row: the broadcast (m, n) form gives the same bits, at more peak memory.
-    out = np.empty((zv.shape[0], x.shape[0]))
-    for row, (zx, zy) in zip(out, zv):
-        dx = (zx - px) / meas.sigma_w1
-        dy = (zy - py) / meas.sigma_w2
-        np.exp(-0.5 * (dx * dx + dy * dy), out=row)
-        row *= norm
-    return out
+    px = np.ascontiguousarray(x[:, 0])
+    py = np.ascontiguousarray(x[:, 2])
+    # In place, in the order (dx*dx + dy*dy) * -0.5, with at most two (m, n)
+    # float64 arrays live at once.
+    arg = zv[:, :1] - px
+    arg /= meas.sigma_w1
+    arg *= arg
+    dy = zv[:, 1:] - py
+    dy /= meas.sigma_w2
+    dy *= dy
+    arg += dy
+    del dy
+    arg *= -0.5
+    live = arg >= EXP_ZERO_BELOW
+    vals = arg[live]
+    np.exp(vals, out=vals)
+    vals *= norm
+    arg.fill(0.0)
+    arg[live] = vals
+    return arg
 
 
 def birth_sample(birth: BirthModel, rng: np.random.Generator, count: int = 1) -> np.ndarray:
@@ -217,13 +241,15 @@ def birth_sample(birth: BirthModel, rng: np.random.Generator, count: int = 1) ->
     return np.array(birth.mean) + rng.standard_normal((count, STATE_DIM)) * stds
 
 
-def clutter_intensity(z, clutter: ClutterModel) -> float:
-    """Clutter intensity at z: rate/area inside the region, 0 outside."""
-    zv = np.asarray(z, dtype=float)
+def clutter_intensity(z, clutter: ClutterModel) -> np.ndarray:
+    """Clutter intensity at measurements z (m, 2), as an (m,) array:
+    rate/area inside the region (its boundary included), 0 outside."""
+    zv = _as_measurements(z)
     xmin, xmax, ymin, ymax = clutter.region
-    if xmin <= zv[0] <= xmax and ymin <= zv[1] <= ymax:
-        return clutter.intensity_level()
-    return 0.0
+    x = zv[:, 0]
+    y = zv[:, 1]
+    inside = (xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)
+    return np.where(inside, clutter.intensity_level(), 0.0)
 
 
 def clutter_sample(clutter: ClutterModel, rng: np.random.Generator) -> np.ndarray:

@@ -5,7 +5,7 @@ particles per expected target) and never drops below a configured floor,
 so the population cannot die out while the expected count is small.
 """
 
-import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -60,24 +60,36 @@ def _equalized_weights(total: float, count: int) -> np.ndarray:
     """`count` near-equal weights whose compensated sum equals `total` exactly.
 
     Starts from total/count everywhere and folds the residual (a few ulps)
-    into the first entry until math.fsum reproduces `total` bit for bit.
-    When the exact sum sits on a rounding midpoint a full-step correction
-    oscillates between the two neighbours, so the step is halved until it
-    makes progress.
+    into the first entry until the compensated sum reproduces `total` bit
+    for bit.  When the exact sum sits on a rounding midpoint a full-step
+    correction oscillates between the two neighbours, so the step is halved
+    until it makes progress.
+
+    Only the first entry changes, so the sum is (count - 1) copies of x plus
+    that entry: evaluated exactly as a Fraction and rounded once, it equals
+    math.fsum over all entries (fsum is correctly rounded too), in O(1).
     """
-    w = np.full(count, total / count)
-    diff = total - math.fsum(w.tolist())
+    x = total / count
+    rest = Fraction(x) * (count - 1)
+
+    def residual(first: float) -> float:
+        return total - float(rest + Fraction(first))
+
+    first = x
+    diff = residual(first)
     for _ in range(120):
         if diff == 0.0:
+            w = np.full(count, x)
+            w[0] = first
             return w
         step = diff
         while True:
-            w[0] += step
-            new_diff = total - math.fsum(w.tolist())
+            first += step
+            new_diff = residual(first)
             if abs(new_diff) < abs(diff):
                 diff = new_diff
                 break
-            w[0] -= step
+            first -= step
             step *= 0.5
             if step == 0.0:
                 raise ArithmeticError("weight equalization failed to converge")

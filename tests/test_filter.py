@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smcphd.filter import (
+    WEIGHT_FLOOR,
     FilterConfig,
     estimate_cardinality,
     measurement_mass_terms,
@@ -225,7 +226,7 @@ def test_update_over_model_space(n, m, p_detect, clutter_rate, birth_mass, seed)
     # Without clutter, a C(z) below the normal range is summed from
     # underflowed products and breaks the identity: a known fault, pinned
     # by test_update_mass_identity_when_support_underflows.
-    kappa = np.array([clutter_intensity(z, models.clutter) for z in scan])
+    kappa = clutter_intensity(scan, models.clutter)
     c = p_detect * (g @ pred.weights)
     if np.any((kappa == 0) & (c > 0) & (c < np.finfo(float).tiny)):
         return
@@ -233,6 +234,81 @@ def test_update_over_model_space(n, m, p_detect, clutter_rate, birth_mass, seed)
     expected = (1 - p_detect) * pred.total_weight() + math.fsum(terms)
     # Weights flushed below WEIGHT_FLOOR leave at most n * 1e-300 of mass.
     assert post.total_weight() == pytest.approx(expected, rel=1e-10, abs=1e-250)
+
+
+# Reference implementation: the plain per-measurement loop, one kappa, C(z)
+# and factor update at a time.  The module's whole-scan version must
+# reproduce it bit for bit.
+
+
+def _reference_support(pred, z, models):
+    meas = models.measurement
+    norm = 1.0 / (2.0 * math.pi * meas.sigma_w1 * meas.sigma_w2)
+    out = []
+    for zi in z:
+        dx = (zi[0] - pred.states[:, 0]) / meas.sigma_w1
+        dy = (zi[1] - pred.states[:, 2]) / meas.sigma_w2
+        g = np.exp(-0.5 * (dx * dx + dy * dy)) * norm
+        c_z = models.detection.p_detect * float(g @ pred.weights)
+        xmin, xmax, ymin, ymax = models.clutter.region
+        inside = xmin <= zi[0] <= xmax and ymin <= zi[1] <= ymax
+        kappa = models.clutter.intensity_level() if inside else 0.0
+        out.append((g, c_z, kappa + c_z))
+    return out
+
+
+def _reference_update_weights(pred, z, models):
+    p_d = models.detection.p_detect
+    factor = np.full(len(pred), 1.0 - p_d)
+    for g, _, denom in _reference_support(pred, z, models):
+        if denom > 0:
+            factor = factor + (p_d * g) / denom
+    new_weights = factor * pred.weights
+    new_weights[new_weights < WEIGHT_FLOOR] = 0.0
+    return new_weights
+
+
+def _reference_mass_terms(pred, z, models):
+    return np.array(
+        [c_z / denom if denom > 0 else 0.0 for _, c_z, denom in _reference_support(pred, z, models)]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 3), st.integers(1, 120)),
+    m=st.integers(0, 40),
+    p_detect=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    clutter_rate=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+    spread=st.sampled_from([1.0, 30.0, 100.0, 400.0]),
+    zero_frac=st.sampled_from([0.0, 0.1, 0.5]),
+    on_particles=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_update_matches_per_measurement_reference(
+    n, m, p_detect, clutter_rate, spread, zero_frac, on_particles, seed
+):
+    # Spreads from 1 m to 400 m put the likelihoods anywhere from all normal
+    # to all exactly zero, with subnormal supports in between, and a scan
+    # reaching past the clutter region has no clutter there.  Scan points
+    # placed on particles, some of them of zero weight, give rows with
+    # nonzero likelihoods but a zero denominator.  Few particles exercise
+    # the sum over a scan along a single column.
+    rng = np.random.default_rng(seed)
+    models = _models(
+        clutter=ClutterModel(rate=clutter_rate, region=(-100, 100, -100, 100)),
+        detection=DetectionModel(p_survive=0.95, p_detect=p_detect),
+    )
+    weights = rng.uniform(0, 0.05, size=n)
+    weights[rng.random(n) < zero_frac] = 0.0
+    pred = ParticleSet(states=rng.uniform(-1, 1, size=(n, 4)) * spread, weights=weights)
+    scan = rng.uniform(-1, 1, size=(m, 2)) * rng.choice([spread, 150.0, 400.0])
+    k = min(on_particles, m)
+    scan[:k] = pred.states[rng.integers(0, n, size=k)][:, [0, 2]]
+    post = update(pred, scan, models)
+    assert np.array_equal(post.weights, _reference_update_weights(pred, scan, models))
+    terms = measurement_mass_terms(pred, scan, models)
+    assert np.array_equal(terms, _reference_mass_terms(pred, scan, models))
 
 
 @pytest.mark.xfail(strict=True, reason="update loses mass once the products in C(z) underflow")
@@ -252,10 +328,10 @@ def test_estimate_cardinality_rounding():
     def pset_with_mass(mass, n=8):
         return ParticleSet(states=np.zeros((n, 4)), weights=np.full(n, mass / n))
 
-    assert estimate_cardinality(pset_with_mass(3.6)) == 4
-    assert estimate_cardinality(pset_with_mass(0.4)) == 0
-    assert estimate_cardinality(ParticleSet(states=np.zeros((1, 4)), weights=[2.5])) == 3
-    assert estimate_cardinality(empty_set()) == 0
+    assert estimate_cardinality(pset_with_mass(3.6).total_weight()) == 4
+    assert estimate_cardinality(pset_with_mass(0.4).total_weight()) == 0
+    assert estimate_cardinality(2.5) == 3
+    assert estimate_cardinality(empty_set().total_weight()) == 0
 
 
 def test_filter_config_defaults_and_validation():

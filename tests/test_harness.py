@@ -1,9 +1,14 @@
 import io
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smcphd
 from smcphd import harness
 from smcphd.cli import main as cli_main
 from smcphd.config import VariantSpec, benchmark_preset, load_run_config
@@ -283,18 +288,51 @@ def test_cli_run_fault_exits_1_and_names_trial_variant_step(tmp_path, capsys, mo
     assert "ValueError: injected fault" in err
 
 
+def _overflow_config(tmp_path):
+    # A finite start state whose first propagation overflows to inf.
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text("scenario.targets = 1:40:1e308:1e308:0:0\nrun.trials = 1\n", encoding="utf-8")
+    return cfg
+
+
 def test_scenario_fault_is_a_trial_error(tmp_path, capsys):
     # A finite start state that overflows while the truth is drawn is a
     # fault of the trial, not of the config: exit 1, naming the trial and
     # the scenario.
-    cfg = tmp_path / "overflow.cfg"
-    cfg.write_text("scenario.targets = 1:40:1e308:1e308:0:0\nrun.trials = 1\n", encoding="utf-8")
-    config = load_run_config(cfg)
-    with np.errstate(over="ignore"):
-        with pytest.raises(TrialError, match=r"^trial 0, scenario: ValueError: "):
-            run_trial(config, 0)
-        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    cfg = _overflow_config(tmp_path)
+    with pytest.raises(TrialError, match=r"^trial 0, scenario: ValueError: "):
+        run_trial(load_run_config(cfg), 0)
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "error: trial 0, scenario: ValueError: " in capsys.readouterr().err
+
+
+def test_cli_fault_prints_only_the_error_and_removes_the_out_dir_it_made(tmp_path):
+    # A fresh interpreter, so that stderr shows exactly what a user sees:
+    # the one error line and no numpy warning.  The output directory did
+    # not exist before, so the failed run takes it away again.
+    cfg = _overflow_config(tmp_path)
+    out = tmp_path / "fresh"
+    src = str(Path(smcphd.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "smcphd.cli", "run", "--config", str(cfg), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "error: trial 0, scenario: ValueError: state contains non-finite components\n"
+    )
+    assert not out.exists()
+
+
+def test_cli_fault_keeps_an_out_dir_that_existed(tmp_path):
+    cfg = _overflow_config(tmp_path)
+    out = tmp_path / "existing"
+    out.mkdir()
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert out.is_dir() and not any(out.iterdir())
 
 
 def test_cli_rejects_bad_config(tmp_path):

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from smcphd.models import (
+    EXP_ZERO_BELOW,
     BirthModel,
     ClutterModel,
     DetectionModel,
@@ -68,6 +70,8 @@ def test_kernels_take_batches_only():
         likelihood(np.zeros((1, 2)), np.zeros(4), meas)
     with pytest.raises(ValueError, match=r"\(m, 2\)"):
         likelihood(np.zeros(2), np.zeros((1, 4)), meas)
+    with pytest.raises(ValueError, match=r"\(m, 2\)"):
+        clutter_intensity(np.zeros(2), ClutterModel())
 
 
 def test_likelihood_examples():
@@ -91,15 +95,66 @@ def test_likelihood_vectorized_nonnegative_finite():
     assert np.all(vals >= 0) and np.all(np.isfinite(vals))
 
 
+def _reference_likelihood(z, states, meas):
+    """The plain row-by-row formulation, `exp` called on every pair; the
+    module's kernel must reproduce it bit for bit."""
+    norm = 1.0 / (2.0 * math.pi * meas.sigma_w1 * meas.sigma_w2)
+    out = np.empty((len(z), len(states)))
+    for row, (zx, zy) in zip(out, z):
+        dx = (zx - states[:, 0]) / meas.sigma_w1
+        dy = (zy - states[:, 2]) / meas.sigma_w2
+        np.exp(-0.5 * (dx * dx + dy * dy), out=row)
+        row *= norm
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(0, 200),
+    m=st.integers(0, 30),
+    sigma=st.tuples(st.floats(0.1, 50.0), st.floats(0.1, 50.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_likelihood_matches_row_by_row_reference(n, m, sigma, seed):
+    # Normalised distances r = |z - x| / sigma, spread so that the exponent
+    # -r^2/2 straddles EXP_ZERO_BELOW (r about 38.7), the subnormal range
+    # (r from 37.6 to 38.6) and the point where exp underflows to 0 (r 38.6).
+    rng = np.random.default_rng(seed)
+    meas = MeasurementModel(sigma_w1=sigma[0], sigma_w2=sigma[1])
+    states = rng.normal(size=(n, 4)) * 10.0
+    z = rng.normal(size=(m, 2)) * 10.0
+    if n and m:
+        near = rng.random(m) < 0.5
+        r = np.where(near, rng.uniform(37.0, 39.5, size=m), rng.uniform(0.0, 45.0, size=m))
+        angle = rng.uniform(0, 2 * np.pi, size=m)
+        picked = states[rng.integers(0, n, size=m)]
+        z[:, 0] = picked[:, 0] + r * np.cos(angle) * sigma[0]
+        z[:, 1] = picked[:, 2] + r * np.sin(angle) * sigma[1]
+    got = likelihood(z, states, meas)
+    want = _reference_likelihood(z, states, meas)
+    assert got.shape == (m, n)
+    assert np.array_equal(got, want)
+
+
+def test_exp_is_exactly_zero_below_threshold():
+    # The kernel writes 0.0 instead of calling exp below EXP_ZERO_BELOW;
+    # that is only sound if exp itself returns exactly 0.0 there.
+    grid = np.linspace(-2000.0, EXP_ZERO_BELOW, 1_000_001)
+    assert grid[-1] == EXP_ZERO_BELOW
+    assert np.all(np.exp(grid) == 0.0)
+    assert np.all(np.exp(np.nextafter(grid, -np.inf)) == 0.0)
+    assert np.exp(-np.inf) == 0.0
+    # The smallest subnormal is still reached well above the threshold.
+    assert np.exp(-745.0) > 0.0
+
+
 def test_clutter_intensity_values():
     clutter = ClutterModel(rate=10.0, region=(-100, 100, -100, 100))
-    assert clutter_intensity(np.array([0.0, 0.0]), clutter) == pytest.approx(
-        10.0 / 200**2, rel=1e-12
-    )
-    assert clutter_intensity(np.array([99.0, -99.0]), clutter) == pytest.approx(
-        2.5e-4, rel=1e-12
-    )
-    assert clutter_intensity(np.array([200.0, 0.0]), clutter) == 0.0
+    z = np.array([[0.0, 0.0], [99.0, -99.0], [100.0, -100.0], [200.0, 0.0], [0.0, -100.5]])
+    kappa = clutter_intensity(z, clutter)
+    assert kappa.shape == (5,)
+    assert np.array_equal(kappa, [10.0 / 200**2] * 3 + [0.0, 0.0])
+    assert clutter_intensity(np.empty((0, 2)), clutter).shape == (0,)
 
 
 def test_clutter_sample_poisson_moments():

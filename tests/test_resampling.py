@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smcphd.filter import FilterConfig
 from smcphd.particles import ParticleSet
 from smcphd.resampling import (
+    _equalized_weights,
     multinomial_indices,
     resample,
     systematic_indices,
@@ -121,3 +123,52 @@ def test_equalized_weights_are_near_uniform():
     total = pset.total_weight()
     assert np.allclose(out.weights, total / len(out), rtol=1e-9)
     assert math.fsum(out.weights.tolist()) == total
+
+
+def _reference_equalized_weights(total, count):
+    """The plain formulation: re-sum every weight with math.fsum after each
+    correction of the first entry."""
+    w = np.full(count, total / count)
+    diff = total - math.fsum(w.tolist())
+    for _ in range(120):
+        if diff == 0.0:
+            return w
+        step = diff
+        while True:
+            w[0] += step
+            new_diff = total - math.fsum(w.tolist())
+            if abs(new_diff) < abs(diff):
+                diff = new_diff
+                break
+            w[0] -= step
+            step *= 0.5
+            if step == 0.0:
+                raise ArithmeticError("weight equalization failed to converge")
+    raise ArithmeticError("weight equalization failed to converge")
+
+
+def _outcome(fn, total, count):
+    try:
+        return fn(total, count)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    total=st.one_of(
+        st.floats(1e-3, 1e3),
+        st.floats(5e-324, 1e-300),
+        st.floats(1e300, 1.7976931348623157e308),
+        st.integers(1, 10**6).map(float),
+    ),
+    count=st.one_of(st.integers(1, 64), st.integers(1, 5000)),
+)
+def test_equalized_weights_match_fsum_reference(total, count):
+    got = _outcome(_equalized_weights, total, count)
+    want = _outcome(_reference_equalized_weights, total, count)
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+        assert math.fsum(got.tolist()) == total
+    else:
+        assert got is want
