@@ -109,7 +109,7 @@ def _run_variant(
             if mass <= 0:
                 collapsed_at = step
             else:
-                pset = resample(pset, config.filter, streams.get("resampling"))
+                pset = resample(pset, mass, config.filter, streams.get("resampling"))
                 if roughening.mode == "separate":
                     rng = streams.get("roughening")
                     pset = separate_roughen(

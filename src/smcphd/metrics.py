@@ -4,7 +4,14 @@ OSPA between point sets X (size m) and Y (size n), m <= n:
     ( (1/n) ( min over injections pi of sum_i d_c(x_i, y_pi(i))^p
               + c^p (n - m) ) )^(1/p)
 with d_c the Euclidean distance cut off at c.  The production path solves
-the optimal injection with an exact rectangular assignment solver; an
+the optimal injection exactly with the shortest augmenting path algorithm
+for rectangular assignment (D. F. Crouse, "On implementing 2D rectangular
+assignment algorithms", IEEE TAES 2016), in plain Python over the cost
+matrix's list form.  It follows scipy's `linear_sum_assignment`
+(`rectangular_lsap`) step for step: the same scan order, the same
+arithmetic order for reduced costs, the same tie-break and dual updates.
+So it returns the same assignment, and the distance is bit for bit the one
+a scipy-based solver gives, with numpy as the only runtime dependency.  An
 exhaustive enumeration oracle is provided for verification.
 """
 
@@ -13,7 +20,6 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .models import check_number
 
@@ -50,10 +56,12 @@ def _as_points(points) -> np.ndarray:
         return arr.reshape(0, 0)
     if arr.ndim == 1:
         arr = arr[None, :]
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("point sets must be finite")
     if len(arr) > 1:
-        arr = arr[np.lexsort(arr.T[::-1])]
+        # Stable and lexicographic like np.lexsort over the columns, and
+        # cheaper on the few rows a point set holds here.
+        arr = np.array(sorted(arr.tolist()))
     return arr
 
 
@@ -62,11 +70,9 @@ def _ordered_pair(xa: np.ndarray, ya: np.ndarray):
     tie-break) so swapped arguments compute the identical float result."""
     if len(xa) > len(ya):
         return ya, xa
-    if len(xa) == len(ya):
-        fx, fy = xa.ravel(), ya.ravel()
-        neq = np.flatnonzero(fx != fy)
-        if neq.size and fx[neq[0]] > fy[neq[0]]:
-            return ya, xa
+    # Lists of rows compare lexicographically, first differing entry first.
+    if len(xa) == len(ya) and xa.tolist() > ya.tolist():
+        return ya, xa
     return xa, ya
 
 
@@ -74,6 +80,75 @@ def _cost_matrix(x: np.ndarray, y: np.ndarray, params: OspaParams) -> np.ndarray
     diff = x[:, None, :] - y[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
     return (np.minimum(dist, params.cutoff) / params.cutoff) ** params.order
+
+
+def _assignment_columns(cost: list) -> list:
+    """Minimum-cost assignment of every row of an m x n cost matrix, given as
+    m lists of n floats with m <= n, to a distinct column: the column of
+    each row, in row order.
+
+    A port of scipy's `rectangular_lsap` (Crouse's shortest augmenting
+    path).  Each row in turn grows a shortest path over the remaining
+    columns, scanned in reverse index order, until it reaches an unassigned
+    column.  Of columns tied at the lowest path cost, the last unassigned
+    one scanned wins, else the first one scanned.  Reduced costs are summed
+    in scipy's order and the duals updated and the path augmented as scipy
+    does, so ties between optimal assignments resolve the same way.
+    Raises ValueError when no finite-cost assignment exists.
+    """
+    m, n = len(cost), len(cost[0])
+    u = [0.0] * m
+    v = [0.0] * n
+    col4row = [-1] * m
+    row4col = [-1] * n
+    path = [-1] * n
+    for cur_row in range(m):
+        shortest = [math.inf] * n
+        visited_rows = [cur_row]
+        visited_cols = []
+        remaining = list(range(n - 1, -1, -1))
+        min_val = 0.0
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            index = -1
+            lowest = math.inf
+            cost_i, u_i = cost[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + cost_i[j] - u_i - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                else:
+                    r = shortest[j]
+                if r < lowest or (r == lowest and row4col[j] == -1):
+                    lowest = r
+                    index = it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+                visited_rows.append(i)
+            visited_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur_row] += min_val
+        for i in visited_rows[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in visited_cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return col4row
 
 
 def _finalize(cost: float, m: int, n: int, params: OspaParams) -> float:
@@ -93,9 +168,11 @@ def ospa(x, y, params: OspaParams) -> float:
     if xa.shape[1] != ya.shape[1]:
         raise ValueError("point sets must share one dimension")
     xa, ya = _ordered_pair(xa, ya)
-    costs = _cost_matrix(xa, ya, params)
-    rows, cols = linear_sum_assignment(costs)
-    return _finalize(float(costs[rows, cols].sum()), len(xa), len(ya), params)
+    costs = _cost_matrix(xa, ya, params).tolist()
+    cols = _assignment_columns(costs)
+    # Summed by numpy in row order, the bits of `costs[rows, cols].sum()`.
+    total = float(np.add.reduce([row[j] for row, j in zip(costs, cols)]))
+    return _finalize(total, len(xa), len(ya), params)
 
 
 def ospa_bruteforce(x, y, params: OspaParams) -> float:

@@ -40,9 +40,12 @@ class ParticleSet:
             raise ValueError(f"states must be (n, {STATE_DIM})")
         if self.weights.shape[0] != self.states.shape[0]:
             raise ValueError("weights length must match number of states")
-        if not np.all(np.isfinite(self.states)):
+        # Array methods rather than np.all/np.any, whose Python wrappers cost
+        # as much as the checks; this runs several times a step.  A NaN
+        # weight fails both comparisons.
+        if not np.isfinite(self.states).all():
             raise ValueError("particle states must be finite")
-        if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0):
+        if not ((self.weights >= 0) & (self.weights < math.inf)).all():
             raise ValueError("particle weights must be finite and >= 0")
         if self.ancestry is not None:
             self.ancestry = np.asarray(self.ancestry, dtype=np.intp).ravel()

@@ -96,15 +96,17 @@ def _equalized_weights(total: float, count: int) -> np.ndarray:
     raise ArithmeticError("weight equalization failed to converge")
 
 
-def resample(pset: ParticleSet, config: FilterConfig, rng: np.random.Generator) -> ParticleSet:
+def resample(
+    pset: ParticleSet, total: float, config: FilterConfig, rng: np.random.Generator
+) -> ParticleSet:
     """Draw a new population proportional to weight and equalize the weights.
 
-    The output has target_count(total mass) particles, total mass preserved
-    exactly, and `ancestry` recording each output particle's source index.
-    Zero total mass is rejected; the caller is expected to skip resampling
-    in that case.
+    `total` is the set's mass, `pset.total_weight()`, which the caller has
+    already computed for its estimate.  The output has target_count(total)
+    particles, total mass preserved exactly, and `ancestry` recording each
+    output particle's source index.  Zero total mass is rejected; the caller
+    is expected to skip resampling in that case.
     """
-    total = pset.total_weight()
     if total <= 0:
         raise ValueError("cannot resample a particle set with zero total weight")
     count = target_count(total, config)

@@ -149,7 +149,7 @@ def test_criterion_05_resampling_guarantees():
         total = pset.total_weight()
         if total == 0:
             continue
-        out = resample(pset, config, rng)
+        out = resample(pset, total, config, rng)
         assert out.total_weight() == total  # exact mass preservation
         expected = len(out) * pset.weights / total
         copies = np.bincount(out.ancestry, minlength=n)

@@ -8,6 +8,7 @@ import pytest
 
 from smcphd.extraction import extract_states
 from smcphd.filter import FilterConfig, update
+from smcphd.metrics import OspaParams, ospa
 from smcphd.models import ModelSet
 from smcphd.particles import ParticleSet
 from smcphd.resampling import resample
@@ -65,5 +66,17 @@ def test_update(benchmark, n_particles, clutter_points):
 def test_resample(benchmark, n_particles):
     pset = _filter_like_cloud(n_particles)
     config = FilterConfig(particles_per_target=n_particles // TARGETS)
-    out = benchmark(lambda: resample(pset, config, np.random.default_rng(1)))
+    mass = pset.total_weight()
+    out = benchmark(lambda: resample(pset, mass, config, np.random.default_rng(1)))
     assert len(out) == n_particles
+
+
+@pytest.mark.parametrize("estimated, true", [(3, 4), (4, 6)])
+def test_ospa(benchmark, estimated, true):
+    """One step's score: estimated positions against true positions over
+    the benchmark's surveillance region, as `_run_variant` calls it."""
+    rng = np.random.default_rng(0)
+    est = rng.uniform(-100.0, 100.0, size=(estimated, 4))[:, [0, 2]]
+    truth = rng.uniform(-100.0, 100.0, size=(true, 2))
+    d = benchmark(lambda: ospa(est, truth, OspaParams()))
+    assert 0.0 < d <= 100.0

@@ -396,3 +396,23 @@ def test_cli_sweep_writes_tables(tmp_path):
     # baseline row + 2 grid values x 2 modes
     assert len(lines) == 1 + 1 + 2 * 2
     assert (out / "summary.txt").exists() and (out / "trials.txt").exists()
+
+
+def test_runtime_imports_load_no_scipy():
+    # numpy is the one runtime dependency: the CLI and the harness, with
+    # everything they import, load no scipy module in a fresh interpreter.
+    src = str(Path(smcphd.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import smcphd.cli, smcphd.harness, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

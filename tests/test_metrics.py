@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from smcphd.metrics import OspaParams, gain_ratio, ospa, ospa_bruteforce
+from smcphd.metrics import OspaParams, _assignment_columns, gain_ratio, ospa, ospa_bruteforce
 
 PARAMS = OspaParams(cutoff=100.0, order=2.0)
 
@@ -63,11 +64,9 @@ def test_single_pair_below_cutoff():
 
 def test_assignment_agrees_with_bruteforce():
     rng = np.random.default_rng(1)
-    worst = 0.0
     for _ in range(2000):
         x, y = _random_set(rng, 6), _random_set(rng, 6)
-        worst = max(worst, abs(ospa(x, y, PARAMS) - ospa_bruteforce(x, y, PARAMS)))
-    assert worst < 1e-9
+        assert ospa(x, y, PARAMS) == ospa_bruteforce(x, y, PARAMS)
 
 
 def test_symmetry_and_bounds():
@@ -96,6 +95,72 @@ def test_triangle_inequality_bruteforce():
         dxy = ospa_bruteforce(x, y, PARAMS)
         dyz = ospa_bruteforce(y, z, PARAMS)
         assert dxz <= dxy + dyz + 1e-9
+
+
+@st.composite
+def _cost_matrices(draw):
+    """m x n cost matrices, m <= n <= 10: uniform entries, entries rounded to
+    thirds (many exact ties), or uniform entries with whole columns at 1.0
+    (points beyond the OSPA cutoff)."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    costs = rng.uniform(size=(m, n))
+    kind = draw(st.sampled_from(["uniform", "thirds", "cutoff"]))
+    if kind == "thirds":
+        costs = np.round(costs * 3) / 3
+    elif kind == "cutoff":
+        costs[:, rng.uniform(size=n) < 0.5] = 1.0
+    return costs
+
+
+@settings(max_examples=500, deadline=None)
+@given(costs=_cost_matrices())
+def test_assignment_matches_scipy(costs):
+    # The solver is a port of scipy's: same columns, ties included.
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = linear_sum_assignment(costs)
+    assert np.array_equal(rows, np.arange(len(costs)))
+    assert np.array_equal(_assignment_columns(costs.tolist()), cols)
+
+
+def test_assignment_of_infeasible_matrix_raises():
+    with pytest.raises(ValueError, match="infeasible"):
+        _assignment_columns([[math.inf, 1.0], [math.inf, 2.0]])
+
+
+@st.composite
+def _point_set_triples(draw):
+    """Three sets of 0-6 planar points drawn from one shared pool of up to 6
+    points, so sets can be empty, repeat a point, or share points."""
+    coord = st.one_of(
+        st.integers(-150, 150).map(float),
+        st.floats(-150, 150, allow_nan=False, allow_infinity=False),
+    )
+    pool = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
+    index = st.integers(0, len(pool) - 1)
+    return [
+        np.array([pool[i] for i in draw(st.lists(index, max_size=6))]).reshape(-1, 2)
+        for _ in range(3)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sets=_point_set_triples(), seed=st.integers(0, 2**32 - 1))
+def test_ospa_axioms(sets, seed):
+    x, y, z = sets
+    rng = np.random.default_rng(seed)
+    d = ospa(x, y, PARAMS)
+    assert ospa(x, x, PARAMS) == 0.0
+    assert d == ospa(y, x, PARAMS)
+    assert 0.0 <= d <= PARAMS.cutoff
+    assert ospa(x[rng.permutation(len(x))], y[rng.permutation(len(y))], PARAMS) == d
+    # Exact but for ties: two optimal injections can have sums one ulp apart
+    # (x = [[40, 0], [-3, 14], [0.25, 57]], y = [[-3, 14], [-3, 14], [-17, -3]]).
+    # The solver returns one of them and the oracle the smaller sum.
+    assert d == pytest.approx(ospa_bruteforce(x, y, PARAMS), rel=1e-14, abs=0.0)
+    assert ospa(x, z, PARAMS) <= d + ospa(y, z, PARAMS) + 1e-9
 
 
 def test_bruteforce_rejects_large_sets():

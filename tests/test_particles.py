@@ -27,6 +27,16 @@ def test_particle_set_validation():
         ParticleSet(states=np.zeros((2, 4)), weights=np.ones(2), ancestry=[0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+def test_nonfinite_or_negative_weight_rejected(bad):
+    with pytest.raises(ValueError, match="weights must be finite"):
+        ParticleSet(states=np.zeros((3, 4)), weights=[0.1, bad, 0.1])
+
+
+def test_negative_zero_weight_accepted():
+    assert ParticleSet(states=np.zeros((2, 4)), weights=[-0.0, 0.5]).total_weight() == 0.5
+
+
 def test_empty_set_properties():
     pset = empty_set()
     assert len(pset) == 0

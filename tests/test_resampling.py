@@ -33,7 +33,7 @@ def test_target_count_policy():
 def test_systematic_uniform_weights_copy_each_once():
     config = FilterConfig(particles_per_target=2, min_particles=1)
     pset = _pset([0.5, 0.5, 0.5, 0.5])  # mass 2.0 -> 4 output particles
-    out = resample(pset, config, np.random.default_rng(5))
+    out = resample(pset, pset.total_weight(), config, np.random.default_rng(5))
     assert np.array_equal(out.ancestry, [0, 1, 2, 3])
     assert np.array_equal(out.states, pset.states)
     assert np.all(out.weights == 0.5)
@@ -48,7 +48,7 @@ def test_mass_preserved_exactly_random_inputs():
         total = pset.total_weight()
         if total == 0:
             continue
-        out = resample(pset, config, rng)
+        out = resample(pset, total, config, rng)
         assert out.total_weight() == total
         assert len(out) == target_count(total, config)
 
@@ -104,7 +104,7 @@ def test_zero_mass_rejected():
     config = FilterConfig(particles_per_target=10)
     pset = _pset([0.0, 0.0])
     with pytest.raises(ValueError):
-        resample(pset, config, np.random.default_rng(0))
+        resample(pset, pset.total_weight(), config, np.random.default_rng(0))
 
 
 def test_config_validation():
@@ -119,8 +119,8 @@ def test_equalized_weights_are_near_uniform():
     rng = np.random.default_rng(10)
     config = FilterConfig(particles_per_target=100)
     pset = _pset(rng.uniform(0, 0.05, size=123), rng)
-    out = resample(pset, config, rng)
     total = pset.total_weight()
+    out = resample(pset, total, config, rng)
     assert np.allclose(out.weights, total / len(out), rtol=1e-9)
     assert math.fsum(out.weights.tolist()) == total
 
