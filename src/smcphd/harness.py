@@ -145,12 +145,41 @@ def realize_trial(config: RunConfig, trial_index: int) -> tuple[GroundTruth, Sca
     return truth, scans
 
 
+def _roughening_key(roughening: RougheningConfig) -> tuple:
+    """A hashable key for a variant's roughening config: variants with equal
+    keys produce bit-identical columns.
+
+    Mode none, and a fixed all-zero jitter in either mode, leave every step
+    bit-identical to the baseline (separate mode draws nothing, direct mode
+    keeps the model's noise), so they share the baseline key.  A Gordon
+    bandwidth keeps its own key even with K = 0, because 0 times an infinite
+    spread is NaN, not 0.
+    """
+    jitter, gordon = roughening.jitter_std, roughening.gordon
+    if roughening.mode == "none" or (jitter is not None and not np.any(jitter)):
+        return ("none",)
+    if gordon is not None:
+        gordon = (gordon.tuning_constant, gordon.dimension, gordon.positive_exponent)
+    return (
+        roughening.mode,
+        None if jitter is None else tuple(jitter.tolist()),
+        gordon,
+        roughening.selective_threshold,
+        roughening.overlapped_only,
+        roughening.cap_to_measurement,
+    )
+
+
 def run_trial(config: RunConfig, trial_index: int) -> TrialResult:
     """One trial: one realization, every variant on the same scans.
 
     All random streams are derived from (master_seed, trial, purpose) only,
     so a variant's draws do not depend on which other variants run, and two
     variants with identical roughening configs produce identical columns.
+    So the filter runs once per distinct config (`_roughening_key`): variants
+    with the same config, and zero-jitter variants with the baseline, share
+    one run, and each gets a copy of its columns.  A fault is reported
+    under the first variant that has the failing config.
     """
     truth, scans = realize_trial(config, trial_index)
     scan_hash = scans.content_hash()
@@ -165,11 +194,15 @@ def run_trial(config: RunConfig, trial_index: int) -> TrialResult:
     est_counts: dict = {}
     ospa_values: dict = {}
     collapsed: dict = {}
+    runs: dict = {}
     for variant in config.variants:
-        streams = TrialStreams(config.master_seed, trial_index)
-        counts, values, collapsed_at = _run_variant(scans, true_points, config, variant, streams)
-        est_counts[variant.name] = counts
-        ospa_values[variant.name] = values
+        key = _roughening_key(variant.roughening)
+        if key not in runs:
+            streams = TrialStreams(config.master_seed, trial_index)
+            runs[key] = _run_variant(scans, true_points, config, variant, streams)
+        counts, values, collapsed_at = runs[key]
+        est_counts[variant.name] = counts.copy()
+        ospa_values[variant.name] = values.copy()
         collapsed[variant.name] = collapsed_at
     return TrialResult(
         trial=trial_index,

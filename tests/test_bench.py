@@ -6,7 +6,7 @@ Run with: PYTHONPATH=src python -m pytest -m bench tests/test_bench.py
 import numpy as np
 import pytest
 
-from smcphd.extraction import extract_states
+from smcphd.extraction import extract_states, weighted_kmeans
 from smcphd.filter import FilterConfig, update
 from smcphd.metrics import OspaParams, ospa
 from smcphd.models import ModelSet
@@ -52,6 +52,19 @@ def test_extract_states(benchmark, n_particles):
     pset = _filter_like_cloud(n_particles)
     est = benchmark(lambda: extract_states(pset, TARGETS, np.random.default_rng(1)))
     assert est.shape == (TARGETS, 4)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("n_particles", [800, 4000])
+def test_weighted_kmeans(benchmark, n_particles, k):
+    """Seeding and Lloyd iterations alone, on a standardized cloud as
+    `extract_states` passes it."""
+    pset = _filter_like_cloud(n_particles)
+    points = (pset.states - pset.states.mean(axis=0)) / pset.states.std(axis=0)
+    centers = benchmark(
+        lambda: weighted_kmeans(points, pset.weights, k, np.random.default_rng(1))
+    )
+    assert centers.shape == (k, 4)
 
 
 @pytest.mark.parametrize("n_particles, clutter_points", [(800, 10), (4000, 10), (800, 50)])

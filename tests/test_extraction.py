@@ -6,19 +6,37 @@ from smcphd import extraction
 from smcphd.extraction import (
     MAX_ITERATIONS,
     REL_MOVE_TOL,
-    _seed_centers,
+    _weighted_pick,
     extract_states,
     weighted_kmeans,
 )
 from smcphd.particles import ParticleSet
 
 
-# Reference implementation: the plain formulation of the Lloyd step and the
-# canonical sort.  The module's fast paths must reproduce it bit for bit.
+# Reference implementation: the plain formulation of the k-means++ seeding,
+# the Lloyd step and the canonical sort.  The module's fast paths must
+# reproduce it bit for bit.
+
+
+def _reference_seed(points, weights, k, rng):
+    centers = np.empty((k, points.shape[1]))
+    base = np.cumsum(weights / weights.sum())
+    centers[0] = points[_weighted_pick(base, rng)]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        score = weights * d2
+        total = score.sum()
+        if total > 0:
+            idx = _weighted_pick(np.cumsum(score / total), rng)
+        else:
+            idx = _weighted_pick(base, rng)
+        centers[j] = points[idx]
+        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+    return centers
 
 
 def _reference_kmeans(points, weights, k, rng, max_iterations=MAX_ITERATIONS, tol=REL_MOVE_TOL):
-    centers = _seed_centers(points, weights, k, rng)
+    centers = _reference_seed(points, weights, k, rng)
     for _ in range(max_iterations):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         assign = np.argmin(d2, axis=1)
@@ -100,6 +118,51 @@ def test_weighted_kmeans_bit_identical_to_reference(seed, n_points, k):
     weights = rng.uniform(0.0, 1.0, n_points)
     got = weighted_kmeans(points, weights, k, np.random.default_rng(seed + 1))
     expect = _reference_kmeans(points, weights, k, np.random.default_rng(seed + 1))
+    assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("max_iterations, tol", [(0, REL_MOVE_TOL), (1, REL_MOVE_TOL), (100, 0.0), (100, REL_MOVE_TOL)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_cluster_is_one_weighted_mean(seed, max_iterations, tol):
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(200, 4)) * [20.0, 1.0, 20.0, 1.0]
+    weights = rng.uniform(0.0, 1.0, 200)
+    got = weighted_kmeans(points, weights, 1, np.random.default_rng(seed), max_iterations, tol)
+    expect = _reference_kmeans(
+        points, weights, 1, np.random.default_rng(seed), max_iterations, tol
+    )
+    assert np.array_equal(got, expect)
+    if max_iterations > 0:
+        assert np.array_equal(got[0], weights @ points / weights.sum())
+
+
+def test_one_target_extraction_matches_reference():
+    pset = _random_cloud(3, 500, 1, 0.3, 0.5)
+    got = extract_states(pset, 1, np.random.default_rng(9))
+    expect = _reference_extract(pset, 1, np.random.default_rng(9))
+    assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("tol", [REL_MOVE_TOL, 0.0])
+def test_assignment_repeating_on_first_step_stops_lloyd(monkeypatch, tol):
+    # Two far-apart clouds: k-means++ seeds one center in each, so the first
+    # weighted means leave every point where it was assigned.  With tol 0
+    # the plain loop runs all its iterations; the result must not change.
+    rng = np.random.default_rng(12)
+    points = np.vstack([rng.normal(-50.0, 1.0, (100, 4)), rng.normal(50.0, 1.0, (100, 4))])
+    weights = rng.uniform(0.5, 1.5, 200)
+    calls = []
+    nearest = extraction._nearest_center
+
+    def spy(d2):
+        calls.append(nearest(d2))
+        return calls[-1]
+
+    monkeypatch.setattr(extraction, "_nearest_center", spy)
+    got = weighted_kmeans(points, weights, 2, np.random.default_rng(13), tol=tol)
+    assert len(calls) == 2
+    assert np.array_equal(calls[0], calls[1])
+    expect = _reference_kmeans(points, weights, 2, np.random.default_rng(13), tol=tol)
     assert np.array_equal(got, expect)
 
 

@@ -53,30 +53,95 @@ def test_same_seed_same_trial_is_bitwise_reproducible():
         assert np.array_equal(a.ospa_values[name], b.ospa_values[name])
 
 
-def test_identical_roughening_configs_give_identical_columns():
+def unshare_runs(monkeypatch):
+    """Give every variant a filter run of its own: keyed by the identity of
+    its roughening config, no two variants share a run."""
+    monkeypatch.setattr(harness, "_roughening_key", id)
+
+
+def test_identical_roughening_configs_give_identical_columns(monkeypatch):
     variants = [
         VariantSpec("basic", RougheningConfig(mode="none")),
         VariantSpec("twin_a", RougheningConfig(mode="separate", jitter_std=0.4)),
         VariantSpec("twin_b", RougheningConfig(mode="separate", jitter_std=0.4)),
     ]
     config = small_config(variants=variants)
-    result = run_trial(config, 0)
-    assert np.array_equal(result.est_counts["twin_a"], result.est_counts["twin_b"])
-    assert np.array_equal(result.ospa_values["twin_a"], result.ospa_values["twin_b"])
+    shared = run_trial(config, 0)
+    unshare_runs(monkeypatch)
+    own = run_trial(config, 0)
+    assert np.array_equal(own.est_counts["twin_a"], own.est_counts["twin_b"])
+    assert np.array_equal(own.ospa_values["twin_a"], own.ospa_values["twin_b"])
+    for name in ("twin_a", "twin_b"):
+        assert np.array_equal(shared.est_counts[name], own.est_counts[name])
+        assert np.array_equal(shared.ospa_values[name], own.ospa_values[name])
 
 
-def test_zero_jitter_variants_match_baseline_bitwise():
+def test_zero_jitter_variants_match_baseline_bitwise(monkeypatch):
     variants = [
         VariantSpec("basic", RougheningConfig(mode="none")),
         VariantSpec("sep0", RougheningConfig(mode="separate", jitter_std=0.0)),
         VariantSpec("dir0", RougheningConfig(mode="direct", jitter_std=0.0)),
     ]
     config = small_config(trials=2, variants=variants)
-    _, results = run(config)
+    _, shared = run(config)
+    unshare_runs(monkeypatch)
+    _, own = run(config)
     for name in ("sep0", "dir0"):
-        for r in results:
-            assert np.array_equal(r.est_counts[name], r.est_counts["basic"])
+        for r, s in zip(own, shared):
+            for result in (r, s):
+                assert np.array_equal(result.est_counts[name], r.est_counts["basic"])
+                assert np.array_equal(result.ospa_values[name], r.ospa_values["basic"])
+                assert result.collapsed_at[name] == r.collapsed_at["basic"]
+
+
+def test_each_distinct_roughening_config_runs_once_per_trial(monkeypatch):
+    config = small_config(trials=2)
+    variants = harness.sweep_variants(config)
+    assert len(variants) == 15  # basic, and both modes at 7 jitter levels
+    ran = []
+    real = harness._run_variant
+
+    def counting(scans, true_points, config, variant, streams):
+        ran.append((streams.trial, variant.name))
+        return real(scans, true_points, config, variant, streams)
+
+    monkeypatch.setattr(harness, "_run_variant", counting)
+    results = run_trials(replace(config, variants=variants))
+    # separate@0 and direct@0 share the baseline's run.
+    for trial in range(2):
+        names = [name for t, name in ran if t == trial]
+        assert len(names) == 13
+        assert "separate@0" not in names and "direct@0" not in names
+    for r in results:
+        for name in ("separate@0", "direct@0"):
             assert np.array_equal(r.ospa_values[name], r.ospa_values["basic"])
+            assert r.ospa_values[name] is not r.ospa_values["basic"]
+
+
+def test_fault_names_first_variant_with_the_failing_config(monkeypatch):
+    real_roughen = harness.separate_roughen
+
+    def failing_roughen(pset, roughening, *args):
+        if np.any(roughening.jitter_std):
+            raise ValueError("injected fault")
+        return real_roughen(pset, roughening, *args)
+
+    monkeypatch.setattr(harness, "separate_roughen", failing_roughen)
+    variants = [
+        VariantSpec("sep0", RougheningConfig(mode="separate", jitter_std=0.0)),
+        VariantSpec("basic", RougheningConfig(mode="none")),
+        VariantSpec("twin_a", RougheningConfig(mode="separate", jitter_std=0.4)),
+        VariantSpec("twin_b", RougheningConfig(mode="separate", jitter_std=0.4)),
+    ]
+    with pytest.raises(TrialError, match=r"^trial 1, variant 'twin_a', step 1: ValueError: "):
+        run_trial(small_config(variants=variants), 1)
+
+    def failing_update(*args):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(harness, "update", failing_update)
+    with pytest.raises(TrialError, match=r"^trial 1, variant 'sep0', step 1: ValueError: "):
+        run_trial(small_config(variants=variants), 1)
 
 
 def test_variant_list_does_not_shift_shared_streams():
