@@ -47,7 +47,11 @@ def _squared_distances(coords: np.ndarray, centers) -> np.ndarray:
 
 
 def _seed_centers(
-    points: np.ndarray, coords: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Generator
+    points: np.ndarray,
+    coords: np.ndarray | None,
+    weights: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
 ) -> tuple:
     """Weighted k-means++ seeding: first center by weight, then by
     weight times squared distance to the nearest chosen center.
