@@ -50,14 +50,24 @@ def _load_config(args):
     return with_overrides(config, trials=args.trials, master_seed=args.seed)
 
 
+def _write_tables(out: Path, writers: dict) -> list:
+    """Write each `{file name: writer(fh)}` entry to its file under `out`,
+    in order; returns the paths written."""
+    for name, write in writers.items():
+        with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
+            write(fh)
+    return [out / name for name in writers]
+
+
 def _cmd_run(config, args) -> int:
     summary, results = run(config, workers=args.workers)
-    trials_path = args.out / "trials.txt"
-    summary_path = args.out / "summary.txt"
-    with open(trials_path, "w", encoding="utf-8", newline="\n") as fh:
-        write_trials_table(results, config.variant_names(), fh)
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        write_summary_table(summary, fh)
+    trials_path, summary_path = _write_tables(
+        args.out,
+        {
+            "trials.txt": lambda fh: write_trials_table(results, config.variant_names(), fh),
+            "summary.txt": lambda fh: write_summary_table(summary, fh),
+        },
+    )
     print(f"trials={summary.trials} steps={summary.steps} seed={summary.master_seed}")
     for name in summary.variant_names:
         print(
@@ -70,15 +80,14 @@ def _cmd_run(config, args) -> int:
 
 def _cmd_sweep(config, args) -> int:
     result, summary, results = sweep(config, workers=args.workers)
-    sweep_path = args.out / "sweep.txt"
-    trials_path = args.out / "trials.txt"
-    summary_path = args.out / "summary.txt"
-    with open(sweep_path, "w", encoding="utf-8", newline="\n") as fh:
-        write_sweep_table(result, fh)
-    with open(trials_path, "w", encoding="utf-8", newline="\n") as fh:
-        write_trials_table(results, summary.variant_names, fh)
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        write_summary_table(summary, fh)
+    sweep_path, trials_path, summary_path = _write_tables(
+        args.out,
+        {
+            "sweep.txt": lambda fh: write_sweep_table(result, fh),
+            "trials.txt": lambda fh: write_trials_table(results, summary.variant_names, fh),
+            "summary.txt": lambda fh: write_summary_table(summary, fh),
+        },
+    )
     print(f"baseline mean OSPA {result.mean_ospa_basic:.4f}")
     for delta in result.grid:
         line = f"delta_r={delta:g}:"
@@ -91,12 +100,13 @@ def _cmd_sweep(config, args) -> int:
 
 def _cmd_scenario(config, args) -> int:
     truth, scans = realize_trial(config, args.trial)
-    truth_path = args.out / "truth.txt"
-    scans_path = args.out / "scans.txt"
-    with open(truth_path, "w", encoding="utf-8", newline="\n") as fh:
-        write_truth(truth, fh)
-    with open(scans_path, "w", encoding="utf-8", newline="\n") as fh:
-        write_scans(scans, fh)
+    truth_path, scans_path = _write_tables(
+        args.out,
+        {
+            "truth.txt": lambda fh: write_truth(truth, fh),
+            "scans.txt": lambda fh: write_scans(scans, fh),
+        },
+    )
     print(f"wrote {truth_path} and {scans_path} (trial {args.trial})")
     return 0
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields, replace
 from .filter import FilterConfig
 from .metrics import OspaParams
 from .models import ModelSet, check_number
-from .roughening import GordonConfig, RougheningConfig, velocity_jitter
+from .roughening import GordonConfig, RougheningConfig
 from .scenario import ScenarioConfig, TargetScript
 
 DEFAULT_SWEEP_GRID = (0.0, 0.1, 0.2, 0.4, 0.8, 1.6, 2.5)
@@ -65,18 +65,12 @@ class RunConfig:
         return [v.name for v in self.variants]
 
 
-def default_variants(jitter: float = DEFAULT_JITTER_STD) -> list:
-    """Baseline plus both roughening modes at one jitter level."""
+def default_variants() -> list:
+    """Baseline plus both roughening modes at DEFAULT_JITTER_STD."""
     return [
         VariantSpec("basic", RougheningConfig(mode="none")),
-        VariantSpec(
-            "separate",
-            RougheningConfig(mode="separate", jitter_std=velocity_jitter(jitter)),
-        ),
-        VariantSpec(
-            "direct",
-            RougheningConfig(mode="direct", jitter_std=velocity_jitter(jitter)),
-        ),
+        VariantSpec("separate", RougheningConfig(mode="separate", jitter_std=DEFAULT_JITTER_STD)),
+        VariantSpec("direct", RougheningConfig(mode="direct", jitter_std=DEFAULT_JITTER_STD)),
     ]
 
 

@@ -106,11 +106,11 @@ def weighted_kmeans(
     weights: np.ndarray,
     k: int,
     rng: np.random.Generator,
-    max_iterations: int = MAX_ITERATIONS,
-    tol: float = REL_MOVE_TOL,
 ) -> np.ndarray:
     """Lloyd iterations with weighted means; clusters that lose all weight
     keep their previous center (duplicate centroids are valid output).
+    The loop runs at most MAX_ITERATIONS times and stops once no center
+    moves by REL_MOVE_TOL of its norm (at least 1).
 
     Each iteration sorts the points by cluster with a stable sort, so every
     cluster is a contiguous run holding its points in input order; its
@@ -131,12 +131,12 @@ def weighted_kmeans(
     centers, d2 = _seed_centers(points, coords, weights, k, rng)
     if k == 1:
         total = weights.sum()
-        if max_iterations > 0 and total > 0:
+        if total > 0:
             centers[0] = weights @ points / total
         return centers
     bounds = np.zeros(k + 1, dtype=np.intp)
     bounds[-1] = len(points)
-    for iteration in range(max_iterations):
+    for iteration in range(MAX_ITERATIONS):
         if iteration > 0:
             d2 = _squared_distances(coords, centers.T[:, :, None])
         assign = _nearest_center(d2)
@@ -155,7 +155,7 @@ def weighted_kmeans(
         move = _row_norms(new_centers - centers)
         ref = np.maximum(1.0, _row_norms(centers))
         centers = new_centers
-        if (move / ref).max() < tol:
+        if (move / ref).max() < REL_MOVE_TOL:
             break
     return centers
 

@@ -92,17 +92,6 @@ def predict(
     return ParticleSet(states=states, weights=weights)
 
 
-def _scan_support(pred: ParticleSet, z: np.ndarray, models: ModelSet):
-    """Likelihoods g (m, n) of scan z (m, 2) against the particles, supports
-    C(z) = p_D sum_j g(z|x_j) w_j (m,) and denominators kappa(z) + C(z) (m,)."""
-    g = likelihood(z, pred.states, models.measurement)
-    # One dot product per measurement: a single g @ w (gemv) sums in another
-    # order and does not reproduce these bits.
-    dots = np.array([row @ pred.weights for row in g])
-    c = models.detection.p_detect * dots
-    return g, c, clutter_intensity(z, models.clutter) + c
-
-
 def update(pred: ParticleSet, measurements, models: ModelSet) -> ParticleSet:
     """One data-update step; reweights particles, never moves them.
 
@@ -116,7 +105,11 @@ def update(pred: ParticleSet, measurements, models: ModelSet) -> ParticleSet:
     if len(pred) == 0:
         return pred
     p_d = models.detection.p_detect
-    rows, _, denom = _scan_support(pred, z_arr, models)
+    rows = likelihood(z_arr, pred.states, models.measurement)
+    # C(z) with one dot product per measurement: a single g @ w (gemv) sums
+    # in another order and does not reproduce these bits.
+    support = p_d * np.array([row @ pred.weights for row in rows])
+    denom = clutter_intensity(z_arr, models.clutter) + support
     live = denom > 0
     # (p_d * g) / denom stays finite even for a subnormal denominator (each
     # ratio is bounded by 1 / w_j); p_d / denom alone can overflow and then
@@ -132,18 +125,6 @@ def update(pred: ParticleSet, measurements, models: ModelSet) -> ParticleSet:
     new_weights = factor * pred.weights
     new_weights[new_weights < WEIGHT_FLOOR] = 0.0
     return ParticleSet(states=pred.states, weights=new_weights)
-
-
-def measurement_mass_terms(pred: ParticleSet, measurements, models: ModelSet) -> np.ndarray:
-    """Per-measurement posterior mass contributions C(z)/(kappa(z)+C(z)).
-
-    Each term lies in [0, 1]; together with (1-p_D) times the prior mass
-    they account for the full post-update mass.  A zero denominator gives
-    a zero term.
-    """
-    z_arr = np.asarray(measurements, dtype=float).reshape(-1, 2)
-    _, c, denom = _scan_support(pred, z_arr, models)
-    return np.divide(c, denom, out=np.zeros_like(c), where=denom > 0)
 
 
 def estimate_cardinality(mass: float) -> int:

@@ -40,7 +40,6 @@ def _trial_error(trial: int, where: str, exc: Exception) -> TrialError:
 @dataclass
 class TrialResult:
     trial: int
-    scan_hash: str
     true_counts: np.ndarray  # (steps,)
     est_counts: dict  # variant name -> (steps,)
     ospa_values: dict  # variant name -> (steps,)
@@ -182,7 +181,6 @@ def run_trial(config: RunConfig, trial_index: int) -> TrialResult:
     under the first variant that has the failing config.
     """
     truth, scans = realize_trial(config, trial_index)
-    scan_hash = scans.content_hash()
 
     steps = config.scenario.steps
     true_counts = np.array([truth.count_at(k) for k in range(1, steps + 1)])
@@ -206,7 +204,6 @@ def run_trial(config: RunConfig, trial_index: int) -> TrialResult:
         collapsed[variant.name] = collapsed_at
     return TrialResult(
         trial=trial_index,
-        scan_hash=scan_hash,
         true_counts=true_counts,
         est_counts=est_counts,
         ospa_values=ospa_values,
@@ -345,20 +342,6 @@ def write_trials_table(results: list, variant_names: list, fileobj) -> None:
                     f"{result.trial}\t{k + 1}\t{name}\t{result.true_counts[k]}"
                     f"\t{result.est_counts[name][k]}\t{_fmt(result.ospa_values[name][k])}\n"
                 )
-
-
-def write_variant_table(results: list, variant_name: str, fileobj) -> None:
-    """Single-variant extract of the trials table (no variant column);
-    lets two variants' outputs be compared byte for byte."""
-    fileobj.write("trial\tstep\ttrue_n\test_n\tospa\n")
-    for result in results:
-        steps = len(result.true_counts)
-        for k in range(steps):
-            fileobj.write(
-                f"{result.trial}\t{k + 1}\t{result.true_counts[k]}"
-                f"\t{result.est_counts[variant_name][k]}"
-                f"\t{_fmt(result.ospa_values[variant_name][k])}\n"
-            )
 
 
 def write_summary_table(summary: RunSummary, fileobj) -> None:

@@ -10,20 +10,17 @@ assignment algorithms", IEEE TAES 2016), in plain Python over the cost
 matrix's list form.  It follows scipy's `linear_sum_assignment`
 (`rectangular_lsap`) step for step: the same scan order, the same
 arithmetic order for reduced costs, the same tie-break and dual updates.
-So it returns the same assignment, and the distance is bit for bit the one
-a scipy-based solver gives, with numpy as the only runtime dependency.  An
-exhaustive enumeration oracle is provided for verification.
+So it returns the same assignment as scipy, with numpy as the only runtime
+dependency.  The chosen costs are summed exactly (`math.fsum`), so two
+optimal injections that hold the same costs give the same distance.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
 from .models import check_number
-
-BRUTEFORCE_LIMIT = 8
 
 
 @dataclass
@@ -170,28 +167,8 @@ def ospa(x, y, params: OspaParams) -> float:
     xa, ya = _ordered_pair(xa, ya)
     costs = _cost_matrix(xa, ya, params).tolist()
     cols = _assignment_columns(costs)
-    # Summed by numpy in row order, the bits of `costs[rows, cols].sum()`.
-    total = float(np.add.reduce([row[j] for row, j in zip(costs, cols)]))
+    total = math.fsum(row[j] for row, j in zip(costs, cols))
     return _finalize(total, len(xa), len(ya), params)
-
-
-def ospa_bruteforce(x, y, params: OspaParams) -> float:
-    """OSPA by exhaustive enumeration of injections; oracle for `ospa`."""
-    xa, ya = _as_points(x), _as_points(y)
-    if max(len(xa), len(ya)) > BRUTEFORCE_LIMIT:
-        raise ValueError(f"brute force limited to sets of size <= {BRUTEFORCE_LIMIT}")
-    if len(xa) == 0 and len(ya) == 0:
-        return 0.0
-    if len(xa) == 0 or len(ya) == 0:
-        return params.cutoff
-    if xa.shape[1] != ya.shape[1]:
-        raise ValueError("point sets must share one dimension")
-    xa, ya = _ordered_pair(xa, ya)
-    m, n = len(xa), len(ya)
-    costs = _cost_matrix(xa, ya, params)
-    perms = np.array(list(permutations(range(n), m)))
-    totals = costs[np.arange(m)[None, :], perms].sum(axis=1)
-    return _finalize(float(totals.min()), m, n, params)
 
 
 def gain_ratio(mean_ospa_basic: float, mean_ospa_roughening: float) -> float:

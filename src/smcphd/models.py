@@ -37,10 +37,13 @@ def check_number(key: str, value, minimum: float | None = None, *, strict: bool 
 
 
 def _as_state(x) -> np.ndarray:
+    """States as a float (n, 4) array; every component must be finite."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != STATE_DIM:
         raise ValueError(f"states must be an (n, {STATE_DIM}) array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    # The array method, not np.all, whose Python wrapper costs as much as
+    # the check: this runs in every kernel and on every particle set.
+    if not np.isfinite(arr).all():
         raise ValueError("state contains non-finite components")
     return arr
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import STATE_DIM
+from .models import STATE_DIM, _as_state
 
 
 def round_half_up(value: float) -> int:
@@ -32,19 +32,13 @@ class ParticleSet:
     ancestry: np.ndarray | None = None
 
     def __post_init__(self):
-        self.states = np.atleast_2d(np.asarray(self.states, dtype=float))
+        self.states = _as_state(self.states)
         self.weights = np.asarray(self.weights, dtype=float).ravel()
-        if self.states.size == 0:
-            self.states = self.states.reshape(0, STATE_DIM)
-        if self.states.shape[1] != STATE_DIM:
-            raise ValueError(f"states must be (n, {STATE_DIM})")
         if self.weights.shape[0] != self.states.shape[0]:
             raise ValueError("weights length must match number of states")
-        # Array methods rather than np.all/np.any, whose Python wrappers cost
-        # as much as the checks; this runs several times a step.  A NaN
-        # weight fails both comparisons.
-        if not np.isfinite(self.states).all():
-            raise ValueError("particle states must be finite")
+        # An array method rather than np.all, whose Python wrapper costs as
+        # much as the check; this runs several times a step.  A NaN weight
+        # fails both comparisons.
         if not ((self.weights >= 0) & (self.weights < math.inf)).all():
             raise ValueError("particle weights must be finite and >= 0")
         if self.ancestry is not None:

@@ -12,6 +12,9 @@ import numpy as np
 from .filter import FilterConfig
 from .particles import ParticleSet, round_half_up
 
+NORMAL_MIN = float(np.finfo(float).tiny)  # the smallest normal double, 2**-1022
+SUBNORMAL_SCALE = 2.0**600  # lifts any subnormal total into the normal range
+
 
 def target_count(mass: float, config: FilterConfig) -> int:
     """Particle budget for an expected target count: round(mass) per-target
@@ -25,22 +28,33 @@ def systematic_indices(weights: np.ndarray, count: int, rng: np.random.Generator
     """Systematic selection: one uniform offset, `count` equally spaced points
     on the cumulative weight axis.  Copy counts are floor or ceil of the
     expected value; output indices are non-decreasing."""
-    w = np.asarray(weights, dtype=float)
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("total weight must be > 0")
+    w, total = _selection_weights(weights)
     points = (rng.random() + np.arange(count)) / count * total
     return _points_to_indices(w, total, points)
 
 
 def multinomial_indices(weights: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
     """Independent draws proportional to weight."""
+    w, total = _selection_weights(weights)
+    points = rng.random(count) * total
+    return _points_to_indices(w, total, points)
+
+
+def _selection_weights(weights) -> tuple:
+    """The weights as floats and their sum, which must be > 0.
+
+    A subnormal sum holds only a few ulps, so selection points placed on
+    it would round onto the cumulative weights; both are then scaled by a
+    power of two, which is exact, into the normal range.
+    """
     w = np.asarray(weights, dtype=float)
     total = w.sum()
     if total <= 0:
         raise ValueError("total weight must be > 0")
-    points = rng.random(count) * total
-    return _points_to_indices(w, total, points)
+    if total < NORMAL_MIN:
+        w = w * SUBNORMAL_SCALE
+        total = total * SUBNORMAL_SCALE
+    return w, total
 
 
 def _points_to_indices(w: np.ndarray, total: float, points: np.ndarray) -> np.ndarray:

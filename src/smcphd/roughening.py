@@ -9,7 +9,6 @@ particles it touches (duplicates only), and how large the jitter may be
 relative to the measurement noise.
 """
 
-import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,8 +22,6 @@ from .models import (
     check_number,
 )
 from .particles import ParticleSet
-
-logger = logging.getLogger(__name__)
 
 MODES = ("none", "separate", "direct")
 
@@ -203,14 +200,12 @@ def separate_roughen(
 ) -> ParticleSet:
     """Add zero-mean Gaussian jitter to a resampled population.
 
-    Weights are never modified, so the represented mass is unchanged.  With
-    an all-zero jitter vector the input is returned untouched and no random
-    draws are consumed, which keeps other streams aligned when roughening
-    is toggled off.
+    `config` is a separate-mode config; `harness._run_variant` calls this
+    only for such variants.  Weights are never modified, so the represented
+    mass is unchanged.  With an all-zero jitter vector the input is returned
+    untouched and no random draws are consumed, which keeps other streams
+    aligned when roughening is toggled off.
     """
-    if config.mode != "separate":
-        logger.warning("separate_roughen called with mode=%r; returning input unchanged", config.mode)
-        return pset
     if len(pset) == 0:
         return pset
     if config.selective_threshold is not None:

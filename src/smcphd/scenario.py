@@ -7,7 +7,6 @@ positions plus uniform Poisson clutter, shuffled so origin is not
 recoverable from order.
 """
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,15 +94,6 @@ class ScanData:
 
     def at(self, step: int) -> np.ndarray:
         return self.scans[step - 1]
-
-    def content_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(len(self.scans).to_bytes(4, "little"))
-        for scan in self.scans:
-            arr = np.ascontiguousarray(scan, dtype=float)
-            h.update(arr.shape[0].to_bytes(4, "little"))
-            h.update(arr.tobytes())
-        return h.hexdigest()
 
 
 def generate_truth(config: ScenarioConfig, rng: np.random.Generator) -> GroundTruth:

@@ -14,12 +14,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import measurement_mass_terms, ospa_bruteforce, write_variant_table
 from smcphd import harness
 from smcphd.cli import main as cli_main
 from smcphd.config import VariantSpec, benchmark_preset
-from smcphd.filter import FilterConfig, measurement_mass_terms, predict, update
-from smcphd.harness import run, sweep, write_variant_table
-from smcphd.metrics import OspaParams, ospa, ospa_bruteforce
+from smcphd.filter import FilterConfig, predict, update
+from smcphd.harness import run, sweep
+from smcphd.metrics import OspaParams, ospa
 from smcphd.models import BirthModel, MeasurementModel, MotionModel, propagate
 from smcphd.particles import ParticleSet, empty_set
 from smcphd.resampling import multinomial_indices, resample

@@ -123,17 +123,22 @@ def test_weighted_kmeans_bit_identical_to_reference(seed, n_points, k):
 
 @pytest.mark.parametrize("max_iterations, tol", [(0, REL_MOVE_TOL), (1, REL_MOVE_TOL), (100, 0.0), (100, REL_MOVE_TOL)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_one_cluster_is_one_weighted_mean(seed, max_iterations, tol):
+def test_one_cluster_is_one_weighted_mean(monkeypatch, seed, max_iterations, tol):
+    # One cluster is one weighted mean whatever the iteration cap and the
+    # tolerance, even a cap of 0; with a cap of 1 or more that is also the
+    # plain loop's result.
+    monkeypatch.setattr(extraction, "MAX_ITERATIONS", max_iterations)
+    monkeypatch.setattr(extraction, "REL_MOVE_TOL", tol)
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(200, 4)) * [20.0, 1.0, 20.0, 1.0]
     weights = rng.uniform(0.0, 1.0, 200)
-    got = weighted_kmeans(points, weights, 1, np.random.default_rng(seed), max_iterations, tol)
-    expect = _reference_kmeans(
-        points, weights, 1, np.random.default_rng(seed), max_iterations, tol
-    )
-    assert np.array_equal(got, expect)
+    got = weighted_kmeans(points, weights, 1, np.random.default_rng(seed))
+    assert np.array_equal(got[0], weights @ points / weights.sum())
     if max_iterations > 0:
-        assert np.array_equal(got[0], weights @ points / weights.sum())
+        expect = _reference_kmeans(
+            points, weights, 1, np.random.default_rng(seed), max_iterations, tol
+        )
+        assert np.array_equal(got, expect)
 
 
 def test_one_target_extraction_matches_reference():
@@ -159,7 +164,8 @@ def test_assignment_repeating_on_first_step_stops_lloyd(monkeypatch, tol):
         return calls[-1]
 
     monkeypatch.setattr(extraction, "_nearest_center", spy)
-    got = weighted_kmeans(points, weights, 2, np.random.default_rng(13), tol=tol)
+    monkeypatch.setattr(extraction, "REL_MOVE_TOL", tol)
+    got = weighted_kmeans(points, weights, 2, np.random.default_rng(13))
     assert len(calls) == 2
     assert np.array_equal(calls[0], calls[1])
     expect = _reference_kmeans(points, weights, 2, np.random.default_rng(13), tol=tol)

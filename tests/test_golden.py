@@ -5,6 +5,7 @@ that moves a byte of `trials.txt` or `summary.txt` fails here.  A change
 that is meant to move them updates both constants and says why.
 """
 
+import ast
 import hashlib
 import io
 from pathlib import Path
@@ -57,11 +58,19 @@ def _assert_golden(config, trials_sha256=TRIALS_SHA256, summary_sha256=SUMMARY_S
     assert summary_hash == summary_sha256
 
 
+def _readme() -> str:
+    return (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
 def _readme_config_block() -> str:
     """The fenced block under the README's "Config files" heading."""
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    section = text.split("## Config files", 1)[1]
+    section = _readme().split("## Config files", 1)[1]
     return section.split("```", 2)[1]
+
+
+def _readme_python_blocks() -> list:
+    """The bodies of the README's fenced ```python blocks."""
+    return [part.split("```", 1)[0] for part in _readme().split("```python\n")[1:]]
 
 
 def test_np200_three_trial_tables_match_golden_hashes():
@@ -88,3 +97,16 @@ def test_direct_roughening_paths_match_golden_hashes():
     config = run_config_from_mapping({**kv, "run.trials": "3", "run.master_seed": "1"})
     assert config.variant_names() == list(DIRECT_VARIANTS)
     _assert_golden(config, DIRECT_TRIALS_SHA256, DIRECT_SUMMARY_SHA256)
+
+
+def test_readme_python_imports_resolve():
+    # Every import the README shows must work, so the package cannot drop
+    # a documented name.
+    imports = [
+        node
+        for block in _readme_python_blocks()
+        for node in ast.parse(block).body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert imports
+    exec(compile(ast.Module(body=imports, type_ignores=[]), "README.md", "exec"), {})

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import smcphd
+from oracles import write_variant_table
 from smcphd import harness
 from smcphd.cli import main as cli_main
 from smcphd.config import VariantSpec, benchmark_preset, load_run_config
@@ -23,7 +24,6 @@ from smcphd.harness import (
     sweep,
     write_summary_table,
     write_trials_table,
-    write_variant_table,
 )
 from smcphd.models import ClutterModel, DetectionModel, ModelSet
 from smcphd.roughening import RougheningConfig
@@ -43,11 +43,18 @@ def small_config(trials=3, particles=60, steps=10, seed=5, variants=None):
     return out
 
 
+def assert_same_scans(a, b):
+    """Two `ScanData` hold the same scans, array by array."""
+    assert len(a.scans) == len(b.scans)
+    for scan_a, scan_b in zip(a.scans, b.scans):
+        assert np.array_equal(scan_a, scan_b)
+
+
 def test_same_seed_same_trial_is_bitwise_reproducible():
     config = small_config()
     a = run_trial(config, 1)
     b = run_trial(config, 1)
-    assert a.scan_hash == b.scan_hash
+    assert_same_scans(realize_trial(config, 1)[1], realize_trial(config, 1)[1])
     for name in config.variant_names():
         assert np.array_equal(a.est_counts[name], b.est_counts[name])
         assert np.array_equal(a.ospa_values[name], b.ospa_values[name])
@@ -150,7 +157,7 @@ def test_variant_list_does_not_shift_shared_streams():
     full = small_config()
     a = run_trial(lone, 2)
     b = run_trial(full, 2)
-    assert a.scan_hash == b.scan_hash
+    assert_same_scans(realize_trial(lone, 2)[1], realize_trial(full, 2)[1])
     assert np.array_equal(a.est_counts["basic"], b.est_counts["basic"])
     assert np.array_equal(a.ospa_values["basic"], b.ospa_values["basic"])
 
@@ -161,7 +168,7 @@ def test_doubling_trials_reproduces_prefix():
     _, short_results = run(short)
     _, long_results = run(long)
     for a, b in zip(short_results, long_results):
-        assert a.scan_hash == b.scan_hash
+        assert_same_scans(realize_trial(short, a.trial)[1], realize_trial(long, b.trial)[1])
         for name in short.variant_names():
             assert np.array_equal(a.ospa_values[name], b.ospa_values[name])
 
@@ -309,7 +316,7 @@ def test_cli_run_is_deterministic_across_invocations(tmp_path):
     assert (out_a / "summary.txt").read_bytes() == (out_b / "summary.txt").read_bytes()
 
 
-def test_cli_scenario_dump(tmp_path):
+def test_cli_scenario_dump(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path)
     out = tmp_path / "scene"
     code = cli_main(["scenario", "--config", str(cfg), "--out", str(out), "--trial", "1"])
@@ -326,7 +333,18 @@ def test_cli_scenario_dump(tmp_path):
     buf = io.StringIO()
     write_scans(scans, buf)
     assert (out / "scans.txt").read_text() == buf.getvalue()
-    assert scans.content_hash() == run_trial(config, 1).scan_hash
+    filtered = []
+    run_variant = harness._run_variant
+
+    def spy(trial_scans, *args):
+        filtered.append(trial_scans)
+        return run_variant(trial_scans, *args)
+
+    monkeypatch.setattr(harness, "_run_variant", spy)
+    run_trial(config, 1)
+    assert filtered
+    for trial_scans in filtered:
+        assert_same_scans(trial_scans, scans)
     with pytest.raises(SystemExit) as exc:  # argparse's usage error, exit 2
         cli_main(["scenario", "--config", str(cfg), "--out", str(out), "--trial", "-1"])
     assert exc.value.code == 2

@@ -1,4 +1,3 @@
-import logging
 import math
 import warnings
 from dataclasses import replace
@@ -182,16 +181,6 @@ def test_mode_equivalence_velocity_moments():
         sigma = MOTION.sigma_v1 if axis == 1 else MOTION.sigma_v2
         expected = math.sqrt(sigma**2 + delta**2) * MOTION.sampling_interval
         assert abs(s_dir - expected) <= 0.01 * expected
-
-
-def test_mode_mismatch_is_noop_with_diagnostic(caplog):
-    rng = np.random.default_rng(27)
-    pset = _cloud(5, rng)
-    cfg = RougheningConfig(mode="none")
-    with caplog.at_level(logging.WARNING, logger="smcphd.roughening"):
-        out = separate_roughen(pset, cfg, MOTION, MEAS, rng)
-    assert out is pset
-    assert any("mode" in record.message for record in caplog.records)
 
 
 def test_config_validation():

@@ -138,11 +138,11 @@ def test_same_seed_reproduces_truth_and_scans_bitwise():
     t2, s2 = realize(123)
     for tid in t1.tracks:
         assert np.array_equal(t1.tracks[tid][1], t2.tracks[tid][1])
-    assert s1.content_hash() == s2.content_hash()
+    assert len(s1.scans) == len(s2.scans)
     for a, b in zip(s1.scans, s2.scans):
         assert np.array_equal(a, b)
     t3, s3 = realize(124)
-    assert s3.content_hash() != s1.content_hash()
+    assert not all(np.array_equal(a, b) for a, b in zip(s1.scans, s3.scans))
 
 
 def test_detections_bounded_by_alive_targets():
