@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields, replace
 from .filter import FilterConfig
 from .metrics import OspaParams
 from .models import ModelSet, check_number
-from .roughening import GordonConfig, RougheningConfig
+from .roughening import RougheningConfig
 from .scenario import ScenarioConfig, TargetScript
 
 DEFAULT_SWEEP_GRID = (0.0, 0.1, 0.2, 0.4, 0.8, 1.6, 2.5)
@@ -188,17 +188,17 @@ CONFIG_KEYS = {
     "run.sweep_grid": ("run", "sweep_grid", _parse_floats),
 }
 
-# `roughening.<variant>.<field>` -> (section, dataclass field, parser), with
-# sections `roughening` (RougheningConfig) and `gordon` (GordonConfig).
+# `roughening.<variant>.<field>` -> (section, dataclass field, parser); the
+# one section is `roughening` (RougheningConfig).
 ROUGHENING_KEYS = {
     "mode": ("roughening", "mode", str),
     "jitter_std": ("roughening", "jitter_std", _parse_jitter),
     "selective_threshold": ("roughening", "selective_threshold", float),
     "overlapped_only": ("roughening", "overlapped_only", _parse_bool),
     "cap_to_measurement": ("roughening", "cap_to_measurement", _parse_bool),
-    "gordon_constant": ("gordon", "tuning_constant", float),
-    "gordon_dimension": ("gordon", "dimension", int),
-    "gordon_positive_exponent": ("gordon", "positive_exponent", _parse_bool),
+    "gordon_constant": ("roughening", "gordon_constant", float),
+    "gordon_dimension": ("roughening", "gordon_dimension", int),
+    "gordon_positive_exponent": ("roughening", "gordon_positive_exponent", _parse_bool),
 }
 
 
@@ -222,14 +222,12 @@ def _parse_into(table: dict, texts: dict) -> tuple:
 def _build_roughening(name: str, texts: dict) -> RougheningConfig:
     try:
         args, unknown = _parse_into(ROUGHENING_KEYS, texts)
-        gordon = args["gordon"]
-        if gordon:
-            if "tuning_constant" not in gordon:
-                raise ValueError(
-                    "gordon_constant is required when gordon_dimension or "
-                    "gordon_positive_exponent is set"
-                )
-            args["roughening"]["gordon"] = GordonConfig(**gordon)
+        gordon_options = texts.keys() & {"gordon_dimension", "gordon_positive_exponent"}
+        if gordon_options and "gordon_constant" not in texts:
+            raise ValueError(
+                "gordon_constant is required when gordon_dimension or "
+                "gordon_positive_exponent is set"
+            )
         config = RougheningConfig(**args["roughening"])
     except ValueError as exc:
         raise ValueError(f"roughening.{name}: {exc}") from None

@@ -19,6 +19,7 @@ from .config import RunConfig, VariantSpec
 from .extraction import extract_states
 from .filter import estimate_cardinality, predict, update
 from .metrics import gain_ratio, ospa
+from .models import POSITION_IDX
 from .particles import empty_set
 from .resampling import resample
 from .rng import TrialStreams
@@ -82,7 +83,8 @@ def _run_variant(
     predicts with `direct_motion`, separate mode jitters the resampled set.
     Returns per-step cardinality estimates and OSPA values, and the step at
     which the posterior mass collapsed to zero (None if never); later steps
-    keep a zero count and score the OSPA cutoff.  A ValueError or
+    keep a zero count and score an empty estimate against their truth: the
+    OSPA cutoff while a target is alive, 0 when none is.  A ValueError or
     ArithmeticError inside a step is re-raised as a TrialError that says
     where it happened.
     """
@@ -91,7 +93,7 @@ def _run_variant(
     steps = config.scenario.steps
     pset = empty_set()
     est_counts = np.zeros(steps, dtype=int)
-    ospa_values = np.full(steps, config.ospa.cutoff)
+    ospa_values = np.zeros(steps)
     collapsed_at = None
     for step in range(1, steps + 1):
         try:
@@ -114,15 +116,24 @@ def _run_variant(
                     pset = separate_roughen(
                         pset, roughening, models.motion, models.measurement, rng
                     )
-            points = states if config.ospa_full_state else states[:, [0, 2]]
+            points = _ospa_points(states, config)
             ospa_values[step - 1] = ospa(points, true_points[step - 1], config.ospa)
         except (ValueError, ArithmeticError) as exc:
             where = f"variant {variant.name!r}, step {step}"
             raise _trial_error(streams.trial, where, exc) from exc
         if collapsed_at is not None:
             logger.warning("track loss: posterior mass collapsed to zero at step %d", step)
+            # With no mass left the filter estimates no target, so each later
+            # step scores the empty `points` against its truth.
+            ospa_values[step:] = [ospa(points, truth, config.ospa) for truth in true_points[step:]]
             break
     return est_counts, ospa_values, collapsed_at
+
+
+def _ospa_points(states: np.ndarray, config: RunConfig) -> np.ndarray:
+    """The components of `(n, 4)` states that OSPA scores: all four with
+    `ospa.full_state`, else the positions."""
+    return states if config.ospa_full_state else states[:, POSITION_IDX]
 
 
 def realize_trial(config: RunConfig, trial_index: int) -> tuple[GroundTruth, ScanData]:
@@ -144,29 +155,11 @@ def realize_trial(config: RunConfig, trial_index: int) -> tuple[GroundTruth, Sca
     return truth, scans
 
 
-def _roughening_key(roughening: RougheningConfig) -> tuple:
+def _roughening_key(roughening: RougheningConfig) -> RougheningConfig | None:
     """A hashable key for a variant's roughening config: variants with equal
-    keys produce bit-identical columns.
-
-    Mode none, and a fixed all-zero jitter in either mode, leave every step
-    bit-identical to the baseline (separate mode draws nothing, direct mode
-    keeps the model's noise), so they share the baseline key.  A Gordon
-    bandwidth keeps its own key even with K = 0, because 0 times an infinite
-    spread is NaN, not 0.
-    """
-    jitter, gordon = roughening.jitter_std, roughening.gordon
-    if roughening.mode == "none" or (jitter is not None and not np.any(jitter)):
-        return ("none",)
-    if gordon is not None:
-        gordon = (gordon.tuning_constant, gordon.dimension, gordon.positive_exponent)
-    return (
-        roughening.mode,
-        None if jitter is None else tuple(jitter.tolist()),
-        gordon,
-        roughening.selective_threshold,
-        roughening.overlapped_only,
-        roughening.cap_to_measurement,
-    )
+    keys produce bit-identical columns.  Configs compare by value, and inert
+    ones (`RougheningConfig.inert`) share the baseline's key, None."""
+    return None if roughening.inert else roughening
 
 
 def run_trial(config: RunConfig, trial_index: int) -> TrialResult:
@@ -184,10 +177,7 @@ def run_trial(config: RunConfig, trial_index: int) -> TrialResult:
 
     steps = config.scenario.steps
     true_counts = np.array([truth.count_at(k) for k in range(1, steps + 1)])
-    if config.ospa_full_state:
-        true_points = [truth.states_at(k) for k in range(1, steps + 1)]
-    else:
-        true_points = [truth.positions_at(k) for k in range(1, steps + 1)]
+    true_points = [_ospa_points(truth.states_at(k), config) for k in range(1, steps + 1)]
 
     est_counts: dict = {}
     ospa_values: dict = {}

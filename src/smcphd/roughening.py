@@ -26,45 +26,29 @@ from .particles import ParticleSet
 MODES = ("none", "separate", "direct")
 
 
-@dataclass
-class GordonConfig:
-    """Adaptive jitter bandwidth K * E * N^(-1/d).
-
-    E is the per-dimension spread (max - min) of the current particle states,
-    N the particle count, d the state dimension.  The negative exponent makes
-    the jitter shrink as the population grows; `positive_exponent` selects the
-    growing variant for fidelity experiments.
-    """
-
-    tuning_constant: float
-    dimension: int = STATE_DIM
-    positive_exponent: bool = False
-
-    def __post_init__(self):
-        check_number("gordon_constant", self.tuning_constant, 0.0)
-        if self.dimension < 1:
-            raise ValueError(f"gordon_dimension must be >= 1, got {self.dimension}")
-
-
-@dataclass
+@dataclass(frozen=True)
 class RougheningConfig:
-    """Strategy selection plus guards.
+    """Strategy selection plus guards; configs are equal, and hash equal,
+    exactly when every field is equal.
 
-    `jitter_std` is a per-state-dimension std vector; a scalar is shorthand
-    for jitter on the velocity dimensions only (the usual tracking choice).
-    Exactly one of `jitter_std` and `gordon` must be set for an active mode;
-    direct mode takes velocity jitter only (see `direct_motion`).
-    `selective_threshold` skips roughening while the fraction of unique
-    ancestor indices is at or above the threshold; `overlapped_only`
-    restricts jitter to particles that share an ancestor with another
-    particle; `cap_to_measurement` clamps the jitter so its one-step
-    projection onto position space stays within the smallest measurement
-    noise std.
+    `jitter_std` is a per-state-dimension std vector, stored as a 4-tuple; a
+    scalar is shorthand for jitter on the velocity dimensions only.
+    `gordon_constant` K instead selects the adaptive bandwidth
+    K * E * N^(-1/d): E is the per-dimension spread of the particles, N
+    their count, d `gordon_dimension`, and `gordon_positive_exponent` makes
+    it N^(+1/d).  An active mode takes exactly one of the two; direct mode
+    takes velocity jitter only (see `direct_motion`).  `selective_threshold`
+    skips roughening while the fraction of unique ancestor indices is at or
+    above it; `overlapped_only` jitters only particles that share an
+    ancestor; `cap_to_measurement` clamps the jitter so its one-step
+    position projection stays within the smallest measurement noise std.
     """
 
     mode: str = "none"
-    jitter_std: object = None  # scalar, length-4 vector, or None
-    gordon: GordonConfig | None = None
+    jitter_std: tuple | None = None  # a scalar or length-4 vector is accepted
+    gordon_constant: float | None = None
+    gordon_dimension: int = STATE_DIM
+    gordon_positive_exponent: bool = False
     selective_threshold: float | None = None
     overlapped_only: bool = False
     cap_to_measurement: bool = True
@@ -72,21 +56,32 @@ class RougheningConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown roughening mode {self.mode!r}")
-        if self.jitter_std is not None:
-            self.jitter_std = as_jitter_vector(self.jitter_std)
-            for v in self.jitter_std:
+        jitter = self.jitter_std
+        if jitter is not None:
+            arr = np.asarray(jitter, dtype=float)
+            if arr.ndim == 0:
+                arr = velocity_jitter(float(arr))
+            elif arr.size != STATE_DIM:
+                raise ValueError(f"jitter_std must be a scalar or a length-{STATE_DIM} vector")
+            jitter = tuple(arr.ravel().tolist())
+            for v in jitter:
                 check_number("jitter_std", v, 0.0)
-        if self.jitter_std is not None and self.gordon is not None:
-            raise ValueError("set either a fixed jitter_std or gordon, not both")
-        if self.mode != "none" and self.jitter_std is None and self.gordon is None:
-            raise ValueError(f"mode {self.mode!r} requires jitter_std or gordon")
+            object.__setattr__(self, "jitter_std", jitter)
+        if self.gordon_constant is not None:
+            check_number("gordon_constant", self.gordon_constant, 0.0)
+        if self.gordon_dimension < 1:
+            raise ValueError(f"gordon_dimension must be >= 1, got {self.gordon_dimension}")
+        if jitter is not None and self.gordon_constant is not None:
+            raise ValueError("set either a fixed jitter_std or gordon_constant, not both")
+        if self.mode != "none" and jitter is None and self.gordon_constant is None:
+            raise ValueError(f"mode {self.mode!r} requires jitter_std or gordon_constant")
         if self.selective_threshold is not None and not (0 < self.selective_threshold <= 1):
             raise ValueError("selective_threshold must lie in (0, 1]")
         if self.mode == "direct":
-            if self.jitter_std is not None and np.any(self.jitter_std[list(POSITION_IDX)]):
+            if jitter is not None and any(jitter[i] for i in POSITION_IDX):
                 raise ValueError(
                     "jitter_std: direct roughening cannot express position-dimension jitter, "
-                    f"got {self.jitter_std.tolist()}"
+                    f"got {list(jitter)}"
                 )
             if self.overlapped_only or self.selective_threshold is not None:
                 raise ValueError(
@@ -94,16 +89,14 @@ class RougheningConfig:
                     "apply to separate mode only; direct mode inflates all propagation noise"
                 )
 
-
-def as_jitter_vector(value) -> np.ndarray:
-    """Normalize a jitter spec to a length-4 per-dimension std vector."""
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return velocity_jitter(float(arr))
-    arr = arr.ravel()
-    if arr.shape[0] != STATE_DIM:
-        raise ValueError(f"jitter_std must be a scalar or a length-{STATE_DIM} vector")
-    return arr
+    @property
+    def inert(self) -> bool:
+        """Whether every step runs bit-identical to no roughening: mode none,
+        or a fixed all-zero jitter in either mode (`separate_roughen` then
+        draws nothing and `direct_motion` keeps the model's noise).  A Gordon
+        bandwidth is never inert, even with K = 0, because 0 times an
+        infinite spread is NaN, not 0."""
+        return self.mode == "none" or (self.jitter_std is not None and not any(self.jitter_std))
 
 
 def velocity_jitter(delta: float) -> np.ndarray:
@@ -121,17 +114,8 @@ def gordon_std(
     positive_exponent: bool = False,
 ) -> np.ndarray:
     """Jitter std K * E * N^(-1/d) per dimension (N^(+1/d) if requested)."""
-    if tuning_constant < 0:
-        raise ValueError("tuning_constant must be >= 0")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if dimension < 1:
-        raise ValueError("dimension must be >= 1")
-    e = np.asarray(spread, dtype=float)
-    if np.any(e < 0):
-        raise ValueError("spread components must be >= 0")
     exponent = 1.0 / dimension if positive_exponent else -1.0 / dimension
-    return tuning_constant * e * float(count) ** exponent
+    return tuning_constant * np.asarray(spread, dtype=float) * float(count) ** exponent
 
 
 def state_spread(states: np.ndarray) -> np.ndarray:
@@ -139,17 +123,6 @@ def state_spread(states: np.ndarray) -> np.ndarray:
     if states.shape[0] == 0:
         return np.zeros(states.shape[1] if states.ndim == 2 else STATE_DIM)
     return states.max(axis=0) - states.min(axis=0)
-
-
-def position_projection_factors(motion: MotionModel) -> np.ndarray:
-    """One-step projection of each state dimension onto position.
-
-    Position jitter is position jitter (factor 1); velocity jitter integrates
-    into position over one sampling interval (factor T).  Nonlinear sensors
-    would need their own mapping; this covers the linear position sensor.
-    """
-    t = motion.sampling_interval
-    return np.array([1.0, t, 1.0, t])
 
 
 def effective_jitter(
@@ -164,21 +137,24 @@ def effective_jitter(
     cap: any component whose one-step position projection would exceed
     min(sigma_w1, sigma_w2) is clamped to that bound.
     """
-    if config.gordon is not None:
+    if config.gordon_constant is not None:
         jitter = gordon_std(
-            config.gordon.tuning_constant,
+            config.gordon_constant,
             state_spread(pset.states),
             max(len(pset), 1),
-            config.gordon.dimension,
-            config.gordon.positive_exponent,
+            config.gordon_dimension,
+            config.gordon_positive_exponent,
         )
     else:
-        jitter = config.jitter_std.copy()
+        jitter = np.array(config.jitter_std)
     if config.cap_to_measurement:
-        factors = position_projection_factors(motion)
-        # A subnormal T overflows the bound to inf, which caps nothing.
+        # One-step projection onto position: position jitter is position
+        # jitter (factor 1), velocity jitter integrates over one sampling
+        # interval (factor T).  This covers the linear position sensor.  A
+        # subnormal T overflows the bound to inf, which caps nothing.
+        t = motion.sampling_interval
         with np.errstate(over="ignore"):
-            bound = meas.min_std() / factors
+            bound = meas.min_std() / np.array([1.0, t, 1.0, t])
         jitter = np.minimum(jitter, bound)
     return jitter
 

@@ -79,9 +79,6 @@ class GroundTruth:
             return np.empty((0, 4))
         return np.vstack([s for _, s in pairs])
 
-    def positions_at(self, step: int) -> np.ndarray:
-        return self.states_at(step)[:, [0, 2]]
-
     def count_at(self, step: int) -> int:
         return len(self.alive(step))
 

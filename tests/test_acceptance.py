@@ -17,9 +17,9 @@ import pytest
 from oracles import measurement_mass_terms, ospa_bruteforce, write_variant_table
 from smcphd import harness
 from smcphd.cli import main as cli_main
-from smcphd.config import VariantSpec, benchmark_preset
+from smcphd.config import VariantSpec, benchmark_preset, default_variants
 from smcphd.filter import FilterConfig, predict, update
-from smcphd.harness import run, sweep
+from smcphd.harness import run, sweep, sweep_variants
 from smcphd.metrics import OspaParams, ospa
 from smcphd.models import BirthModel, MeasurementModel, MotionModel, propagate
 from smcphd.particles import ParticleSet, empty_set
@@ -41,13 +41,6 @@ def _report(criterion: int, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def run_np200():
-    config = benchmark_preset(particles_per_target=200, trials=100, master_seed=MASTER_SEED)
-    summary, results = run(config, workers=WORKERS)
-    return config, summary, results
-
-
-@pytest.fixture(scope="module")
 def run_np1000():
     config = benchmark_preset(particles_per_target=1000, trials=100, master_seed=MASTER_SEED)
     summary, results = run(config, workers=WORKERS)
@@ -58,6 +51,12 @@ def run_np1000():
 def sweep_np200():
     config = benchmark_preset(particles_per_target=200, trials=100, master_seed=MASTER_SEED)
     result, summary, _ = sweep(config, workers=WORKERS)
+    # Criteria 07 and 08 read the default variants' columns from the sweep:
+    # its baseline and 0.4 arms are those variants' configs, and a column
+    # does not depend on which other variants run.
+    arms = {v.name: v.roughening for v in sweep_variants(config)}
+    defaults = [v.roughening for v in default_variants()]
+    assert [arms["basic"], arms["separate@0.4"], arms["direct@0.4"]] == defaults
     return config, result, summary
 
 
@@ -201,15 +200,15 @@ def test_criterion_06_zero_roughening_bitwise_equivalence(tmp_path, monkeypatch)
     _report(6, "separate(0) and direct(0) output files byte-identical to the baseline")
 
 
-def test_criterion_07_headline_gain_ratios(run_np200):
-    config, summary, _ = run_np200
-    sep_gain = summary.gain_ratios["separate"]
-    dir_gain = summary.gain_ratios["direct"]
+def test_criterion_07_headline_gain_ratios(sweep_np200):
+    config, _, summary = sweep_np200
+    sep_gain = summary.gain_ratios["separate@0.4"]
+    dir_gain = summary.gain_ratios["direct@0.4"]
     assert 0.05 <= sep_gain <= 0.30
     assert 0.05 <= dir_gain <= 0.30
     tail = slice(9, config.scenario.steps)
     basic_tail = float(np.mean(summary.mean_step_ospa["basic"][tail]))
-    for name in ("separate", "direct"):
+    for name in ("separate@0.4", "direct@0.4"):
         assert float(np.mean(summary.mean_step_ospa[name][tail])) < basic_tail
     _report(
         7,
@@ -218,11 +217,11 @@ def test_criterion_07_headline_gain_ratios(run_np200):
     )
 
 
-def test_criterion_08_sample_size_contrast(run_np200, run_np1000):
-    _, s200, _ = run_np200
+def test_criterion_08_sample_size_contrast(sweep_np200, run_np1000):
+    _, _, s200 = sweep_np200
     _, s1000, _ = run_np1000
     for name in ("separate", "direct"):
-        assert s1000.gain_ratios[name] < s200.gain_ratios[name]
+        assert s1000.gain_ratios[name] < s200.gain_ratios[f"{name}@0.4"]
         assert -0.05 <= s1000.gain_ratios[name] <= 0.15
     _report(
         8,

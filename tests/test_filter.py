@@ -18,7 +18,7 @@ from smcphd.models import (
     likelihood,
 )
 from smcphd.particles import ParticleSet, empty_set
-from smcphd.roughening import GordonConfig, RougheningConfig, direct_motion, velocity_jitter
+from smcphd.roughening import RougheningConfig, direct_motion, velocity_jitter
 
 
 def _models(**overrides):
@@ -346,7 +346,7 @@ def test_filter_config_defaults_and_validation():
 def test_predict_direct_with_adaptive_bandwidth():
     rng = np.random.default_rng(16)
     prev = ParticleSet(states=rng.normal(size=(100, 4)), weights=np.full(100, 0.02))
-    cfg = RougheningConfig(mode="direct", gordon=GordonConfig(tuning_constant=0.2))
+    cfg = RougheningConfig(mode="direct", gordon_constant=0.2)
     out = predict(prev, _direct_models(prev, cfg), _config(), np.random.default_rng(17))
     assert len(out) == 140
     assert np.all(np.isfinite(out.states))

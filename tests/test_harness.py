@@ -2,7 +2,7 @@ import io
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -101,18 +101,24 @@ def test_zero_jitter_variants_match_baseline_bitwise(monkeypatch):
                 assert result.collapsed_at[name] == r.collapsed_at["basic"]
 
 
+def record_runs(monkeypatch) -> list:
+    """A list that gets (trial, variant name) for each filter run."""
+    ran = []
+    real = harness._run_variant
+
+    def recording(scans, true_points, config, variant, streams):
+        ran.append((streams.trial, variant.name))
+        return real(scans, true_points, config, variant, streams)
+
+    monkeypatch.setattr(harness, "_run_variant", recording)
+    return ran
+
+
 def test_each_distinct_roughening_config_runs_once_per_trial(monkeypatch):
     config = small_config(trials=2)
     variants = harness.sweep_variants(config)
     assert len(variants) == 15  # basic, and both modes at 7 jitter levels
-    ran = []
-    real = harness._run_variant
-
-    def counting(scans, true_points, config, variant, streams):
-        ran.append((streams.trial, variant.name))
-        return real(scans, true_points, config, variant, streams)
-
-    monkeypatch.setattr(harness, "_run_variant", counting)
+    ran = record_runs(monkeypatch)
     results = run_trials(replace(config, variants=variants))
     # separate@0 and direct@0 share the baseline's run.
     for trial in range(2):
@@ -232,26 +238,75 @@ def test_pool_size_never_exceeds_trials_or_cpus(workers, trials, cpus, expect):
     assert pool_size(workers, trials, cpus) == expect
 
 
-def test_mass_collapse_records_cutoff_for_remaining_steps():
-    # Detection is certain and there is no clutter, but the target sits at
-    # (90, 90), far outside the birth density: no particle supports its
-    # measurement, so the first update multiplies every weight by 1 - p_D = 0.
+def collapse_config(death_step):
+    """Six steps and one target alive on steps 1..death_step.  Detection is
+    certain and there is no clutter, but the target sits at (90, 90), far
+    outside the birth density: no particle supports its measurement, so the
+    first update multiplies every weight by 1 - p_D = 0."""
     base = small_config(trials=1, particles=40, steps=6)
-    models = ModelSet(
-        motion=base.scenario.models.motion,
-        measurement=base.scenario.models.measurement,
-        birth=base.scenario.models.birth,
+    models = replace(
+        base.scenario.models,
         clutter=ClutterModel(rate=0.0, region=(-100, 100, -100, 100)),
         detection=DetectionModel(p_survive=0.95, p_detect=1.0),
     )
-    target = TargetScript(1, 6, initial_state=[90.0, 0.0, 90.0, 0.0])
-    scenario = ScenarioConfig(steps=6, targets=[target], models=models)
-    config = replace(base, scenario=scenario)
+    target = TargetScript(1, death_step, initial_state=[90.0, 0.0, 90.0, 0.0])
+    return replace(base, scenario=ScenarioConfig(steps=6, targets=[target], models=models))
+
+
+def test_mass_collapse_records_cutoff_for_remaining_steps():
+    config = collapse_config(6)
     result = run_trial(config, 0)
     for name in config.variant_names():
         assert result.collapsed_at[name] == 1
         assert np.all(result.est_counts[name] == 0)
         assert np.all(result.ospa_values[name][1:] == config.ospa.cutoff)
+
+
+def test_mass_collapse_scores_zero_once_no_target_is_alive():
+    # The empty estimate is exact on steps 4-6, where no target is alive.
+    config = collapse_config(3)
+    result = run_trial(config, 0)
+    for name in config.variant_names():
+        assert result.collapsed_at[name] == 1
+        assert np.all(result.est_counts[name] == 0)
+        assert np.array_equal(result.ospa_values[name], [100.0] * 3 + [0.0] * 3)
+
+
+def test_full_state_ospa_scores_velocities_too():
+    config = small_config(trials=1)
+    positions = run_trial(config, 0)
+    full = run_trial(replace(config, ospa_full_state=True), 0)
+    for name in config.variant_names():
+        assert np.array_equal(full.est_counts[name], positions.est_counts[name])
+        assert np.all(full.ospa_values[name] >= positions.ospa_values[name])
+        assert np.any(full.ospa_values[name] > positions.ospa_values[name])
+
+
+# For each RougheningConfig field: a config that is not inert, and another
+# value of that field.  A field without an entry fails the test below, so a
+# new field cannot let differing variants share one filter run unnoticed.
+FIELD_CHANGES = {
+    "mode": ({"mode": "separate", "jitter_std": 0.4}, "direct"),
+    "jitter_std": ({"mode": "separate", "jitter_std": 0.4}, 0.8),
+    "gordon_constant": ({"mode": "separate", "gordon_constant": 0.2}, 0.1),
+    "gordon_dimension": ({"mode": "separate", "gordon_constant": 0.2}, 2),
+    "gordon_positive_exponent": ({"mode": "separate", "gordon_constant": 0.2}, True),
+    "selective_threshold": ({"mode": "separate", "jitter_std": 0.4}, 0.5),
+    "overlapped_only": ({"mode": "separate", "jitter_std": 0.4}, True),
+    "cap_to_measurement": ({"mode": "separate", "jitter_std": 0.4}, False),
+}
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(RougheningConfig)])
+def test_configs_differing_in_one_field_get_runs_of_their_own(monkeypatch, field):
+    base, value = FIELD_CHANGES[field]
+    a = RougheningConfig(**base)
+    b = replace(a, **{field: value})
+    assert not a.inert and not b.inert and a != b
+    ran = record_runs(monkeypatch)
+    basic = VariantSpec("basic", RougheningConfig(mode="none"))
+    run_trial(small_config(steps=3, variants=[basic, VariantSpec("a", a), VariantSpec("b", b)]), 0)
+    assert ran == [(0, "basic"), (0, "a"), (0, "b")]
 
 
 def test_sweep_shares_baseline_and_pairs_variants():

@@ -4,12 +4,16 @@ Every top-level function and class, and every method that is not a dunder,
 in `src/smcphd/` must be referenced by name somewhere in `src/smcphd/`
 outside its own definition.  `__init__.py` does not count as a reference:
 re-exporting a name is not using it.  Code that only the tests call
-belongs in `tests/` (see `tests/oracles.py`).
+belongs in `tests/` (see `tests/oracles.py`).  And the harness reads no
+field of a roughening config but its mode.
 """
 
 import ast
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
+
+from smcphd.roughening import RougheningConfig
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "smcphd"
 
@@ -56,3 +60,12 @@ def test_every_definition_is_referenced_in_the_library():
         if used[node.name] - _names(node)[node.name] <= 0
     ]
     assert unreferenced == []
+
+
+def test_harness_reads_no_roughening_field_but_mode():
+    # Which variants share a filter run follows from value equality and
+    # `RougheningConfig.inert`.  A field the harness read on its own would
+    # be a second list of what matters, to keep in step by hand.
+    tree = ast.parse((PACKAGE / "harness.py").read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert read & {field.name for field in fields(RougheningConfig)} == {"mode"}

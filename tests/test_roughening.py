@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from smcphd.filter import FilterConfig, predict
 from smcphd.models import MeasurementModel, ModelSet, MotionModel, propagate
 from smcphd.particles import ParticleSet, empty_set
 from smcphd.roughening import (
-    GordonConfig,
     RougheningConfig,
     direct_motion,
     effective_jitter,
@@ -133,9 +132,7 @@ def test_measurement_cap_with_subnormal_interval_is_silent():
 def test_gordon_auto_uses_population_spread():
     rng = np.random.default_rng(26)
     pset = _cloud(100, rng)
-    cfg = RougheningConfig(
-        mode="separate", gordon=GordonConfig(tuning_constant=0.2), cap_to_measurement=False
-    )
+    cfg = RougheningConfig(mode="separate", gordon_constant=0.2, cap_to_measurement=False)
     jitter = effective_jitter(pset, cfg, MOTION, MEAS)
     expected = 0.2 * state_spread(pset.states) * 100 ** (-0.25)
     assert np.allclose(jitter, expected, rtol=1e-12)
@@ -185,13 +182,13 @@ def test_mode_equivalence_velocity_moments():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        RougheningConfig(mode="separate")  # needs jitter_std or gordon
+        RougheningConfig(mode="separate")  # needs jitter_std or gordon_constant
     with pytest.raises(ValueError):
-        RougheningConfig(
-            mode="separate",
-            jitter_std=0.4,
-            gordon=GordonConfig(tuning_constant=0.1),
-        )
+        RougheningConfig(mode="separate", jitter_std=0.4, gordon_constant=0.1)
+    with pytest.raises(ValueError, match="^gordon_constant"):
+        RougheningConfig(mode="separate", gordon_constant=-0.1)
+    with pytest.raises(ValueError, match="^gordon_dimension must be >= 1"):
+        RougheningConfig(mode="separate", gordon_constant=0.1, gordon_dimension=0)
     with pytest.raises(ValueError):
         RougheningConfig(mode="direct", jitter_std=0.4, overlapped_only=True)
     with pytest.raises(ValueError):
@@ -200,6 +197,33 @@ def test_config_validation():
         RougheningConfig(mode="jitterbug")
     with pytest.raises(ValueError, match="^jitter_std: "):
         RougheningConfig(mode="direct", jitter_std=[1, 0, 0, 0])
+
+
+def test_configs_compare_and_hash_by_value():
+    a = RougheningConfig(mode="separate", jitter_std=0.4)
+    b = RougheningConfig(mode="separate", jitter_std=np.array([0.0, 0.4, 0.0, 0.4]))
+    assert a == b and hash(a) == hash(b)
+    assert a.jitter_std == (0.0, 0.4, 0.0, 0.4)
+    assert a != replace(a, overlapped_only=True)
+    with pytest.raises(FrozenInstanceError):
+        a.jitter_std = None
+
+
+@pytest.mark.parametrize(
+    "kwargs, inert",
+    [
+        ({"mode": "none"}, True),
+        ({"mode": "none", "jitter_std": 0.4}, True),
+        ({"mode": "separate", "jitter_std": 0.0}, True),
+        ({"mode": "direct", "jitter_std": [0.0, -0.0, 0.0, 0.0]}, True),
+        ({"mode": "separate", "jitter_std": [0.0, 0.0, 1e-300, 0.0]}, False),
+        ({"mode": "direct", "jitter_std": 0.4}, False),
+        # 0 times an infinite spread is NaN, so K = 0 is not a no-op.
+        ({"mode": "separate", "gordon_constant": 0.0}, False),
+    ],
+)
+def test_inert_configs_are_exactly_the_no_op_ones(kwargs, inert):
+    assert RougheningConfig(**kwargs).inert is inert
 
 
 def test_roughening_preserves_mass_exactly():
@@ -213,9 +237,7 @@ def test_roughening_preserves_mass_exactly():
 def test_direct_mode_with_adaptive_bandwidth_runs():
     rng = np.random.default_rng(29)
     pset = _cloud(200, rng)
-    cfg = RougheningConfig(
-        mode="direct", gordon=GordonConfig(tuning_constant=0.2), cap_to_measurement=False
-    )
+    cfg = RougheningConfig(mode="direct", gordon_constant=0.2, cap_to_measurement=False)
     combined = direct_motion(pset, cfg, MOTION, MEAS).noise_stds()
     spread = state_spread(pset.states)
     channel = 0.2 * spread[[1, 3]] * 200 ** (-0.25) / MOTION.sampling_interval
@@ -247,7 +269,7 @@ def test_zero_jitter_keeps_the_model_bit_for_bit(interval, sigma_v, sigma_w, n, 
         weights=rng.uniform(0.0, 0.1, n),
         ancestry=rng.integers(0, max(n, 1), n),
     )
-    zero = {"gordon": GordonConfig(tuning_constant=0.0)} if gordon else {"jitter_std": 0.0}
+    zero = {"gordon_constant": 0.0} if gordon else {"jitter_std": 0.0}
 
     direct_cfg = RougheningConfig("direct", cap_to_measurement=cap, **zero)
     direct = direct_motion(pset, direct_cfg, motion, meas)
