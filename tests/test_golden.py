@@ -1,13 +1,15 @@
-"""Golden-output regression: the benchmark tables of a short np200 run.
+"""Golden-output regression: the benchmark tables of short np200 runs.
 
 Any change to the filter, the random-stream layout or the table format
-that moves a byte of `trials.txt` or `summary.txt` fails here.  A change
-that is meant to move them updates both constants and says why.
+that moves a byte of `trials.txt`, `summary.txt` or `sweep.txt` fails
+here.  A change that is meant to move them updates the constants and says
+why.
 """
 
 import ast
 import hashlib
 import io
+from dataclasses import replace
 from pathlib import Path
 
 from smcphd.config import (
@@ -17,7 +19,13 @@ from smcphd.config import (
     parse_kv_text,
     run_config_from_mapping,
 )
-from smcphd.harness import run, write_summary_table, write_trials_table
+from smcphd.harness import (
+    run,
+    sweep,
+    write_summary_table,
+    write_sweep_table,
+    write_trials_table,
+)
 
 TRIALS_SHA256 = "671121729bc9023885d88982bbe51bc8747520989112753bae37c5d6a09a0f06"
 SUMMARY_SHA256 = "9435ade36c0fa8a0753b4171bd8e3e9e5bfc1a026be76b077d0eacc1fa6f5909"
@@ -42,6 +50,12 @@ DIRECT_VARIANTS = {
 }
 DIRECT_TRIALS_SHA256 = "8a7eab2a394e7d2e5bf8322d0b0727e4c6b21aeb1bc5f52ea0cdf99e9e295615"
 DIRECT_SUMMARY_SHA256 = "20dbefaec6f9f8c5db8f27d7445083a6e762d3158483cbb70ea122714b5f7d53"
+
+# A three-value sweep grid: zero jitter (which shares the baseline's run),
+# the default jitter, and the largest default grid value.
+SWEEP_GRID = (0.0, 0.4, 2.5)
+SWEEP_SHA256 = "ecbbc39f6467b622e16625f2daba2f90930e3bc3dfc7eaa3e9a9cefbd0fe6f02"
+SWEEP_SUMMARY_SHA256 = "d1ae5475285512c3e6e77bdab6989aef205487bdf8afa73e60ccc0144609363c"
 
 
 def _sha256(write) -> str:
@@ -97,6 +111,13 @@ def test_direct_roughening_paths_match_golden_hashes():
     config = run_config_from_mapping({**kv, "run.trials": "3", "run.master_seed": "1"})
     assert config.variant_names() == list(DIRECT_VARIANTS)
     _assert_golden(config, DIRECT_TRIALS_SHA256, DIRECT_SUMMARY_SHA256)
+
+
+def test_sweep_tables_match_golden_hashes():
+    config = replace(benchmark_preset(200, trials=3, master_seed=1), sweep_grid=SWEEP_GRID)
+    result, summary, _ = sweep(config, workers=1)
+    assert _sha256(lambda fh: write_sweep_table(result, fh)) == SWEEP_SHA256
+    assert _sha256(lambda fh: write_summary_table(summary, fh)) == SWEEP_SUMMARY_SHA256
 
 
 def test_readme_python_imports_resolve():
