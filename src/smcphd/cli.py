@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import PRESETS, load_preset, load_run_config, with_overrides
+from .config import PRESETS, SWEEP_MODES, arm_name, load_preset, load_run_config, with_overrides
 from .harness import (
     TrialError,
     realize_trial,
@@ -88,11 +88,11 @@ def _cmd_sweep(config, args) -> int:
             "summary.txt": lambda fh: write_summary_table(summary, fh),
         },
     )
-    print(f"baseline mean OSPA {result.mean_ospa_basic:.4f}")
+    print(f"baseline mean OSPA {summary.mean_ospa[summary.baseline_name]:.4f}")
     for delta in result.grid:
         line = f"delta_r={delta:g}:"
-        for mode in result.modes:
-            line += f"  {mode} gain {result.gain_ratios[(mode, delta)]:+.4f}"
+        for mode in SWEEP_MODES:
+            line += f"  {mode} gain {summary.gain_ratios[arm_name(mode, delta)]:+.4f}"
         print(line)
     print(f"wrote {sweep_path}, {summary_path} and {trials_path}")
     return 0

@@ -17,6 +17,13 @@ from .scenario import ScenarioConfig, TargetScript
 
 DEFAULT_SWEEP_GRID = (0.0, 0.1, 0.2, 0.4, 0.8, 1.6, 2.5)
 DEFAULT_JITTER_STD = 0.4
+SWEEP_MODES = ("separate", "direct")
+
+
+def arm_name(mode: str, delta: float) -> str:
+    """The variant name of the sweep arm that runs `mode` at jitter std
+    `delta`; `delta` is written to 6 significant digits."""
+    return f"{mode}@{delta:g}"
 
 
 @dataclass
@@ -45,24 +52,40 @@ class RunConfig:
             raise ValueError(f"run.master_seed must be >= 0, got {self.master_seed}")
         if not self.variants:
             raise ValueError("at least one filter variant is required")
-        names = [v.name for v in self.variants]
+        names = self.variant_names()
         if len(set(names)) != len(names):
             raise ValueError(f"variant names must be unique, got {names}")
-        none_arms = [v.name for v in self.variants if v.roughening.mode == "none"]
-        if len(none_arms) != 1:
-            raise ValueError(
-                f"exactly one mode=none baseline variant is required, got {none_arms}"
-            )
         self.sweep_grid = tuple(float(v) for v in self.sweep_grid)
         for v in self.sweep_grid:
             check_number("run.sweep_grid", v, 0.0)
+        arms = [v.name for v in self.sweep_variants()]  # also checks the baseline
+        if len(set(arms)) != len(arms):
+            raise ValueError(f"run.sweep_grid: sweep arm names must be unique, got {arms}")
 
     @property
-    def baseline_name(self) -> str:
-        return next(v.name for v in self.variants if v.roughening.mode == "none")
+    def baseline(self) -> VariantSpec:
+        """The one variant with roughening mode none; gain ratios are taken
+        against it."""
+        found = [v for v in self.variants if v.roughening.mode == "none"]
+        if len(found) != 1:
+            raise ValueError(
+                "roughening.<variant>.mode: exactly one variant must be none (the "
+                f"baseline), got {[v.name for v in found]}"
+            )
+        return found[0]
 
     def variant_names(self) -> list:
         return [v.name for v in self.variants]
+
+    def sweep_variants(self) -> list:
+        """The sweep's arms: the baseline, then each grid value in each of
+        `SWEEP_MODES`.  Random streams do not depend on the variant list, so
+        one paired run over these arms equals a run per grid value."""
+        return [self.baseline] + [
+            VariantSpec(arm_name(mode, delta), RougheningConfig(mode=mode, jitter_std=delta))
+            for delta in self.sweep_grid
+            for mode in SWEEP_MODES
+        ]
 
 
 def default_variants() -> list:

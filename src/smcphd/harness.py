@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import RunConfig, VariantSpec
+from .config import SWEEP_MODES, RunConfig, VariantSpec, arm_name
 from .extraction import extract_states
 from .filter import estimate_cardinality, predict, update
 from .metrics import gain_ratio, ospa
@@ -30,8 +30,9 @@ logger = logging.getLogger(__name__)
 
 
 class TrialError(RuntimeError):
-    """A numeric or value fault raised while running a trial; the message
-    names the trial and the scenario, or the variant and step, it hit."""
+    """A numeric or value fault raised while running or summarizing trials;
+    the message names the trial and the scenario, the variant and step, or
+    the baseline it hit."""
 
 
 def _trial_error(trial: int, where: str, exc: Exception) -> TrialError:
@@ -64,10 +65,7 @@ class RunSummary:
 @dataclass
 class SweepResult:
     grid: tuple
-    modes: tuple  # ("separate", "direct")
-    mean_ospa_basic: float
-    mean_ospa: dict  # (mode, delta) -> float
-    gain_ratios: dict  # (mode, delta) -> float
+    summary: RunSummary  # every arm's values, keyed by `config.arm_name`
 
 
 def _run_variant(
@@ -242,8 +240,11 @@ def summarize(config: RunConfig, results: list) -> RunSummary:
         )
         for name in names
     }
-    baseline = config.baseline_name
-    gains = {name: gain_ratio(mean_ospa[baseline], mean_ospa[name]) for name in names}
+    baseline = config.baseline.name
+    try:
+        gains = {name: gain_ratio(mean_ospa[baseline], mean_ospa[name]) for name in names}
+    except ValueError as exc:
+        raise TrialError(f"gain ratios against variant {baseline!r}: {exc}") from exc
     return RunSummary(
         variant_names=names,
         baseline_name=baseline,
@@ -265,53 +266,12 @@ def run(config: RunConfig, workers: int = 1):
 
 # --- roughening-degree sweep --------------------------------------------------
 
-SWEEP_MODES = ("separate", "direct")
-
-
-def sweep_variants(config: RunConfig) -> list:
-    """Expanded variant list: the baseline plus each mode at each grid value.
-
-    The baseline arm keeps its configured name; sweep arms are named
-    mode@delta.  Because random streams do not depend on the variant list,
-    running the grid as one paired run is equivalent to separate runs per
-    delta while sharing the baseline computation.
-    """
-    baseline = next(v for v in config.variants if v.roughening.mode == "none")
-    variants = [baseline]
-    for delta in config.sweep_grid:
-        for mode in SWEEP_MODES:
-            variants.append(
-                VariantSpec(
-                    name=f"{mode}@{delta:g}",
-                    roughening=RougheningConfig(mode=mode, jitter_std=float(delta)),
-                )
-            )
-    return variants
-
 
 def sweep(config: RunConfig, workers: int = 1):
-    """Gain ratio of both roughening modes at each jitter level."""
-    sweep_config = replace(config, variants=sweep_variants(config))
-    summary, results = run(sweep_config, workers)
-    baseline = summary.mean_ospa[sweep_config.baseline_name]
-    mean_ospa = {}
-    gains = {}
-    for delta in sweep_config.sweep_grid:
-        for mode in SWEEP_MODES:
-            name = f"{mode}@{delta:g}"
-            mean_ospa[(mode, delta)] = summary.mean_ospa[name]
-            gains[(mode, delta)] = summary.gain_ratios[name]
-    return (
-        SweepResult(
-            grid=sweep_config.sweep_grid,
-            modes=SWEEP_MODES,
-            mean_ospa_basic=baseline,
-            mean_ospa=mean_ospa,
-            gain_ratios=gains,
-        ),
-        summary,
-        results,
-    )
+    """Gain ratio of both roughening modes at each jitter level: one paired
+    run over `config.sweep_variants()`."""
+    summary, results = run(replace(config, variants=config.sweep_variants()), workers)
+    return SweepResult(config.sweep_grid, summary), summary, results
 
 
 # --- fixed-format output tables -----------------------------------------------
@@ -354,11 +314,13 @@ def write_summary_table(summary: RunSummary, fileobj) -> None:
 
 def write_sweep_table(result: SweepResult, fileobj) -> None:
     """Sweep table: delta_r mode mean_ospa gain_ratio (plus baseline row)."""
+    summary = result.summary
     fileobj.write("delta_r\tmode\tmean_ospa\tgain_ratio\n")
-    fileobj.write(f"-\tbasic\t{_fmt(result.mean_ospa_basic)}\t{_fmt(0.0)}\n")
+    fileobj.write(f"-\tbasic\t{_fmt(summary.mean_ospa[summary.baseline_name])}\t{_fmt(0.0)}\n")
     for delta in result.grid:
-        for mode in result.modes:
+        for mode in SWEEP_MODES:
+            name = arm_name(mode, delta)
             fileobj.write(
-                f"{delta:g}\t{mode}\t{_fmt(result.mean_ospa[(mode, delta)])}"
-                f"\t{_fmt(result.gain_ratios[(mode, delta)])}\n"
+                f"{delta:g}\t{mode}\t{_fmt(summary.mean_ospa[name])}"
+                f"\t{_fmt(summary.gain_ratios[name])}\n"
             )

@@ -127,12 +127,11 @@ class BirthModel:
         check_number("birth.mass", self.mass, 0.0)
         self.mean = tuple(float(v) for v in self.mean)
         self.cov_diag = tuple(float(v) for v in self.cov_diag)
-        if len(self.mean) != STATE_DIM or len(self.cov_diag) != STATE_DIM:
-            raise ValueError(f"birth mean/cov must have {STATE_DIM} components")
-        for v in self.mean:
-            check_number("birth.mean", v)
-        for v in self.cov_diag:
-            check_number("birth.cov_diag", v, 0.0, strict=True)
+        for key, values, minimum in (("mean", self.mean, None), ("cov_diag", self.cov_diag, 0.0)):
+            if len(values) != STATE_DIM:
+                raise ValueError(f"birth.{key} must have {STATE_DIM} components, got {len(values)}")
+            for v in values:
+                check_number(f"birth.{key}", v, minimum, strict=True)
 
 
 @dataclass

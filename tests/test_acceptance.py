@@ -17,9 +17,9 @@ import pytest
 from oracles import measurement_mass_terms, ospa_bruteforce, write_variant_table
 from smcphd import harness
 from smcphd.cli import main as cli_main
-from smcphd.config import VariantSpec, benchmark_preset, default_variants
+from smcphd.config import SWEEP_MODES, VariantSpec, arm_name, benchmark_preset, default_variants
 from smcphd.filter import FilterConfig, predict, update
-from smcphd.harness import run, sweep, sweep_variants
+from smcphd.harness import run, sweep
 from smcphd.metrics import OspaParams, ospa
 from smcphd.models import BirthModel, MeasurementModel, MotionModel, propagate
 from smcphd.particles import ParticleSet, empty_set
@@ -54,7 +54,7 @@ def sweep_np200():
     # Criteria 07 and 08 read the default variants' columns from the sweep:
     # its baseline and 0.4 arms are those variants' configs, and a column
     # does not depend on which other variants run.
-    arms = {v.name: v.roughening for v in sweep_variants(config)}
+    arms = {v.name: v.roughening for v in config.sweep_variants()}
     defaults = [v.roughening for v in default_variants()]
     assert [arms["basic"], arms["separate@0.4"], arms["direct@0.4"]] == defaults
     return config, result, summary
@@ -232,10 +232,10 @@ def test_criterion_08_sample_size_contrast(sweep_np200, run_np1000):
 
 
 def test_criterion_09_sweep_shape(sweep_np200):
-    _, result, _ = sweep_np200
+    _, result, summary = sweep_np200
     details = []
-    for mode in result.modes:
-        gains = {delta: result.gain_ratios[(mode, delta)] for delta in result.grid}
+    for mode in SWEEP_MODES:
+        gains = {delta: summary.gain_ratios[arm_name(mode, delta)] for delta in result.grid}
         best_delta = max(gains, key=gains.get)
         assert gains[2.5] < gains[best_delta]
         assert best_delta <= 0.8

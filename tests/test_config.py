@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def test_full_config_document():
     assert config.master_seed == 77
     assert config.sweep_grid == (0.0, 0.2, 0.4)
     assert config.variant_names() == ["basic", "sep", "dir"]
-    assert config.baseline_name == "basic"
+    assert config.baseline.name == "basic"
     sep = config.variants[1].roughening
     assert sep.mode == "separate"
     assert sep.overlapped_only is True
@@ -138,6 +139,42 @@ def test_exactly_one_baseline_required():
         RunConfig(scenario=base.scenario, filter=base.filter, trials=0)
 
 
+@pytest.mark.parametrize("baselines", [[], ["a", "b"]])
+def test_baseline_count_error_names_the_mode_key(tmp_path, capsys, baselines):
+    text = "roughening.sep.mode = separate\nroughening.sep.jitter_std = 0.4\n"
+    text += "".join(f"roughening.{name}.mode = none\n" for name in baselines)
+    with pytest.raises(ValueError, match=r"roughening\.<variant>\.mode: exactly one"):
+        run_config_from_mapping(parse_kv_text(text))
+    path = tmp_path / "bad.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "roughening.<variant>.mode" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_baseline_named_like_a_sweep_arm_fails_at_load(tmp_path, capsys):
+    # Duplicate grid values are rows of the parametrized load-failure test;
+    # here the baseline's own name collides with the arm direct@2.
+    text = "run.sweep_grid = 2\nroughening.direct@2.mode = none\n"
+    with pytest.raises(ValueError, match=r"run\.sweep_grid: sweep arm names must be unique"):
+        run_config_from_mapping(parse_kv_text(text))
+    path = tmp_path / "bad.cfg"
+    path.write_text(text, encoding="utf-8")
+    for command in ("run", "sweep"):
+        assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "run.sweep_grid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_sweep_variants_are_the_baseline_then_both_modes_per_grid_value():
+    config = replace(benchmark_preset(), sweep_grid=(0.0, 0.4))
+    arms = config.sweep_variants()
+    names = ["basic", "separate@0", "direct@0", "separate@0.4", "direct@0.4"]
+    assert [v.name for v in arms] == names
+    assert arms[0] is config.baseline
+    assert arms[4].roughening == RougheningConfig(mode="direct", jitter_std=0.4)
+
+
 def test_duplicate_variant_names_rejected():
     base = benchmark_preset()
     with pytest.raises(ValueError, match="unique"):
@@ -177,8 +214,12 @@ def test_filter_min_particles_propagates_to_resampling():
         ("measurement.sigma_w1", "0"),
         ("clutter.rate", "inf"),
         ("birth.mass", "nan"),
+        ("birth.mean", "0, 3, 0"),
+        ("birth.cov_diag", "10, 1"),
         ("ospa.cutoff", "inf"),
         ("run.sweep_grid", "nan"),
+        ("run.sweep_grid", "0.4, 0.4"),
+        ("run.sweep_grid", "0.1, 0.1000001"),  # both arms would be named @0.1
         ("filter.birth_particles", "-3"),
         ("run.master_seed", "-1"),
         ("ospa.order", "1e308"),
@@ -196,9 +237,10 @@ def test_nonfinite_or_degenerate_parameter_fails_at_load(tmp_path, capsys, key, 
         run_config_from_mapping({key: value})
     path = tmp_path / "bad.cfg"
     path.write_text(f"{key} = {value}\n", encoding="utf-8")
-    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert key in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    for command in ("run", "sweep"):
+        assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_roughening_parameter_errors_name_the_variant(tmp_path, capsys):

@@ -9,9 +9,11 @@ why.
 import ast
 import hashlib
 import io
+import shlex
 from dataclasses import replace
 from pathlib import Path
 
+from smcphd.cli import build_parser
 from smcphd.config import (
     CONFIG_KEYS,
     ROUGHENING_KEYS,
@@ -82,6 +84,12 @@ def _readme_config_block() -> str:
     return section.split("```", 2)[1]
 
 
+def _readme_command_lines() -> list:
+    """The `smcphd ...` lines of the sh block under "Command line"."""
+    block = _readme().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("smcphd ")]
+
+
 def _readme_python_blocks() -> list:
     """The bodies of the README's fenced ```python blocks."""
     return [part.split("```", 1)[0] for part in _readme().split("```python\n")[1:]]
@@ -118,6 +126,14 @@ def test_sweep_tables_match_golden_hashes():
     result, summary, _ = sweep(config, workers=1)
     assert _sha256(lambda fh: write_sweep_table(result, fh)) == SWEEP_SHA256
     assert _sha256(lambda fh: write_summary_table(summary, fh)) == SWEEP_SUMMARY_SHA256
+
+
+def test_readme_command_lines_parse():
+    # The commands the README shows must be accepted by the CLI's parser.
+    lines = _readme_command_lines()
+    assert lines
+    for line in lines:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
 
 def test_readme_python_imports_resolve():

@@ -116,7 +116,7 @@ def record_runs(monkeypatch) -> list:
 
 def test_each_distinct_roughening_config_runs_once_per_trial(monkeypatch):
     config = small_config(trials=2)
-    variants = harness.sweep_variants(config)
+    variants = config.sweep_variants()
     assert len(variants) == 15  # basic, and both modes at 7 jitter levels
     ran = record_runs(monkeypatch)
     results = run_trials(replace(config, variants=variants))
@@ -187,7 +187,7 @@ def test_single_trial_summary_equals_trial_values():
         assert np.allclose(summary.mean_step_ospa[name], result.ospa_values[name])
         expected = float(np.mean(result.ospa_values[name]))
         assert summary.mean_ospa[name] == pytest.approx(expected, rel=1e-12)
-    assert summary.gain_ratios[config.baseline_name] == 0.0
+    assert summary.gain_ratios[config.baseline.name] == 0.0
 
 
 def test_summary_recomputable_from_trials_table():
@@ -314,8 +314,8 @@ def test_sweep_shares_baseline_and_pairs_variants():
     result, summary, _ = sweep(config)
     assert result.grid == (0.0, 0.4)
     # delta = 0 arms are bitwise equal to the baseline, so their gain is 0
-    assert result.gain_ratios[("separate", 0.0)] == 0.0
-    assert result.gain_ratios[("direct", 0.0)] == 0.0
+    assert summary.gain_ratios["separate@0"] == 0.0
+    assert summary.gain_ratios["direct@0"] == 0.0
     assert set(summary.variant_names) == {
         "basic", "separate@0", "direct@0", "separate@0.4", "direct@0.4",
     }
@@ -471,6 +471,23 @@ def test_cli_fault_keeps_an_out_dir_that_existed(tmp_path):
     out.mkdir()
     assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     assert out.is_dir() and not any(out.iterdir())
+
+
+def test_cli_undefined_gain_ratio_prints_one_error_and_removes_the_out_dir(tmp_path, capsys):
+    # No target and no clutter: every variant scores OSPA 0 at every step,
+    # so a gain ratio against the baseline's mean OSPA of 0 is undefined.
+    cfg = tmp_path / "empty.cfg"
+    text = "run.trials = 2\nscenario.steps = 3\nscenario.targets =\nclutter.rate = 0\n"
+    cfg.write_text(text, encoding="utf-8")
+    for command in ("run", "sweep"):
+        out = tmp_path / command
+        assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: gain ratios against variant 'basic': "
+            "baseline mean OSPA must be finite and > 0\n"
+        )
+        assert not out.exists()
 
 
 def test_cli_rejects_bad_config(tmp_path):

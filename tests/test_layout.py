@@ -4,8 +4,9 @@ Every top-level function and class, and every method that is not a dunder,
 in `src/smcphd/` must be referenced by name somewhere in `src/smcphd/`
 outside its own definition.  `__init__.py` does not count as a reference:
 re-exporting a name is not using it.  Code that only the tests call
-belongs in `tests/` (see `tests/oracles.py`).  And the harness reads no
-field of a roughening config but its mode.
+belongs in `tests/` (see `tests/oracles.py`).  The harness reads no
+field of a roughening config but its mode, and neither the harness nor
+the CLI names a sweep arm or picks the baseline on its own.
 """
 
 import ast
@@ -69,3 +70,19 @@ def test_harness_reads_no_roughening_field_but_mode():
     tree = ast.parse((PACKAGE / "harness.py").read_text(encoding="utf-8"))
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert read & {field.name for field in fields(RougheningConfig)} == {"mode"}
+
+
+def test_harness_and_cli_leave_arm_names_and_the_baseline_to_config():
+    # `config.arm_name` formats a sweep arm's name and `RunConfig.baseline`
+    # is the one test for the baseline's mode.  A copy of either here would
+    # have to be kept in step by hand.
+    for module in ("harness.py", "cli.py"):
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.JoinedStr):
+                texts = [v.value for v in node.values if isinstance(v, ast.Constant)]
+                assert not any("@" in t for t in texts), f"{module}:{node.lineno} formats an arm name"
+            elif isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                constants = [v.value for v in operands if isinstance(v, ast.Constant)]
+                assert "none" not in constants, f"{module}:{node.lineno} tests for the baseline"
