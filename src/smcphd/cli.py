@@ -42,6 +42,12 @@ def _trial_index(text: str) -> int:
     return int(text)
 
 
+def _worker_count(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _load_config(args):
     if args.config is not None:
         config = load_run_config(args.config)
@@ -120,12 +126,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="Monte Carlo comparison run")
     _add_common(p_run)
-    p_run.add_argument("--workers", type=int, default=1, help="parallel trial processes")
+    p_run.add_argument(
+        "--workers", type=_worker_count, default=1, help="parallel trial processes"
+    )
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="gain ratio across jitter levels")
     _add_common(p_sweep)
-    p_sweep.add_argument("--workers", type=int, default=1, help="parallel trial processes")
+    p_sweep.add_argument(
+        "--workers", type=_worker_count, default=1, help="parallel trial processes"
+    )
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_scen = sub.add_parser("scenario", help="dump one realization's truth and scans")

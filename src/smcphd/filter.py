@@ -106,22 +106,29 @@ def update(pred: ParticleSet, measurements, models: ModelSet) -> ParticleSet:
         return pred
     p_d = models.detection.p_detect
     rows = likelihood(z_arr, pred.states, models.measurement)
-    # C(z) with one dot product per measurement: a single g @ w (gemv) sums
-    # in another order and does not reproduce these bits.
-    support = p_d * np.array([row @ pred.weights for row in rows])
+    # C(z) for the whole scan in one call: a stack of (1, n) @ (n, 1)
+    # products runs one ddot per measurement, the same dot `row @ w` takes.
+    # A single rows @ w (gemv) sums in another order and moves bits.
+    support = p_d * np.matmul(rows[:, None, :], pred.weights[:, None])[:, 0, 0]
     denom = clutter_intensity(z_arr, models.clutter) + support
-    live = denom > 0
     # (p_d * g) / denom stays finite even for a subnormal denominator (each
     # ratio is bounded by 1 / w_j); p_d / denom alone can overflow and then
-    # turn zero likelihoods into NaNs.
+    # turn zero likelihoods into NaNs.  A zero denominator becomes infinity,
+    # so its row of non-negative terms divides to +0.0.
     rows *= p_d
-    np.divide(rows, denom[:, None], out=rows, where=live[:, None])
-    rows[~live] = 0.0
-    # Row by row: np.add.reduce over axis 0 sums pairwise when there is a
-    # single particle, which moves bits.
-    factor = np.full(len(pred), 1.0 - p_d)
-    for row in rows:
-        factor += row
+    rows /= np.where(denom > 0, denom, np.inf)[:, None]
+    if len(rows) == 0 or len(pred) == 1:
+        # np.add.reduce sums a single column pairwise, which moves bits, so
+        # one particle takes the terms one measurement at a time.
+        factor = np.full(len(pred), 1.0 - p_d)
+        for row in rows:
+            factor += row
+    else:
+        # Over axis 0 of a C-ordered array with two or more columns the
+        # reduce adds whole rows in scan order.  Folding 1 - p_D into the
+        # first row is exact: IEEE addition commutes.
+        rows[0] += 1.0 - p_d
+        factor = np.add.reduce(rows, axis=0)
     new_weights = factor * pred.weights
     new_weights[new_weights < WEIGHT_FLOOR] = 0.0
     return ParticleSet(states=pred.states, weights=new_weights)

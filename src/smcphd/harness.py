@@ -214,7 +214,12 @@ def run_trials(config: RunConfig, workers: int = 1) -> list:
     """All trials, optionally across processes; order is by trial index
     either way, so downstream output is identical."""
     indices = list(range(config.trials))
-    workers = pool_size(workers, len(indices), os.cpu_count())
+    # The CPUs this process may run on, where the platform reports them.
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count()
+    workers = pool_size(workers, len(indices), cpus)
     if workers <= 1:
         return [run_trial(config, i) for i in indices]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -313,10 +318,12 @@ def write_summary_table(summary: RunSummary, fileobj) -> None:
 
 
 def write_sweep_table(result: SweepResult, fileobj) -> None:
-    """Sweep table: delta_r mode mean_ospa gain_ratio (plus baseline row)."""
+    """Sweep table: delta_r mode mean_ospa gain_ratio, after one baseline
+    row that holds `-` and the baseline variant's name."""
     summary = result.summary
     fileobj.write("delta_r\tmode\tmean_ospa\tgain_ratio\n")
-    fileobj.write(f"-\tbasic\t{_fmt(summary.mean_ospa[summary.baseline_name])}\t{_fmt(0.0)}\n")
+    baseline = summary.baseline_name
+    fileobj.write(f"-\t{baseline}\t{_fmt(summary.mean_ospa[baseline])}\t{_fmt(0.0)}\n")
     for delta in result.grid:
         for mode in SWEEP_MODES:
             name = arm_name(mode, delta)

@@ -14,6 +14,7 @@ from .particles import ParticleSet, round_half_up
 
 NORMAL_MIN = float(np.finfo(float).tiny)  # the smallest normal double, 2**-1022
 SUBNORMAL_SCALE = 2.0**600  # lifts any subnormal total into the normal range
+SUBNORMAL_UNIT = 2.0**-1074  # the smallest subnormal; every double is a multiple of it
 
 
 def target_count(mass: float, config: FilterConfig) -> int:
@@ -82,8 +83,19 @@ def _equalized_weights(total: float, count: int) -> np.ndarray:
     Only the first entry changes, so the sum is (count - 1) copies of x plus
     that entry: evaluated exactly as a Fraction and rounded once, it equals
     math.fsum over all entries (fsum is correctly rounded too), in O(1).
+
+    A mean below the normal range has lost its precision, and (count - 1)
+    copies of it can exceed `total`, which would leave the first entry
+    negative.  Such a total is shared out in whole multiples of the
+    smallest subnormal instead, the first entries one multiple above the
+    rest; dividing by a power of two and every such weight are exact.
     """
     x = total / count
+    if x < NORMAL_MIN:
+        quotient, remainder = divmod(int(total / SUBNORMAL_UNIT), count)
+        w = np.full(count, quotient * SUBNORMAL_UNIT)
+        w[:remainder] = (quotient + 1) * SUBNORMAL_UNIT
+        return w
     rest = Fraction(x) * (count - 1)
 
     def residual(first: float) -> float:

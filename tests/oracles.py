@@ -40,7 +40,9 @@ def ospa_bruteforce(x, y, params: OspaParams) -> float:
 
 def measurement_mass_terms(pred: ParticleSet, measurements, models: ModelSet) -> np.ndarray:
     """Per-measurement posterior mass contributions C(z)/(kappa(z)+C(z)),
-    with C(z) = p_D sum_j g(z|x_j) w_j summed as `update` sums it.
+    with C(z) = p_D sum_j g(z|x_j) w_j.  Each C(z) takes its own `row @ w`
+    dot, the independent reference for `update`'s one batched call, which
+    must give the same bits.
 
     Each term lies in [0, 1]; together with (1-p_D) times the prior mass
     they account for the full post-update mass.  A zero denominator gives

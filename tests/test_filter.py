@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import measurement_mass_terms
 from smcphd.filter import WEIGHT_FLOOR, FilterConfig, estimate_cardinality, predict, update
@@ -279,6 +279,11 @@ def _reference_mass_terms(pred, z, models):
     on_particles=st.integers(0, 5),
     seed=st.integers(0, 2**32 - 1),
 )
+# One particle and 16 measurements within 1 m of the origin: a column that a
+# pairwise sum would add in another order.
+@example(
+    n=1, m=16, p_detect=0.95, clutter_rate=10.0, spread=1.0, zero_frac=0.0, on_particles=0, seed=0
+)
 def test_update_matches_per_measurement_reference(
     n, m, p_detect, clutter_rate, spread, zero_frac, on_particles, seed
 ):
@@ -303,6 +308,17 @@ def test_update_matches_per_measurement_reference(
     assert np.array_equal(post.weights, _reference_update_weights(pred, scan, models))
     terms = measurement_mass_terms(pred, scan, models)
     assert np.array_equal(terms, _reference_mass_terms(pred, scan, models))
+
+
+def test_update_single_particle_sums_the_scan_in_order():
+    # A lone particle with 16 measurements within a few sigma of it: every
+    # term is normal, and summing the column pairwise instead of in scan
+    # order moves bits.
+    models = _models()
+    pred = ParticleSet(states=np.array([[1.0, 0.5, -2.0, 0.1]]), weights=[0.8])
+    scan = pred.states[0, [0, 2]] + np.random.default_rng(0).normal(0, 2.5, size=(16, 2))
+    post = update(pred, scan, models)
+    assert np.array_equal(post.weights, _reference_update_weights(pred, scan, models))
 
 
 @pytest.mark.xfail(strict=True, reason="update loses mass once the products in C(z) underflow")

@@ -238,6 +238,19 @@ def test_pool_size_never_exceeds_trials_or_cpus(workers, trials, cpus, expect):
     assert pool_size(workers, trials, cpus) == expect
 
 
+def test_run_trials_counts_only_the_cpus_this_process_may_use(monkeypatch):
+    # One CPU in the affinity mask: two workers would share it, so the
+    # trials run serially and no pool starts.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("run_trials started a process pool")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    config = small_config(trials=2, steps=3)
+    results = run_trials(config, workers=2)
+    assert [r.trial for r in results] == [0, 1]
+
+
 def collapse_config(death_step):
     """Six steps and one target alive on steps 1..death_step.  Detection is
     certain and there is no clutter, but the target sits at (90, 90), far
@@ -488,6 +501,35 @@ def test_cli_undefined_gain_ratio_prints_one_error_and_removes_the_out_dir(tmp_p
             "baseline mean OSPA must be finite and > 0\n"
         )
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+def test_cli_rejects_a_worker_count_below_one(tmp_path, capsys, command, workers):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:  # argparse's usage error, exit 2
+        cli_main([command, "--out", str(out), "--trials", "1", "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers: must be an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_sweep_table_names_the_baseline_variant(tmp_path):
+    cfg = tmp_path / "plain.cfg"
+    text = (
+        "scenario.steps = 4\n"
+        "scenario.targets = 1:4\n"
+        "filter.particles_per_target = 30\n"
+        "roughening.plain.mode = none\n"
+        "run.sweep_grid = 0.4\n"
+        "run.trials = 1\n"
+    )
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "sweep"
+    assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "sweep.txt").read_text().split("\n")
+    assert lines[1].startswith("-\tplain\t")
+    assert (out / "summary.txt").read_text().split("\n")[1].startswith("plain\t")
 
 
 def test_cli_rejects_bad_config(tmp_path):

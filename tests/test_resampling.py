@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smcphd.filter import FilterConfig
 from smcphd.particles import ParticleSet
@@ -127,7 +128,12 @@ def test_equalized_weights_are_near_uniform():
 
 def _reference_equalized_weights(total, count):
     """The plain formulation: re-sum every weight with math.fsum after each
-    correction of the first entry."""
+    correction of the first entry.  A subnormal mean shares the total out
+    in whole units of 2**-1074, in exact rational arithmetic: the first
+    `r` entries get one unit more than the rest."""
+    if total / count < np.finfo(float).tiny:
+        q, r = divmod(Fraction(total) * 2**1074, count)
+        return np.array([math.ldexp(int(q) + (i < r), -1074) for i in range(count)])
     w = np.full(count, total / count)
     diff = total - math.fsum(w.tolist())
     for _ in range(120):
@@ -170,6 +176,7 @@ def test_equalized_weights_match_fsum_reference(total, count):
     if isinstance(want, np.ndarray):
         assert isinstance(got, np.ndarray) and np.array_equal(got, want)
         assert math.fsum(got.tolist()) == total
+        assert np.all(got >= 0)
     else:
         assert got is want
 
@@ -189,6 +196,9 @@ _weight = st.one_of(
     scheme=st.sampled_from(["systematic", "multinomial"]),
     seed=st.integers(0, 2**32 - 1),
 )
+# A total of 3 units of 2**-1074 over at least 5 particles: a mean of 1 unit
+# per particle overshoots the total.
+@example(weights=[5e-324, 5e-324, 5e-324], per_target=9, scheme="systematic", seed=0)
 def test_resampling_over_random_weight_sets(weights, per_target, scheme, seed):
     config = FilterConfig(particles_per_target=per_target, resample_scheme=scheme)
     pset = _pset(weights, np.random.default_rng(seed))
