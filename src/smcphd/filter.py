@@ -13,10 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelSet, birth_sample, clutter_intensity, likelihood, propagate
+from .models import (
+    EXP_ZERO_BELOW,
+    ModelSet,
+    birth_sample,
+    clutter_intensity,
+    likelihood,
+    propagate,
+)
 from .particles import ParticleSet, round_half_up
 
 WEIGHT_FLOOR = 1e-300  # below this, weights are flushed to exactly zero
+# A term under 2^-60 of a sum is under half an ulp of it (at least 2^-54 of
+# the sum), so adding it rounds back to the same sum.
+_VANISHES = 2.0**-60
 RESAMPLE_SCHEMES = ("systematic", "multinomial")
 
 
@@ -92,6 +102,28 @@ def predict(
     return ParticleSet(states=states, weights=weights)
 
 
+def _exp_cuts(kappa: np.ndarray, weights: np.ndarray, models: ModelSet) -> np.ndarray | float:
+    """The exponent cut of each scan row, for `likelihood`.
+
+    A row drops its likelihoods below the normal range, each at most g_max
+    (`MeasurementModel.subnormal_cut`), only where that leaves every weight
+    bit for bit.  That holds when kappa(z) > 0 and
+      - each dropped term p_D g / (kappa + C), at most p_D g_max / kappa, is
+        under 2^-60 (1 - p_D), so it vanishes in the factor's partial sums,
+        which start at 1 - p_D;
+      - the dropped support p_D g_max sum(w) is under 2^-60 kappa, so it
+        vanishes in kappa + C.
+    Other rows (no clutter, p_D = 1, or too little clutter) keep every term.
+    """
+    p_d = models.detection.p_detect
+    if p_d >= 1.0:
+        return EXP_ZERO_BELOW
+    cut, g_max = models.measurement.subnormal_cut()
+    # n * max(w) bounds sum(w) and, in Python floats, cannot overflow.
+    dropped = p_d * g_max * max(1.0 / (1.0 - p_d), len(weights) * float(weights.max()))
+    return np.where(kappa * _VANISHES > dropped, cut, EXP_ZERO_BELOW)
+
+
 def update(pred: ParticleSet, measurements, models: ModelSet) -> ParticleSet:
     """One data-update step; reweights particles, never moves them.
 
@@ -99,22 +131,30 @@ def update(pred: ParticleSet, measurements, models: ModelSet) -> ParticleSet:
     (1 - p_D) + sum_z p_D g(z|x) / (kappa(z) + C(z)) where
     C(z) = sum_j p_D g(z|x_j) w_j, the terms added in scan order.  A
     measurement whose denominator is zero (no clutter and no particle
-    support) contributes nothing rather than dividing by zero.
+    support) contributes nothing rather than dividing by zero, and a zero
+    weight stays zero.  Likelihoods too small to move a weight are not
+    computed (`_exp_cuts`).
     """
     z_arr = np.asarray(measurements, dtype=float).reshape(-1, 2)
     if len(pred) == 0:
         return pred
     p_d = models.detection.p_detect
-    rows = likelihood(z_arr, pred.states, models.measurement)
+    kappa = clutter_intensity(z_arr, models.clutter)
+    cuts = _exp_cuts(kappa, pred.weights, models)
+    rows = likelihood(z_arr, pred.states, models.measurement, cuts)
     # C(z) for the whole scan in one call: a stack of (1, n) @ (n, 1)
     # products runs one ddot per measurement, the same dot `row @ w` takes.
     # A single rows @ w (gemv) sums in another order and moves bits.
     support = p_d * np.matmul(rows[:, None, :], pred.weights[:, None])[:, 0, 0]
-    denom = clutter_intensity(z_arr, models.clutter) + support
-    # (p_d * g) / denom stays finite even for a subnormal denominator (each
-    # ratio is bounded by 1 / w_j); p_d / denom alone can overflow and then
-    # turn zero likelihoods into NaNs.  A zero denominator becomes infinity,
-    # so its row of non-negative terms divides to +0.0.
+    denom = kappa + support
+    # (p_d * g) / denom stays finite for w_j > 0 even for a subnormal
+    # denominator (each ratio is bounded by 1 / w_j); p_d / denom alone can
+    # overflow and then turn zero likelihoods into NaNs.  A zero weight has
+    # no such bound, and its column is dropped: inf * 0 would be NaN.  A
+    # zero denominator becomes infinity, so its row divides to +0.0.
+    dead = pred.weights == 0.0
+    if dead.any():
+        rows[:, dead] = 0.0
     rows *= p_d
     rows /= np.where(denom > 0, denom, np.inf)[:, None]
     if len(rows) == 0 or len(pred) == 1:

@@ -20,6 +20,10 @@ _TWO_PI = 2.0 * math.pi
 # np.exp returns exactly 0.0 for every argument below this: e^-750 < 2^-1082,
 # far under half the smallest subnormal double (2^-1075).
 EXP_ZERO_BELOW = -750.0
+# The smallest normal double, 2^-1022, and its log.  Below it np.exp returns
+# a subnormal through a slow path, about 100 times the cost of a normal one.
+_NORMAL_MIN = float(np.finfo(float).tiny)
+_LN_NORMAL_MIN = math.log(_NORMAL_MIN)
 
 
 def check_number(key: str, value, minimum: float | None = None, *, strict: bool = False) -> None:
@@ -109,6 +113,20 @@ class MeasurementModel:
 
     def min_std(self) -> float:
         return min(self.sigma_w1, self.sigma_w2)
+
+    def norm(self) -> float:
+        """The likelihood's peak 1 / (2 pi sw1 sw2): g = norm * e^arg."""
+        return 1.0 / (_TWO_PI * self.sigma_w1 * self.sigma_w2)
+
+    def subnormal_cut(self) -> tuple[float, float]:
+        """(cut, g_max): the exponent max(ln 2^-1022, ln(2^-1022 / norm))
+        below which norm * e^arg leaves the normal range, or e^arg does when
+        norm > 1, and a bound on every likelihood below it.  The bound,
+        2^-1021 * max(1, norm), is twice the exact one: slack for the
+        rounding of the cut, of exp and of the product."""
+        norm = self.norm()
+        cut = _LN_NORMAL_MIN - min(0.0, math.log(norm))
+        return cut, 2.0 * _NORMAL_MIN * max(1.0, norm)
 
 
 @dataclass
@@ -204,17 +222,20 @@ def propagate(states, motion: MotionModel, rng: np.random.Generator) -> np.ndarr
     return out
 
 
-def likelihood(z, states, meas: MeasurementModel) -> np.ndarray:
+def likelihood(z, states, meas: MeasurementModel, cut=EXP_ZERO_BELOW) -> np.ndarray:
     """Measurement likelihoods N(zx; px, sw1^2) * N(zy; py, sw2^2).
 
     For measurements z (m, 2) and states (n, 4), returns the (m, n) array
     whose row i holds g(z_i | x_j) for every state j.  Pairs whose exponent
-    lies below EXP_ZERO_BELOW are set to exactly 0.0 without calling `exp`,
-    which would return the same 0.0 only after a slow underflow path.
+    lies below `cut`, a scalar or one value per row, are set to exactly 0.0
+    without calling `exp`.  The default, EXP_ZERO_BELOW, gives the values
+    `exp` would give, which returns the same 0.0 only after a slow
+    underflow path; `update` passes a higher cut for rows where it drops
+    subnormal likelihoods (`MeasurementModel.subnormal_cut`).
     """
     zv = _as_measurements(z)
     x = _as_state(states)
-    norm = 1.0 / (_TWO_PI * meas.sigma_w1 * meas.sigma_w2)
+    norm = meas.norm()
     px = np.ascontiguousarray(x[:, 0])
     py = np.ascontiguousarray(x[:, 2])
     # In place, in the order (dx*dx + dy*dy) * -0.5, with at most two (m, n)
@@ -228,7 +249,7 @@ def likelihood(z, states, meas: MeasurementModel) -> np.ndarray:
     arg += dy
     del dy
     arg *= -0.5
-    live = arg >= EXP_ZERO_BELOW
+    live = arg >= np.reshape(cut, (-1, 1))
     vals = arg[live]
     np.exp(vals, out=vals)
     vals *= norm

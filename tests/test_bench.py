@@ -9,13 +9,17 @@ import pytest
 from smcphd.extraction import extract_states, weighted_kmeans
 from smcphd.filter import FilterConfig, update
 from smcphd.metrics import OspaParams, ospa
-from smcphd.models import ModelSet
+from smcphd.models import ClutterModel, ModelSet
 from smcphd.particles import ParticleSet
 from smcphd.resampling import resample
 
 pytestmark = pytest.mark.bench
 
 TARGETS = 4
+SURVEILLANCE = (-100.0, 100.0, -100.0, 100.0)
+# A clutter band clear of every target: each detection's row has no clutter
+# (kappa = 0), so `update` keeps all of its likelihoods, subnormal ones too.
+CLEAR_OF_TARGETS = (-100.0, 100.0, 50.0, 100.0)
 
 
 def _filter_like_cloud(n_particles: int, seed: int = 0) -> ParticleSet:
@@ -37,13 +41,14 @@ def _filter_like_cloud(n_particles: int, seed: int = 0) -> ParticleSet:
     return ParticleSet(states=states, weights=weights)
 
 
-def _scan(clutter_points: int, seed: int = 0) -> np.ndarray:
+def _scan(clutter_points: int, region=SURVEILLANCE, seed: int = 0) -> np.ndarray:
     """One benchmark-like scan: a detection near each target plus
-    `clutter_points` clutter points over the surveillance region (10 in the
-    paper presets, 50 in perfbench's clutter50 workload)."""
+    `clutter_points` clutter points over `region` (10 in the paper presets,
+    50 in perfbench's clutter50 workload)."""
     rng = np.random.default_rng(seed)
     detections = _filter_like_cloud(TARGETS, seed).states[:, [0, 2]]
-    clutter = rng.uniform(-100.0, 100.0, size=(clutter_points, 2))
+    xmin, xmax, ymin, ymax = region
+    clutter = rng.uniform([xmin, ymin], [xmax, ymax], size=(clutter_points, 2))
     return np.vstack([detections, clutter])
 
 
@@ -67,11 +72,23 @@ def test_weighted_kmeans(benchmark, n_particles, k):
     assert centers.shape == (k, 4)
 
 
-@pytest.mark.parametrize("n_particles, clutter_points", [(800, 10), (4000, 10), (800, 50)])
-def test_update(benchmark, n_particles, clutter_points):
+@pytest.mark.parametrize(
+    "n_particles, clutter_points, region",
+    [
+        (800, 10, SURVEILLANCE),
+        (4000, 10, SURVEILLANCE),
+        (800, 50, SURVEILLANCE),
+        (800, 50, CLEAR_OF_TARGETS),
+    ],
+    ids=["800-10", "4000-10", "800-50", "800-50-clear"],
+)
+def test_update(benchmark, n_particles, clutter_points, region):
+    """Every row with clutter drops its subnormal likelihoods; with the
+    clutter clear of the targets, the detections' rows keep theirs."""
     pset = _filter_like_cloud(n_particles)
-    scan = _scan(clutter_points)
-    post = benchmark(lambda: update(pset, scan, ModelSet()))
+    scan = _scan(clutter_points, region)
+    models = ModelSet(clutter=ClutterModel(rate=10.0, region=region))
+    post = benchmark(lambda: update(pset, scan, models))
     assert len(post) == n_particles
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -252,11 +253,14 @@ def _reference_support(pred, z, models):
 
 
 def _reference_update_weights(pred, z, models):
+    # A zero weight stays zero, and its terms are not formed: it has no share
+    # in C(z), so p_D g / C(z) can overflow, and inf * 0 is NaN.
     p_d = models.detection.p_detect
+    live = pred.weights > 0
     factor = np.full(len(pred), 1.0 - p_d)
     for g, _, denom in _reference_support(pred, z, models):
         if denom > 0:
-            factor = factor + (p_d * g) / denom
+            factor[live] = factor[live] + (p_d * g[live]) / denom
     new_weights = factor * pred.weights
     new_weights[new_weights < WEIGHT_FLOOR] = 0.0
     return new_weights
@@ -319,6 +323,115 @@ def test_update_single_particle_sums_the_scan_in_order():
     scan = pred.states[0, [0, 2]] + np.random.default_rng(0).normal(0, 2.5, size=(16, 2))
     post = update(pred, scan, models)
     assert np.array_equal(post.weights, _reference_update_weights(pred, scan, models))
+
+
+def test_update_zero_weight_particle_on_an_unsupported_measurement_stays_zero():
+    # No clutter, and the scan point sits on a zero-weight particle 96 m
+    # from the only weighted one: C(z) is subnormal, p_D g / C(z) overflows
+    # for the zero-weight particle, and inf * 0 would be NaN.
+    models = _models(clutter=ClutterModel(rate=0.0, region=(-100, 100, -100, 100)))
+    pred = ParticleSet(states=[[0, 0, 0, 0], [96, 0, 0, 0]], weights=[0.0, 0.05])
+    scan = np.array([[0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        post = update(pred, scan, models)
+    alone = ParticleSet(states=pred.states[1:], weights=pred.weights[1:])
+    assert post.weights[0] == 0.0
+    assert np.array_equal(post.weights[1:], _reference_update_weights(alone, scan, models))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 120),
+    m=st.integers(1, 40),
+    p_detect=st.one_of(st.sampled_from([0.95, 1.0 - 2.0**-40, 1.0]), st.floats(0.0, 1.0)),
+    clutter=st.one_of(
+        st.none(),
+        st.tuples(st.just("bound"), st.floats(-40.0, 8.0)),
+        st.tuples(st.just("level"), st.floats(-20.0, 5.0)),
+    ),
+    sigma=st.tuples(st.floats(0.02, 3.0), st.floats(0.02, 3.0)),
+    weight_scale=st.sampled_from([0.05, 1.0, 50.0]),
+    zero_frac=st.sampled_from([0.0, 0.1, 0.5]),
+    clustered=st.booleans(),
+    at_cut=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_update_matches_reference_at_the_subnormal_cut(
+    n, m, p_detect, clutter, sigma, weight_scale, zero_frac, clustered, at_cut, seed
+):
+    # update drops a row's subnormal likelihoods only where kappa(z) bounds
+    # every dropped term and the dropped support.  Clutter "bound" puts
+    # kappa from 2^-40 to 2^8 times that bound, far enough below it to
+    # catch a rule that drops terms which move bits; "level" gives kappa =
+    # 2^x, and None no clutter.  Half the scan points lie 36 to 40 sigma
+    # from a particle, where the likelihoods turn subnormal (37.6 to 38.6
+    # sigma), or within 0.1 sigma past the cut, where the dropped terms
+    # are largest; the rest reach past the clutter region, where kappa = 0.
+    # A clustered cloud drops many particles in one row, which tests the
+    # bound on the dropped support.  sigma1 * sigma2 < 1 / (2 pi) gives a
+    # likelihood peak above 1, where the cut is set by exp alone.
+    rng = np.random.default_rng(seed)
+    measurement = MeasurementModel(sigma_w1=sigma[0], sigma_w2=sigma[1])
+    cut, g_max = measurement.subnormal_cut()
+    weights = rng.uniform(0, weight_scale, size=n)
+    weights[rng.random(n) < zero_frac] = 0.0
+    kappa = 0.0
+    if clutter is not None:
+        kind, x = clutter
+        kappa = 2.0**x
+        if kind == "bound":
+            # p_D = 1 never drops a term; it takes the bound of the largest
+            # p_D below 1.
+            q = max(1.0 - p_detect, 2.0**-53)
+            kappa *= 2.0**60 * p_detect * g_max * max(1.0 / q, n * weights.max())
+    models = _models(
+        measurement=measurement,
+        clutter=ClutterModel(rate=kappa * 200.0 * 200.0, region=(-100, 100, -100, 100)),
+        detection=DetectionModel(p_survive=0.95, p_detect=p_detect),
+    )
+    if clustered:
+        states = rng.uniform(-50, 50, size=4) + rng.normal(size=(n, 4)) * 0.01 * min(sigma)
+    else:
+        states = rng.uniform(-150, 150, size=(n, 4))
+    pred = ParticleSet(states=states, weights=weights)
+    scan = rng.uniform(-150, 150, size=(m, 2))
+    near = rng.random(m) < 0.5
+    if at_cut:
+        r = math.sqrt(-2.0 * cut) + rng.uniform(0.0, 0.1, size=m)
+    else:
+        r = rng.uniform(36.0, 40.0, size=m)
+    angle = rng.uniform(0, 2 * np.pi, size=m)
+    picked = states[rng.integers(0, n, size=m)]
+    scan[near, 0] = (picked[:, 0] + r * np.cos(angle) * sigma[0])[near]
+    scan[near, 1] = (picked[:, 2] + r * np.sin(angle) * sigma[1])[near]
+    post = update(pred, scan, models)
+    assert np.array_equal(post.weights, _reference_update_weights(pred, scan, models))
+
+
+def test_update_keeps_the_denominator_of_a_row_dropping_a_whole_cloud():
+    # 100 particles of weight 50 lie just past the cut from the scan point,
+    # and one of weight 2^-980 sits on it.  Near kappa = 2^-10 of the
+    # bound, the cloud's dropped support (about 100 * 50 * 2^-1023) would
+    # show in kappa + C, and with it the lone particle's term p_D g / (kappa
+    # + C): only the bound on the dropped support keeps these rows whole.
+    measurement = MeasurementModel(sigma_w1=2.5, sigma_w2=2.5)
+    cut, g_max = measurement.subnormal_cut()
+    r = (math.sqrt(-2.0 * cut) + 0.001) * 2.5
+    states = np.zeros((101, 4))
+    states[-1, 2] = r
+    weights = np.append(np.full(100, 50.0), 2.0**-980)
+    pred = ParticleSet(states=states, weights=weights)
+    scan = np.array([[0.0, r]])
+    bound = 2.0**60 * 0.5 * g_max * 101 * 50.0
+    for shift in range(-16, 3):
+        models = _models(
+            measurement=measurement,
+            clutter=ClutterModel(rate=bound * 2.0**shift * 200.0 * 200.0),
+            detection=DetectionModel(p_survive=0.95, p_detect=0.5),
+        )
+        post = update(pred, scan, models)
+        assert np.array_equal(post.weights, _reference_update_weights(pred, scan, models))
 
 
 @pytest.mark.xfail(strict=True, reason="update loses mass once the products in C(z) underflow")

@@ -148,6 +148,58 @@ def test_exp_is_exactly_zero_below_threshold():
     assert np.exp(-745.0) > 0.0
 
 
+# Likelihood peaks 1 / (2 pi sigma1 sigma2) from 6e-5 to 64, both sides of 1.
+@pytest.mark.parametrize("sigma", [(50.0, 50.0), (2.5, 2.5), (0.4, 0.4), (0.1, 0.1), (0.05, 0.05)])
+def test_subnormal_cut_bounds_every_dropped_likelihood(sigma):
+    # `update` certifies a row by the bound g_max on every likelihood that
+    # the cut drops; that is only sound if norm * exp(arg) stays at or
+    # below it for every exponent below the cut.
+    meas = MeasurementModel(sigma_w1=sigma[0], sigma_w2=sigma[1])
+    norm = meas.norm()
+    cut, g_max = meas.subnormal_cut()
+    tiny = 2.0**-1022
+    assert cut == pytest.approx(max(math.log(tiny), math.log(tiny) - math.log(norm)), rel=1e-15)
+    grid = np.linspace(cut - 40.0, cut, 1_000_001)
+    assert grid[-1] == cut
+    below = np.append(grid[:-1], np.nextafter(cut, -np.inf))
+    assert np.all(norm * np.exp(below) <= g_max)
+    # The cut drops no more than it must: at the cut itself both exp's
+    # result and the likelihood are normal.
+    assert np.exp(cut) >= tiny and norm * np.exp(cut) >= tiny
+
+
+@pytest.mark.parametrize("sigma", [(2.5, 2.5), (0.1, 0.1)])
+def test_likelihood_per_row_cut_drops_only_pairs_below_it(sigma):
+    meas = MeasurementModel(sigma_w1=sigma[0], sigma_w2=sigma[1])
+    cut, _ = meas.subnormal_cut()
+    rng = np.random.default_rng(5)
+    states = rng.uniform(-100, 100, size=(300, 4))
+    # Scan points 36 to 40 sigma from a particle: the exponents straddle
+    # the cut and EXP_ZERO_BELOW.
+    r = rng.uniform(36.0, 40.0, size=40)
+    angle = rng.uniform(0, 2 * np.pi, size=40)
+    picked = states[rng.integers(0, 300, size=40)]
+    z = np.column_stack(
+        [
+            picked[:, 0] + r * np.cos(angle) * sigma[0],
+            picked[:, 2] + r * np.sin(angle) * sigma[1],
+        ]
+    )
+    certified = np.arange(40) % 2 == 0
+    cuts = np.where(certified, cut, EXP_ZERO_BELOW)
+    default = likelihood(z, states, meas)
+    got = likelihood(z, states, meas, cuts)
+    assert np.array_equal(got[~certified], default[~certified])
+    dx = (z[:, :1] - states[:, 0]) / sigma[0]
+    dy = (z[:, 1:] - states[:, 2]) / sigma[1]
+    arg = (dx * dx + dy * dy) * -0.5
+    dropped = certified[:, None] & (arg < cut)
+    assert np.all(got[dropped] == 0.0)
+    assert np.array_equal(got[~dropped], default[~dropped])
+    # The cut did drop nonzero likelihoods.
+    assert np.any(default[dropped] > 0.0)
+
+
 def test_clutter_intensity_values():
     clutter = ClutterModel(rate=10.0, region=(-100, 100, -100, 100))
     z = np.array([[0.0, 0.0], [99.0, -99.0], [100.0, -100.0], [200.0, 0.0], [0.0, -100.5]])
