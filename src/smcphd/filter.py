@@ -80,7 +80,9 @@ def predict(
     Birth particles are drawn from the birth density and each carries
     weight mass/J, so the appended birth mass equals the configured birth
     mass by construction.  Direct roughening is a motion model with
-    inflated noise (`roughening.direct_motion`) passed in `models`.
+    inflated noise (`roughening.direct_motion`) passed in `models`.  Every
+    weight below WEIGHT_FLOOR, survivor or birth, is then flushed to zero,
+    as `update` requires; a birth mass under J * WEIGHT_FLOOR adds none.
     """
     if len(prev) > 0:
         surv_states = propagate(prev.states, models.motion, rng)
@@ -98,7 +100,8 @@ def predict(
     else:
         states = surv_states
         weights = surv_weights
-
+    # A new array: with no survivors and no births `weights` is `prev.weights`.
+    weights = np.where(weights < WEIGHT_FLOOR, 0.0, weights)
     return ParticleSet(states=states, weights=weights)
 
 
@@ -134,6 +137,10 @@ def update(pred: ParticleSet, measurements, models: ModelSet) -> ParticleSet:
     support) contributes nothing rather than dividing by zero, and a zero
     weight stays zero.  Likelihoods too small to move a weight are not
     computed (`_exp_cuts`).
+
+    Every weight must be 0 or at least WEIGHT_FLOOR, as `predict` leaves
+    them: each term p_D g / C(z) is bounded by 1 / w_j, which overflows for
+    a positive weight below about 5.6e-309.
     """
     z_arr = np.asarray(measurements, dtype=float).reshape(-1, 2)
     if len(pred) == 0:

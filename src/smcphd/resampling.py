@@ -74,15 +74,11 @@ def _points_to_indices(w: np.ndarray, total: float, points: np.ndarray) -> np.nd
 def _equalized_weights(total: float, count: int) -> np.ndarray:
     """`count` near-equal weights whose compensated sum equals `total` exactly.
 
-    Starts from total/count everywhere and folds the residual (a few ulps)
-    into the first entry until the compensated sum reproduces `total` bit
-    for bit.  When the exact sum sits on a rounding midpoint a full-step
-    correction oscillates between the two neighbours, so the step is halved
-    until it makes progress.
-
-    Only the first entry changes, so the sum is (count - 1) copies of x plus
-    that entry: evaluated exactly as a Fraction and rounded once, it equals
-    math.fsum over all entries (fsum is correctly rounded too), in O(1).
+    Every weight but the first is x = total/count; the first takes the exact
+    remainder total - (count - 1) x, rounded once (`float(Fraction)`).  For
+    count <= 2 that remainder is exact.  For count >= 3 it lies below
+    total/2, so its rounding error is at most ulp(total)/4, and math.fsum
+    of the weights, correctly rounded, gives back `total`.
 
     A mean below the normal range has lost its precision, and (count - 1)
     copies of it can exceed `total`, which would leave the first entry
@@ -96,30 +92,9 @@ def _equalized_weights(total: float, count: int) -> np.ndarray:
         w = np.full(count, quotient * SUBNORMAL_UNIT)
         w[:remainder] = (quotient + 1) * SUBNORMAL_UNIT
         return w
-    rest = Fraction(x) * (count - 1)
-
-    def residual(first: float) -> float:
-        return total - float(rest + Fraction(first))
-
-    first = x
-    diff = residual(first)
-    for _ in range(120):
-        if diff == 0.0:
-            w = np.full(count, x)
-            w[0] = first
-            return w
-        step = diff
-        while True:
-            first += step
-            new_diff = residual(first)
-            if abs(new_diff) < abs(diff):
-                diff = new_diff
-                break
-            first -= step
-            step *= 0.5
-            if step == 0.0:
-                raise ArithmeticError("weight equalization failed to converge")
-    raise ArithmeticError("weight equalization failed to converge")
+    w = np.full(count, x)
+    w[0] = float(Fraction(total) - Fraction(x) * (count - 1))
+    return w
 
 
 def resample(

@@ -81,6 +81,19 @@ def test_predict_empty_input_zero_birth_gives_empty_output():
     assert len(out) == 0
 
 
+def test_predict_flushes_weights_below_the_floor():
+    # Survivors: 0.95 * 1e-300 falls under the floor, 0.95 * 2e-300 does
+    # not.  Births: 1e-308 over 400 particles is about 2.5e-311 each.
+    models = _models(birth=BirthModel(mass=1e-308))
+    config = FilterConfig(particles_per_target=200, birth_particles=400)
+    prev = ParticleSet(states=np.zeros((3, 4)), weights=[2e-300, 1e-300, 0.5])
+    out = predict(prev, models, config, np.random.default_rng(7))
+    assert len(out) == 3 + 400
+    assert np.array_equal(out.weights[:3], [0.95 * 2e-300, 0.0, 0.95 * 0.5])
+    assert np.all(out.weights[3:] == 0.0)
+    assert np.array_equal(prev.weights, [2e-300, 1e-300, 0.5])
+
+
 def _direct_models(prev, roughening, models=None):
     """The models of a direct-roughening prediction from `prev`."""
     models = models or _models()

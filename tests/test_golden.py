@@ -9,9 +9,16 @@ why.
 import ast
 import hashlib
 import io
+import os
 import shlex
+import signal
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from smcphd.cli import build_parser
 from smcphd.config import (
@@ -97,6 +104,41 @@ def _readme_python_blocks() -> list:
 
 def test_np200_three_trial_tables_match_golden_hashes():
     _assert_golden(benchmark_preset(200, trials=3, master_seed=1))
+
+
+def _dynamic_arch_openblas() -> bool:
+    """numpy's BLAS is an OpenBLAS built with DYNAMIC_ARCH, so that
+    OPENBLAS_CORETYPE picks its kernels at run time."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26, or no BLAS entry
+        return False
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get(
+        "openblas configuration", ""
+    )
+
+
+@pytest.mark.skipif(not _dynamic_arch_openblas(), reason="needs a DYNAMIC_ARCH OpenBLAS")
+def test_np200_golden_holds_under_the_haswell_blas_kernels():
+    # The tables must not depend on which CPU kernels OpenBLAS picks: the
+    # dot products of `update` and k-means run on the Haswell kernels here.
+    tests = Path(__file__).resolve().parent
+    src = str(tests.parent / "src")
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import test_golden; test_golden.test_np200_three_trial_tables_match_golden_hashes()",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        cwd=tests,
+        env={**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": f"{src}{os.pathsep}{tests}"},
+    )
+    if proc.returncode == -signal.SIGILL:
+        pytest.skip("this CPU cannot run the Haswell kernels")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_readme_config_block_is_the_defaults():

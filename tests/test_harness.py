@@ -7,12 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import smcphd
 from oracles import write_variant_table
 from smcphd import harness
 from smcphd.cli import main as cli_main
-from smcphd.config import VariantSpec, benchmark_preset, load_run_config
+from smcphd.config import VariantSpec, benchmark_preset, load_run_config, run_config_from_mapping
 from smcphd.harness import (
     TrialError,
     pool_size,
@@ -539,6 +540,94 @@ def test_cli_rejects_bad_config(tmp_path):
     unknown = tmp_path / "unknown.cfg"
     unknown.write_text("nope = 1\n", encoding="utf-8")
     assert cli_main(["run", "--config", str(unknown), "--out", str(tmp_path / "y")]) == 2
+
+
+# Birth weights of 1e-308 / 400 and no survivors: every weight that reaches
+# the update is subnormal unless predict flushes it.
+SUBNORMAL_BIRTH_CONFIG = {
+    "birth.mass": "1e-308",
+    "filter.birth_particles": "400",
+    "clutter.rate": "0",
+    "detection.p_survive": "0",
+    "scenario.steps": "1",
+    "scenario.targets": "1:1, 1:1, 1:1, 1:1",
+}
+
+
+def test_cli_run_with_subnormal_birth_weights_writes_both_tables(tmp_path, capsys):
+    cfg = tmp_path / "subnormal.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in SUBNORMAL_BIRTH_CONFIG.items()))
+    out = tmp_path / "o"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out), "--trials", "2"]) == 0
+    assert "error" not in capsys.readouterr().err
+    # Every variant collapses at step 1 and scores the cutoff against four targets.
+    assert (out / "trials.txt").read_text().split("\n")[1] == "0\t1\tbasic\t4\t0\t100"
+    assert (out / "summary.txt").exists()
+
+
+def _log_uniform(low_exp, high_exp):
+    return st.floats(low_exp, high_exp).map(lambda e: repr(10.0**e))
+
+
+_PROBABILITY = st.one_of(
+    st.sampled_from(["0", "1", repr(1 - 2.0**-40)]), st.floats(0, 1).map(repr)
+)
+_BOOLEAN = st.sampled_from(["true", "false"])
+
+
+@st.composite
+def _loadable_configs(draw):
+    """Config mappings over the model space that load, at 1-4 steps and at
+    most 50 particles per target; the separate and direct variants each
+    take a fixed or a Gordon jitter."""
+    steps = draw(st.integers(1, 4))
+    schedule = st.tuples(st.integers(1, steps), st.integers(1, steps)).map(sorted)
+    targets = draw(st.lists(schedule, min_size=1, max_size=4))
+    kv = {
+        "scenario.steps": str(steps),
+        "scenario.targets": ", ".join(f"{b}:{d}" for b, d in targets),
+        "motion.sampling_interval": draw(_log_uniform(-6, 0.3)),
+        "measurement.sigma_w1": draw(_log_uniform(-3, 3)),
+        "measurement.sigma_w2": draw(_log_uniform(-3, 3)),
+        "birth.mass": draw(
+            st.one_of(
+                st.sampled_from(["0", "1e-300", "1e-308", "5e-324"]), st.floats(0, 3).map(repr)
+            )
+        ),
+        "filter.birth_particles": str(draw(st.integers(0, 400))),
+        "clutter.rate": draw(st.one_of(st.sampled_from(["0", "1e-320"]), st.floats(0, 60).map(repr))),
+        # Over the targets, which start near the origin, or beside them.
+        "clutter.region": draw(st.sampled_from(["-100, 100, -100, 100", "150, 350, -100, 100"])),
+        "detection.p_survive": draw(_PROBABILITY),
+        "detection.p_detect": draw(_PROBABILITY),
+        "filter.particles_per_target": str(draw(st.integers(1, 50))),
+        "resample.scheme": draw(st.sampled_from(["systematic", "multinomial"])),
+        "run.master_seed": str(draw(st.integers(0, 2**32 - 1))),
+        "roughening.basic.mode": "none",
+    }
+    for mode in ("separate", "direct"):
+        keys = {"mode": mode, "cap_to_measurement": draw(_BOOLEAN)}
+        if draw(st.booleans()):
+            keys["jitter_std"] = repr(draw(st.floats(0, 5)))
+        else:
+            keys["gordon_constant"] = repr(draw(st.floats(0, 1)))
+            keys["gordon_positive_exponent"] = draw(_BOOLEAN)
+        kv.update({f"roughening.{mode}.{k}": v for k, v in keys.items()})
+    return kv
+
+
+@settings(max_examples=100, deadline=None)
+@given(kv=_loadable_configs())
+@example(kv=SUBNORMAL_BIRTH_CONFIG)
+def test_every_loadable_config_runs_cleanly(kv):
+    # A config that loads runs to the end with no numeric warning: the
+    # suite turns every RuntimeWarning into an error.
+    config = run_config_from_mapping(kv)
+    result = run_trial(config, 0)
+    for name in config.variant_names():
+        assert np.all(result.est_counts[name] >= 0)
+        values = result.ospa_values[name]
+        assert np.all((values >= 0) & (values <= config.ospa.cutoff))
 
 
 def test_cli_seed_and_trials_overrides(tmp_path):

@@ -127,37 +127,11 @@ def test_equalized_weights_are_near_uniform():
 
 
 def _reference_equalized_weights(total, count):
-    """The plain formulation: re-sum every weight with math.fsum after each
-    correction of the first entry.  A subnormal mean shares the total out
-    in whole units of 2**-1074, in exact rational arithmetic: the first
-    `r` entries get one unit more than the rest."""
-    if total / count < np.finfo(float).tiny:
-        q, r = divmod(Fraction(total) * 2**1074, count)
-        return np.array([math.ldexp(int(q) + (i < r), -1074) for i in range(count)])
-    w = np.full(count, total / count)
-    diff = total - math.fsum(w.tolist())
-    for _ in range(120):
-        if diff == 0.0:
-            return w
-        step = diff
-        while True:
-            w[0] += step
-            new_diff = total - math.fsum(w.tolist())
-            if abs(new_diff) < abs(diff):
-                diff = new_diff
-                break
-            w[0] -= step
-            step *= 0.5
-            if step == 0.0:
-                raise ArithmeticError("weight equalization failed to converge")
-    raise ArithmeticError("weight equalization failed to converge")
-
-
-def _outcome(fn, total, count):
-    try:
-        return fn(total, count)
-    except ArithmeticError as exc:
-        return type(exc)
+    """The subnormal-mean split in exact rational arithmetic: the total is
+    shared out in whole units of 2**-1074, the first `r` entries one unit
+    more than the rest."""
+    q, r = divmod(Fraction(total) * 2**1074, count)
+    return np.array([math.ldexp(int(q) + (i < r), -1074) for i in range(count)])
 
 
 @settings(max_examples=300, deadline=None)
@@ -170,15 +144,17 @@ def _outcome(fn, total, count):
     ),
     count=st.one_of(st.integers(1, 64), st.integers(1, 5000)),
 )
-def test_equalized_weights_match_fsum_reference(total, count):
-    got = _outcome(_equalized_weights, total, count)
-    want = _outcome(_reference_equalized_weights, total, count)
-    if isinstance(want, np.ndarray):
-        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
-        assert math.fsum(got.tolist()) == total
-        assert np.all(got >= 0)
+# The largest double in three parts: no step may overflow.
+@example(total=1.7976931348623157e308, count=3)
+def test_equalized_weights_sum_exactly_to_the_total(total, count):
+    w = _equalized_weights(total, count)
+    assert len(w) == count
+    assert math.fsum(w.tolist()) == total
+    assert np.all(w >= 0)
+    if total / count >= np.finfo(float).tiny:
+        assert np.all(w[1:] == total / count)
     else:
-        assert got is want
+        assert np.array_equal(w, _reference_equalized_weights(total, count))
 
 
 _weight = st.one_of(
