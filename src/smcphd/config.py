@@ -52,6 +52,7 @@ class RunConfig:
             raise ValueError(f"run.master_seed must be >= 0, got {self.master_seed}")
         if not self.variants:
             raise ValueError("at least one filter variant is required")
+        self.filter.birth_particle_count(self.scenario.models.birth.mass)  # checks the bound
         names = self.variant_names()
         if len(set(names)) != len(names):
             raise ValueError(f"variant names must be unique, got {names}")

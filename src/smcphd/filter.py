@@ -23,7 +23,9 @@ from .models import (
 )
 from .particles import ParticleSet, round_half_up
 
-WEIGHT_FLOOR = 1e-300  # below this, weights are flushed to exactly zero
+# The most particles a set may be asked for (not a config key): the weight
+# floor 1e-300 over 2**20 is a normal mean, and 54 x 2**20 likelihoods fit in 0.5 GB.
+MAX_PARTICLES = 2**20
 # A term under 2^-60 of a sum is under half an ulp of it (at least 2^-54 of
 # the sum), so adding it rounds back to the same sum.
 _VANISHES = 2.0**-60
@@ -45,16 +47,17 @@ class FilterConfig:
     resample_scheme: str = "systematic"
 
     def __post_init__(self):
-        if self.particles_per_target < 1:
-            raise ValueError(
-                f"filter.particles_per_target must be >= 1, got {self.particles_per_target}"
-            )
-        if self.birth_particles is not None and self.birth_particles < 0:
-            raise ValueError(f"filter.birth_particles must be >= 0, got {self.birth_particles}")
         if self.min_particles is None:
             self.min_particles = math.ceil(self.particles_per_target / 2)
-        if self.min_particles < 1:
-            raise ValueError(f"filter.min_particles must be >= 1, got {self.min_particles}")
+        for key, value, low in (
+            ("particles_per_target", self.particles_per_target, 1),
+            ("birth_particles", self.birth_particles, 0),
+            ("min_particles", self.min_particles, 1),
+        ):
+            if value is not None and not low <= value <= MAX_PARTICLES:
+                raise ValueError(
+                    f"filter.{key} must be in [{low}, MAX_PARTICLES = {MAX_PARTICLES}], got {value}"
+                )
         if self.resample_scheme not in RESAMPLE_SCHEMES:
             raise ValueError(
                 f"resample.scheme must be one of {', '.join(RESAMPLE_SCHEMES)}, "
@@ -64,7 +67,13 @@ class FilterConfig:
     def birth_particle_count(self, birth_mass: float) -> int:
         if self.birth_particles is not None:
             return self.birth_particles
-        return round_half_up(birth_mass * self.particles_per_target)
+        share = birth_mass * self.particles_per_target
+        if share >= MAX_PARTICLES + 0.5:  # rounds above the bound, or is inf
+            raise ValueError(
+                f"birth.mass: {birth_mass} births round({share:g}) particles, more than "
+                f"MAX_PARTICLES = {MAX_PARTICLES}; set filter.birth_particles"
+            )
+        return round_half_up(share)
 
 
 def predict(
@@ -80,9 +89,10 @@ def predict(
     Birth particles are drawn from the birth density and each carries
     weight mass/J, so the appended birth mass equals the configured birth
     mass by construction.  Direct roughening is a motion model with
-    inflated noise (`roughening.direct_motion`) passed in `models`.  Every
-    weight below WEIGHT_FLOOR, survivor or birth, is then flushed to zero,
-    as `update` requires; a birth mass under J * WEIGHT_FLOOR adds none.
+    inflated noise (`roughening.direct_motion`) passed in `models`.  The
+    returned `ParticleSet` holds a survivor or birth weight under the
+    weight floor (1e-300) as zero, so a birth mass under J * 1e-300 adds
+    none.
     """
     if len(prev) > 0:
         surv_states = propagate(prev.states, models.motion, rng)
@@ -100,8 +110,6 @@ def predict(
     else:
         states = surv_states
         weights = surv_weights
-    # A new array: with no survivors and no births `weights` is `prev.weights`.
-    weights = np.where(weights < WEIGHT_FLOOR, 0.0, weights)
     return ParticleSet(states=states, weights=weights)
 
 
@@ -136,11 +144,9 @@ def update(pred: ParticleSet, measurements, models: ModelSet) -> ParticleSet:
     measurement whose denominator is zero (no clutter and no particle
     support) contributes nothing rather than dividing by zero, and a zero
     weight stays zero.  Likelihoods too small to move a weight are not
-    computed (`_exp_cuts`).
-
-    Every weight must be 0 or at least WEIGHT_FLOOR, as `predict` leaves
-    them: each term p_D g / C(z) is bounded by 1 / w_j, which overflows for
-    a positive weight below about 5.6e-309.
+    computed (`_exp_cuts`).  A `ParticleSet` holds every weight at 0 or
+    at least the weight floor (1e-300), which bounds each term p_D g / C(z)
+    by 1 / w_j <= 1e300, and a new weight under the floor becomes 0.
     """
     z_arr = np.asarray(measurements, dtype=float).reshape(-1, 2)
     if len(pred) == 0:
@@ -176,9 +182,7 @@ def update(pred: ParticleSet, measurements, models: ModelSet) -> ParticleSet:
         # first row is exact: IEEE addition commutes.
         rows[0] += 1.0 - p_d
         factor = np.add.reduce(rows, axis=0)
-    new_weights = factor * pred.weights
-    new_weights[new_weights < WEIGHT_FLOOR] = 0.0
-    return ParticleSet(states=pred.states, weights=new_weights)
+    return ParticleSet(states=pred.states, weights=factor * pred.weights)
 
 
 def estimate_cardinality(mass: float) -> int:

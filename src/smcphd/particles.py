@@ -11,6 +11,8 @@ import numpy as np
 
 from .models import STATE_DIM, _as_state
 
+WEIGHT_FLOOR = 1e-300  # a weight below this is held as exactly zero
+
 
 def round_half_up(value: float) -> int:
     """Round to nearest integer, ties away from zero toward +inf (2.5 -> 3)."""
@@ -23,8 +25,10 @@ def round_half_up(value: float) -> int:
 class ParticleSet:
     """States (n, 4), weights (n,), and the resampling ancestry.
 
-    `ancestry` holds, for a freshly resampled set, the index of each
-    particle's source in the pre-resampling population; None otherwise.
+    A weight below WEIGHT_FLOOR becomes 0.0, in a new array, so the
+    caller's array never changes.  `ancestry` holds, for a freshly
+    resampled set, the index of each particle's source in the
+    pre-resampling population; None otherwise.
     """
 
     states: np.ndarray
@@ -41,6 +45,9 @@ class ParticleSet:
         # fails both comparisons.
         if not ((self.weights >= 0) & (self.weights < math.inf)).all():
             raise ValueError("particle weights must be finite and >= 0")
+        low = self.weights < WEIGHT_FLOOR
+        if low.any():
+            self.weights = np.where(low, 0.0, self.weights)
         if self.ancestry is not None:
             self.ancestry = np.asarray(self.ancestry, dtype=np.intp).ravel()
             if self.ancestry.shape[0] != self.weights.shape[0]:

@@ -9,20 +9,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .filter import FilterConfig
-from .particles import ParticleSet, round_half_up
-
-NORMAL_MIN = float(np.finfo(float).tiny)  # the smallest normal double, 2**-1022
-SUBNORMAL_SCALE = 2.0**600  # lifts any subnormal total into the normal range
-SUBNORMAL_UNIT = 2.0**-1074  # the smallest subnormal; every double is a multiple of it
+from .filter import MAX_PARTICLES, FilterConfig
+from .particles import WEIGHT_FLOOR, ParticleSet, round_half_up
 
 
 def target_count(mass: float, config: FilterConfig) -> int:
     """Particle budget for an expected target count: round(mass) per-target
-    blocks, hard-floored at `min_particles`."""
+    blocks, hard-floored at `min_particles`, and at most MAX_PARTICLES."""
     if mass < 0:
         raise ValueError("mass must be >= 0")
-    return max(round_half_up(mass) * config.particles_per_target, config.min_particles)
+    count = max(round_half_up(mass) * config.particles_per_target, config.min_particles)
+    if count > MAX_PARTICLES:
+        raise ValueError(f"mass {mass:g} needs {count} particles > MAX_PARTICLES {MAX_PARTICLES}")
+    return count
 
 
 def systematic_indices(weights: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -42,19 +41,14 @@ def multinomial_indices(weights: np.ndarray, count: int, rng: np.random.Generato
 
 
 def _selection_weights(weights) -> tuple:
-    """The weights as floats and their sum, which must be > 0.
-
-    A subnormal sum holds only a few ulps, so selection points placed on
-    it would round onto the cumulative weights; both are then scaled by a
-    power of two, which is exact, into the normal range.
-    """
+    """The weights as floats and their sum, which must be at least
+    WEIGHT_FLOOR, as any positive sum of a `ParticleSet`'s weights is.
+    Selection points on a smaller, subnormal sum would round onto the
+    cumulative weights."""
     w = np.asarray(weights, dtype=float)
     total = w.sum()
-    if total <= 0:
-        raise ValueError("total weight must be > 0")
-    if total < NORMAL_MIN:
-        w = w * SUBNORMAL_SCALE
-        total = total * SUBNORMAL_SCALE
+    if not total >= WEIGHT_FLOOR:
+        raise ValueError(f"total weight must be >= {WEIGHT_FLOOR}, got {total}")
     return w, total
 
 
@@ -78,20 +72,11 @@ def _equalized_weights(total: float, count: int) -> np.ndarray:
     remainder total - (count - 1) x, rounded once (`float(Fraction)`).  For
     count <= 2 that remainder is exact.  For count >= 3 it lies below
     total/2, so its rounding error is at most ulp(total)/4, and math.fsum
-    of the weights, correctly rounded, gives back `total`.
-
-    A mean below the normal range has lost its precision, and (count - 1)
-    copies of it can exceed `total`, which would leave the first entry
-    negative.  Such a total is shared out in whole multiples of the
-    smallest subnormal instead, the first entries one multiple above the
-    rest; dividing by a power of two and every such weight are exact.
+    of the weights, correctly rounded, gives back `total`.  A total of at
+    least WEIGHT_FLOOR over at most MAX_PARTICLES leaves x a normal double,
+    so (count - 1) x cannot exceed `total`.
     """
     x = total / count
-    if x < NORMAL_MIN:
-        quotient, remainder = divmod(int(total / SUBNORMAL_UNIT), count)
-        w = np.full(count, quotient * SUBNORMAL_UNIT)
-        w[:remainder] = (quotient + 1) * SUBNORMAL_UNIT
-        return w
     w = np.full(count, x)
     w[0] = float(Fraction(total) - Fraction(x) * (count - 1))
     return w
@@ -105,8 +90,10 @@ def resample(
     `total` is the set's mass, `pset.total_weight()`, which the caller has
     already computed for its estimate.  The output has target_count(total)
     particles, total mass preserved exactly, and `ancestry` recording each
-    output particle's source index.  Zero total mass is rejected; the caller
-    is expected to skip resampling in that case.
+    output particle's source index.  The mass is exact unless total/count
+    lies below WEIGHT_FLOOR or within count ulps above it, where weights
+    under the floor are held as zero.  Zero total mass is rejected; the
+    caller is expected to skip resampling in that case.
     """
     if total <= 0:
         raise ValueError("cannot resample a particle set with zero total weight")

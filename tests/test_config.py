@@ -221,6 +221,12 @@ def test_filter_min_particles_propagates_to_resampling():
         ("run.sweep_grid", "0.4, 0.4"),
         ("run.sweep_grid", "0.1, 0.1000001"),  # both arms would be named @0.1
         ("filter.birth_particles", "-3"),
+        # Particle budgets above MAX_PARTICLES (2**20), given or derived.
+        ("filter.particles_per_target", "2000000"),
+        ("filter.min_particles", "100000000"),
+        ("filter.birth_particles", "1048577"),
+        ("birth.mass", "1e6"),
+        ("birth.mass", "1e300"),
         ("run.master_seed", "-1"),
         ("ospa.order", "1e308"),
         ("ospa.order", "200"),

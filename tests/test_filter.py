@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import measurement_mass_terms
-from smcphd.filter import WEIGHT_FLOOR, FilterConfig, estimate_cardinality, predict, update
+from smcphd.filter import MAX_PARTICLES, FilterConfig, estimate_cardinality, predict, update
 from smcphd.models import (
     BirthModel,
     ClutterModel,
@@ -18,7 +18,7 @@ from smcphd.models import (
     clutter_intensity,
     likelihood,
 )
-from smcphd.particles import ParticleSet, empty_set
+from smcphd.particles import WEIGHT_FLOOR, ParticleSet, empty_set
 from smcphd.roughening import RougheningConfig, direct_motion, velocity_jitter
 
 
@@ -460,6 +460,18 @@ def test_update_mass_identity_when_support_underflows():
     assert post.total_weight() == pytest.approx(expected, rel=1e-10)
 
 
+def test_update_of_weights_below_the_floor_stays_finite():
+    # Two weights of 1e-310 and no clutter: C(z) is subnormal, and each
+    # p_D g / C(z), bounded only by 1 / w_j, would overflow.  The set holds
+    # such weights as zero, so there is no term to form.
+    models = _models(clutter=ClutterModel(rate=0.0, region=(-100, 100, -100, 100)))
+    pred = ParticleSet(states=np.zeros((2, 4)), weights=[1e-310, 1e-310])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        post = update(pred, np.array([[0.0, 0.0]]), models)
+    assert np.array_equal(post.weights, [0.0, 0.0])
+
+
 def test_estimate_cardinality_rounding():
     def pset_with_mass(mass, n=8):
         return ParticleSet(states=np.zeros((n, 4)), weights=np.full(n, mass / n))
@@ -483,6 +495,13 @@ def test_filter_config_defaults_and_validation():
         FilterConfig(min_particles=0)
     with pytest.raises(ValueError, match="resample.scheme"):
         FilterConfig(resample_scheme="stratified")
+    # A birth count is bounded at the rounding edge; checking allocates nothing.
+    one = FilterConfig(particles_per_target=1)
+    assert one.birth_particle_count(MAX_PARTICLES + 0.49) == MAX_PARTICLES
+    with pytest.raises(ValueError, match="birth.mass"):
+        one.birth_particle_count(MAX_PARTICLES + 0.5)
+    with pytest.raises(ValueError, match="birth.mass"):
+        config.birth_particle_count(1e308)  # the product overflows to inf
 
 
 def test_predict_direct_with_adaptive_bandwidth():

@@ -6,7 +6,8 @@ outside its own definition.  `__init__.py` does not count as a reference:
 re-exporting a name is not using it.  Code that only the tests call
 belongs in `tests/` (see `tests/oracles.py`).  The harness reads no
 field of a roughening config but its mode, and neither the harness nor
-the CLI names a sweep arm or picks the baseline on its own.
+the CLI names a sweep arm or picks the baseline on its own, and only
+`particles.py` holds the weight floor.
 """
 
 import ast
@@ -86,3 +87,19 @@ def test_harness_and_cli_leave_arm_names_and_the_baseline_to_config():
                 operands = [node.left, *node.comparators]
                 constants = [v.value for v in operands if isinstance(v, ast.Constant)]
                 assert "none" not in constants, f"{module}:{node.lineno} tests for the baseline"
+
+
+def test_only_particle_sets_hold_the_weight_floor():
+    # `ParticleSet` holds every weight below WEIGHT_FLOOR as zero.  A second
+    # definition, or a flush in the filter, would be a copy of that rule.
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if path.name == "filter.py":
+            assert "WEIGHT_FLOOR" not in text, "filter.py names WEIGHT_FLOOR"
+        if path.name != "particles.py":
+            stored = {
+                node.id
+                for node in ast.walk(ast.parse(text))
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            }
+            assert "WEIGHT_FLOOR" not in stored, f"{path.name} assigns WEIGHT_FLOOR"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smcphd.particles import ParticleSet, empty_set, round_half_up
+from smcphd.particles import WEIGHT_FLOOR, ParticleSet, empty_set, round_half_up
 
 
 def test_round_half_up():
@@ -35,6 +35,13 @@ def test_nonfinite_or_negative_weight_rejected(bad):
 
 def test_negative_zero_weight_accepted():
     assert ParticleSet(states=np.zeros((2, 4)), weights=[-0.0, 0.5]).total_weight() == 0.5
+
+
+def test_weights_below_the_floor_are_held_as_zero():
+    weights = np.array([5e-324, 1e-310, WEIGHT_FLOOR, 0.5])
+    pset = ParticleSet(states=np.zeros((4, 4)), weights=weights)
+    assert np.array_equal(pset.weights, [0.0, 0.0, 1e-300, 0.5])
+    assert np.array_equal(weights, [5e-324, 1e-310, 1e-300, 0.5])
 
 
 def test_empty_set_properties():

@@ -1,12 +1,11 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from smcphd.filter import FilterConfig
-from smcphd.particles import ParticleSet
+from smcphd.filter import MAX_PARTICLES, FilterConfig
+from smcphd.particles import WEIGHT_FLOOR, ParticleSet
 from smcphd.resampling import (
     _equalized_weights,
     multinomial_indices,
@@ -29,6 +28,15 @@ def test_target_count_policy():
     assert target_count(0.3, config) == 100
     assert target_count(0.0, config) == 100
     assert target_count(2.5, config) == 600  # half-up rounding
+
+
+def test_target_count_above_the_bound_raises():
+    config = FilterConfig(particles_per_target=2**10)
+    assert target_count(2**10, config) == MAX_PARTICLES
+    with pytest.raises(ValueError, match="MAX_PARTICLES"):
+        target_count(2**10 + 1, config)
+    with pytest.raises(ValueError, match="MAX_PARTICLES"):
+        target_count(1e300, config)
 
 
 def test_systematic_uniform_weights_copy_each_once():
@@ -126,35 +134,26 @@ def test_equalized_weights_are_near_uniform():
     assert math.fsum(out.weights.tolist()) == total
 
 
-def _reference_equalized_weights(total, count):
-    """The subnormal-mean split in exact rational arithmetic: the total is
-    shared out in whole units of 2**-1074, the first `r` entries one unit
-    more than the rest."""
-    q, r = divmod(Fraction(total) * 2**1074, count)
-    return np.array([math.ldexp(int(q) + (i < r), -1074) for i in range(count)])
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     total=st.one_of(
         st.floats(1e-3, 1e3),
-        st.floats(5e-324, 1e-300),
+        st.floats(WEIGHT_FLOOR, 1e-290),
         st.floats(1e300, 1.7976931348623157e308),
         st.integers(1, 10**6).map(float),
     ),
-    count=st.one_of(st.integers(1, 64), st.integers(1, 5000)),
+    count=st.one_of(st.integers(1, 64), st.integers(1, 5000), st.integers(1, MAX_PARTICLES)),
 )
 # The largest double in three parts: no step may overflow.
 @example(total=1.7976931348623157e308, count=3)
+# The smallest mean a resampled set can ask for, 1e-300 / 2**20, is normal.
+@example(total=WEIGHT_FLOOR, count=MAX_PARTICLES)
 def test_equalized_weights_sum_exactly_to_the_total(total, count):
     w = _equalized_weights(total, count)
     assert len(w) == count
     assert math.fsum(w.tolist()) == total
     assert np.all(w >= 0)
-    if total / count >= np.finfo(float).tiny:
-        assert np.all(w[1:] == total / count)
-    else:
-        assert np.array_equal(w, _reference_equalized_weights(total, count))
+    assert np.all(w[1:] == total / count)
 
 
 _weight = st.one_of(
@@ -167,21 +166,32 @@ _weight = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(
-    weights=st.lists(_weight, min_size=1, max_size=40).filter(lambda w: math.fsum(w) > 0),
+    weights=st.lists(_weight, min_size=1, max_size=40),
     per_target=st.integers(1, 50),
     scheme=st.sampled_from(["systematic", "multinomial"]),
     seed=st.integers(0, 2**32 - 1),
 )
-# A total of 3 units of 2**-1074 over at least 5 particles: a mean of 1 unit
-# per particle overshoots the total.
-@example(weights=[5e-324, 5e-324, 5e-324], per_target=9, scheme="systematic", seed=0)
+# Three weights of 1e-300 over 5 particles: a mean under the floor.
+@example(weights=[WEIGHT_FLOOR] * 3, per_target=9, scheme="systematic", seed=0)
+# Five over 5: the mean rounds up to 1e-300 and the remainder falls below it.
+@example(weights=[WEIGHT_FLOOR] * 5, per_target=9, scheme="systematic", seed=0)
 def test_resampling_over_random_weight_sets(weights, per_target, scheme, seed):
     config = FilterConfig(particles_per_target=per_target, resample_scheme=scheme)
     pset = _pset(weights, np.random.default_rng(seed))
     total = pset.total_weight()
+    assume(total > 0)  # weights below the floor are held as zero
     out = resample(pset, total, config, np.random.default_rng(seed))
     assert len(out) == target_count(total, config)
-    assert math.fsum(out.weights.tolist()) == total
+    equalized = _equalized_weights(total, len(out))
+    if equalized.min() >= WEIGHT_FLOOR:
+        assert math.fsum(out.weights.tolist()) == total
+    else:
+        # The weights under the floor are held as zero.  Every total here
+        # that is this small sums copies of 1e-300, and with such a total
+        # a mean under the floor takes the first weight with it.
+        assert np.array_equal(out.weights, np.where(equalized < WEIGHT_FLOOR, 0.0, equalized))
+        if total / len(out) < WEIGHT_FLOOR:
+            assert np.all(out.weights == 0.0)
     assert np.all(pset.weights[out.ancestry] > 0)
     if scheme == "systematic":
         w = pset.weights
@@ -191,18 +201,10 @@ def test_resampling_over_random_weight_sets(weights, per_target, scheme, seed):
         assert np.all(copies <= np.ceil(expected))
 
 
-def test_systematic_counts_with_subnormal_total():
-    # Total 1e-323 is two ulps: unscaled, the two selection points round
-    # onto the cumulative weights, and both land on the second particle.
-    w = np.array([5e-324, 5e-324])
-    copies = np.bincount(systematic_indices(w, 2, np.random.default_rng(0)), minlength=2)
-    assert np.array_equal(copies, [1, 1])
-
-
-def test_multinomial_draws_with_subnormal_total():
-    # Total 2e-323 is four ulps: unscaled, the points round to whole ulps and
-    # the draws come out near [1/8, 1/4, 5/8].
+@pytest.mark.parametrize("select", [systematic_indices, multinomial_indices])
+def test_selection_rejects_a_total_below_the_floor(select):
+    # A `ParticleSet` cannot hold these weights, and selection points on a
+    # subnormal total would round onto the cumulative weights.
     w = np.array([5e-324, 5e-324, 1e-323])
-    idx = multinomial_indices(w, 200_000, np.random.default_rng(0))
-    freq = np.bincount(idx, minlength=3) / len(idx)
-    assert np.allclose(freq, [0.25, 0.25, 0.5], atol=0.01)
+    with pytest.raises(ValueError, match="total weight"):
+        select(w, 2, np.random.default_rng(0))
