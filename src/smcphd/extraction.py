@@ -205,10 +205,11 @@ def extract_states(pset: ParticleSet, n: int, rng: np.random.Generator) -> np.nd
     weights = pset.weights.take(order)
 
     mean = weights @ states / total
-    var = weights @ (states - mean) ** 2 / total
+    centered = states - mean
+    var = weights @ centered**2 / total
     std = np.sqrt(var)
     std[std == 0] = 1.0
 
-    normalized = (states - mean) / std
+    normalized = centered / std
     centers = weighted_kmeans(normalized, weights, n, rng)
     return centers * std + mean

@@ -7,10 +7,8 @@ text tables that are byte-identical for a given config and master seed,
 serial or parallel.
 """
 
-import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,8 +23,6 @@ from .resampling import resample
 from .rng import TrialStreams
 from .roughening import RougheningConfig, direct_motion, separate_roughen
 from .scenario import GroundTruth, ScanData, generate_truth, simulate_scans
-
-logger = logging.getLogger(__name__)
 
 
 class TrialError(RuntimeError):
@@ -120,7 +116,11 @@ def _run_variant(
             where = f"variant {variant.name!r}, step {step}"
             raise _trial_error(streams.trial, where, exc) from exc
         if collapsed_at is not None:
-            logger.warning("track loss: posterior mass collapsed to zero at step %d", step)
+            import logging  # only a collapse logs
+
+            logging.getLogger(__name__).warning(
+                "track loss: posterior mass collapsed to zero at step %d", step
+            )
             # With no mass left the filter estimates no target, so each later
             # step scores the empty `points` against its truth.
             ospa_values[step:] = [ospa(points, truth, config.ospa) for truth in true_points[step:]]
@@ -222,6 +222,8 @@ def run_trials(config: RunConfig, workers: int = 1) -> list:
     workers = pool_size(workers, len(indices), cpus)
     if workers <= 1:
         return [run_trial(config, i) for i in indices]
+    from concurrent.futures import ProcessPoolExecutor  # a serial run loads no pool
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(_trial_task, [(config, i) for i in indices], chunksize=1))
     results.sort(key=lambda r: r.trial)

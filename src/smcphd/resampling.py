@@ -5,7 +5,7 @@ particles per expected target) and never drops below a configured floor,
 so the population cannot die out while the expected count is small.
 """
 
-from fractions import Fraction
+import math
 
 import numpy as np
 
@@ -65,20 +65,37 @@ def _points_to_indices(w: np.ndarray, total: float, points: np.ndarray) -> np.nd
     return np.minimum(np.searchsorted(cum, points, side="right"), last_positive)
 
 
+def _remainder(total: float, x: float, count: int) -> float:
+    """total - (count - 1) x, computed exactly in integers and rounded once
+    (int / int true division is correctly rounded)."""
+    a, b = total.as_integer_ratio()
+    c, d = x.as_integer_ratio()
+    return (a * d - (count - 1) * c * b) / (b * d)
+
+
 def _equalized_weights(total: float, count: int) -> np.ndarray:
     """`count` near-equal weights whose compensated sum equals `total` exactly.
 
     Every weight but the first is x = total/count; the first takes the exact
-    remainder total - (count - 1) x, rounded once (`float(Fraction)`).  For
-    count <= 2 that remainder is exact.  For count >= 3 it lies below
-    total/2, so its rounding error is at most ulp(total)/4, and math.fsum
-    of the weights, correctly rounded, gives back `total`.  A total of at
-    least WEIGHT_FLOOR over at most MAX_PARTICLES leaves x a normal double,
-    so (count - 1) x cannot exceed `total`.
+    remainder total - (count - 1) x, rounded once.  For count <= 2 that
+    remainder is exact.  For count >= 3 it lies below total/2, so its
+    rounding error is at most ulp(total)/4, and math.fsum of the weights,
+    correctly rounded, gives back `total`.  A total of at least WEIGHT_FLOOR
+    over at most MAX_PARTICLES leaves x a normal double, so (count - 1) x
+    cannot exceed `total`.
+
+    Where x rounded up and the remainder fell below WEIGHT_FLOOR, x steps
+    down one ulp to at most the exact mean, so the remainder is at least
+    that mean.  Then every weight is at least the floor whenever the exact
+    mean total/count is.
     """
     x = total / count
+    first = _remainder(total, x, count)
+    if first < WEIGHT_FLOOR < x:
+        x = math.nextafter(x, 0.0)
+        first = _remainder(total, x, count)
     w = np.full(count, x)
-    w[0] = float(Fraction(total) - Fraction(x) * (count - 1))
+    w[0] = first
     return w
 
 
@@ -90,10 +107,11 @@ def resample(
     `total` is the set's mass, `pset.total_weight()`, which the caller has
     already computed for its estimate.  The output has target_count(total)
     particles, total mass preserved exactly, and `ancestry` recording each
-    output particle's source index.  The mass is exact unless total/count
-    lies below WEIGHT_FLOOR or within count ulps above it, where weights
-    under the floor are held as zero.  Zero total mass is rejected; the
-    caller is expected to skip resampling in that case.
+    output particle's source index.  The mass is exact unless the exact
+    mean total/count lies below WEIGHT_FLOOR: then no equal split keeps
+    every weight at the floor, and those under it are held as zero.  Zero
+    total mass is rejected; the caller is expected to skip resampling in
+    that case.
     """
     if total <= 0:
         raise ValueError("cannot resample a particle set with zero total weight")
@@ -103,7 +121,7 @@ def resample(
     else:
         idx = multinomial_indices(pset.weights, count, rng)
     return ParticleSet(
-        states=pset.states[idx].copy(),
+        states=pset.states[idx],  # fancy indexing returns a new array
         weights=_equalized_weights(total, count),
         ancestry=idx,
     )

@@ -1,4 +1,6 @@
+import concurrent.futures
 import io
+import logging
 import os
 import subprocess
 import sys
@@ -246,7 +248,7 @@ def test_run_trials_counts_only_the_cpus_this_process_may_use(monkeypatch):
         raise AssertionError("run_trials started a process pool")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     config = small_config(trials=2, steps=3)
     results = run_trials(config, workers=2)
     assert [r.trial for r in results] == [0, 1]
@@ -274,6 +276,18 @@ def test_mass_collapse_records_cutoff_for_remaining_steps():
         assert result.collapsed_at[name] == 1
         assert np.all(result.est_counts[name] == 0)
         assert np.all(result.ospa_values[name][1:] == config.ospa.cutoff)
+
+
+def test_mass_collapse_logs_a_track_loss_warning(caplog):
+    # One warning per filter run: the three variants' roughening configs
+    # differ, so each runs the filter and each collapses at step 1.
+    config = collapse_config(6)
+    with caplog.at_level(logging.WARNING, logger="smcphd.harness"):
+        run_trial(config, 0)
+    message = "track loss: posterior mass collapsed to zero at step 1"
+    expected = ("smcphd.harness", logging.WARNING, message)
+    records = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+    assert records == [expected] * len(config.variants)
 
 
 def test_mass_collapse_scores_zero_once_no_target_is_alive():
@@ -695,6 +709,31 @@ def test_runtime_imports_load_no_scipy():
             "import smcphd.cli, smcphd.harness, sys; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_serial_run_loads_no_pool_logging_or_fractions():
+    # A serial run needs none of these: the pool, the collapse warning's
+    # logger and exact fractions are imported where they are used.  What
+    # every run needs, numpy.random, is loaded with the library.
+    src = str(Path(smcphd.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from smcphd import config, harness\n"
+        "assert 'numpy.random' in sys.modules\n"
+        "cfg = config.benchmark_preset(particles_per_target=20, trials=1, master_seed=3)\n"
+        "harness.run(cfg)\n"
+        "names = ('concurrent.futures', 'multiprocessing', 'logging', 'fractions', 'decimal')\n"
+        "print(sorted(m for m in names if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         timeout=120,

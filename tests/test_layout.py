@@ -6,8 +6,9 @@ outside its own definition.  `__init__.py` does not count as a reference:
 re-exporting a name is not using it.  Code that only the tests call
 belongs in `tests/` (see `tests/oracles.py`).  The harness reads no
 field of a roughening config but its mode, and neither the harness nor
-the CLI names a sweep arm or picks the baseline on its own, and only
-`particles.py` holds the weight floor.
+the CLI names a sweep arm or picks the baseline on its own, only
+`particles.py` holds the weight floor, and no module imports at load what
+only a pool, a collapse or a test needs.
 """
 
 import ast
@@ -103,3 +104,30 @@ def test_only_particle_sets_hold_the_weight_floor():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
             }
             assert "WEIGHT_FLOOR" not in stored, f"{path.name} assigns WEIGHT_FLOOR"
+
+
+# Modules a serial run never uses: the process pool's, the collapse
+# warning's logger, and exact fractions (with `decimal`, which they load).
+LAZY_IMPORTS = {"concurrent", "multiprocessing", "logging", "fractions", "decimal"}
+
+
+def _load_time_imports(node):
+    """The top-level module names that a subtree imports when its module
+    loads: everything outside function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(child, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in child.names)
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            yield child.module.split(".")[0]
+        yield from _load_time_imports(child)
+
+
+def test_no_module_imports_the_pool_logging_or_fractions_at_load():
+    # Each is imported where it is used, so a serial run loads none of them.
+    # A module-level import here would put it back into every run's set-up.
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = LAZY_IMPORTS.intersection(_load_time_imports(tree))
+        assert not found, f"{path.name} imports {sorted(found)} at load"

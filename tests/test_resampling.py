@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -148,12 +149,45 @@ def test_equalized_weights_are_near_uniform():
 @example(total=1.7976931348623157e308, count=3)
 # The smallest mean a resampled set can ask for, 1e-300 / 2**20, is normal.
 @example(total=WEIGHT_FLOOR, count=MAX_PARTICLES)
+# An exact mean just under the floor that rounds up to it: x stays 1e-300.
+@example(total=5e-300, count=5)
+# 25 copies of 1e-300: an exact mean above the floor whose remainder at
+# total/count is below it.
+@example(total=2.5000000000000003e-299, count=25)
 def test_equalized_weights_sum_exactly_to_the_total(total, count):
     w = _equalized_weights(total, count)
     assert len(w) == count
     assert math.fsum(w.tolist()) == total
     assert np.all(w >= 0)
-    assert np.all(w[1:] == total / count)
+    # x is total/count, or one ulp below it where the remainder at
+    # total/count fell under the floor and x was above it.
+    x = total / count
+    if float(Fraction(total) - (count - 1) * Fraction(x)) < WEIGHT_FLOOR < x:
+        x = math.nextafter(x, 0.0)
+    assert np.all(w[1:] == x)
+    if Fraction(total) / count >= Fraction(WEIGHT_FLOOR):
+        assert w.min() >= WEIGHT_FLOOR
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    total=st.one_of(
+        st.floats(1e-3, 1e3),
+        st.floats(WEIGHT_FLOOR, 1e-290),
+        st.integers(1, 60).map(lambda k: k * WEIGHT_FLOOR),
+        st.floats(1e300, 1.7976931348623157e308),
+    ),
+    count=st.one_of(st.integers(1, 64), st.integers(1, 5000)),
+)
+def test_equalized_weights_match_the_fraction_remainder(total, count):
+    # Where the remainder at total/count is at least the floor, the integer
+    # form gives the weights that float(Fraction) gives, bit for bit.
+    x = total / count
+    first = float(Fraction(total) - Fraction(x) * (count - 1))
+    assume(first >= WEIGHT_FLOOR)
+    w = _equalized_weights(total, count)
+    assert w[0].tobytes() == np.float64(first).tobytes()
+    assert np.all(w[1:] == x)
 
 
 _weight = st.one_of(
@@ -173,8 +207,11 @@ _weight = st.one_of(
 )
 # Three weights of 1e-300 over 5 particles: a mean under the floor.
 @example(weights=[WEIGHT_FLOOR] * 3, per_target=9, scheme="systematic", seed=0)
-# Five over 5: the mean rounds up to 1e-300 and the remainder falls below it.
+# Five over 5: the exact mean is under the floor but rounds up to 1e-300,
+# and the remainder falls below it.
 @example(weights=[WEIGHT_FLOOR] * 5, per_target=9, scheme="systematic", seed=0)
+# 25 over 25: the exact mean is above the floor, so the mass is exact.
+@example(weights=[WEIGHT_FLOOR] * 25, per_target=50, scheme="systematic", seed=0)
 def test_resampling_over_random_weight_sets(weights, per_target, scheme, seed):
     config = FilterConfig(particles_per_target=per_target, resample_scheme=scheme)
     pset = _pset(weights, np.random.default_rng(seed))
@@ -182,13 +219,15 @@ def test_resampling_over_random_weight_sets(weights, per_target, scheme, seed):
     assume(total > 0)  # weights below the floor are held as zero
     out = resample(pset, total, config, np.random.default_rng(seed))
     assert len(out) == target_count(total, config)
-    equalized = _equalized_weights(total, len(out))
-    if equalized.min() >= WEIGHT_FLOOR:
+    if Fraction(total) / len(out) >= Fraction(WEIGHT_FLOOR):
         assert math.fsum(out.weights.tolist()) == total
+        assert out.weights.min() >= WEIGHT_FLOOR
     else:
-        # The weights under the floor are held as zero.  Every total here
-        # that is this small sums copies of 1e-300, and with such a total
-        # a mean under the floor takes the first weight with it.
+        # No equal split keeps every weight at the floor: those under it
+        # are held as zero.  Every total here that is this small sums
+        # copies of 1e-300, and with such a total a mean under the floor
+        # takes the first weight with it.
+        equalized = _equalized_weights(total, len(out))
         assert np.array_equal(out.weights, np.where(equalized < WEIGHT_FLOOR, 0.0, equalized))
         if total / len(out) < WEIGHT_FLOOR:
             assert np.all(out.weights == 0.0)
