@@ -1,16 +1,18 @@
 """Command-line interface for the benchmark harness.
 
 Subcommands: run (Monte Carlo comparison of the configured variants),
-sweep (gain ratio across jitter levels), scenario (dump one realization's
-truth and scans).  Exit code 2 means the configuration or the output
-directory was rejected before any work started; 1 means a trial failed.
+sweep (the same run over the baseline and both roughening modes at each
+jitter level), scenario (dump one realization's truth and scans).  Exit
+code 2 means the configuration or the output directory was rejected
+before any work started; 1 means a trial failed.
 """
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .config import PRESETS, SWEEP_MODES, arm_name, load_preset, load_run_config, with_overrides
+from .config import PRESETS, load_preset, load_run_config
 from .harness import (
     TrialError,
     realize_trial,
@@ -36,16 +38,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=Path, default=Path("results"), help="output directory")
 
 
-def _trial_index(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return int(text)
+def _integer_at_least(low: int):
+    """An argparse type: a decimal integer that is at least `low`."""
 
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return int(text)
 
-def _worker_count(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return int(text)
+    return parse
 
 
 def _load_config(args):
@@ -53,7 +54,8 @@ def _load_config(args):
         config = load_run_config(args.config)
     else:
         config = load_preset(args.preset or "paper-np200")
-    return with_overrides(config, trials=args.trials, master_seed=args.seed)
+    overrides = {"trials": args.trials, "master_seed": args.seed}
+    return replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _write_tables(out: Path, writers: dict) -> list:
@@ -66,41 +68,25 @@ def _write_tables(out: Path, writers: dict) -> list:
 
 
 def _cmd_run(config, args) -> int:
-    summary, results = run(config, workers=args.workers)
-    trials_path, summary_path = _write_tables(
-        args.out,
-        {
-            "trials.txt": lambda fh: write_trials_table(results, config.variant_names(), fh),
-            "summary.txt": lambda fh: write_summary_table(summary, fh),
-        },
-    )
+    """`run` runs the configured variants; `sweep` runs
+    `config.sweep_variants()` and also writes sweep.txt.  Both print one
+    mean OSPA and gain ratio line per variant."""
+    writers = {}
+    if args.command == "sweep":
+        result, summary, results = sweep(config, workers=args.workers)
+        writers["sweep.txt"] = lambda fh: write_sweep_table(result, fh)
+    else:
+        summary, results = run(config, workers=args.workers)
+    writers["trials.txt"] = lambda fh: write_trials_table(results, summary.variant_names, fh)
+    writers["summary.txt"] = lambda fh: write_summary_table(summary, fh)
+    *paths, last = _write_tables(args.out, writers)
     print(f"trials={summary.trials} steps={summary.steps} seed={summary.master_seed}")
     for name in summary.variant_names:
         print(
             f"{name}: mean OSPA {summary.mean_ospa[name]:.4f}"
             f"  gain ratio {summary.gain_ratios[name]:+.4f}"
         )
-    print(f"wrote {trials_path} and {summary_path}")
-    return 0
-
-
-def _cmd_sweep(config, args) -> int:
-    result, summary, results = sweep(config, workers=args.workers)
-    sweep_path, trials_path, summary_path = _write_tables(
-        args.out,
-        {
-            "sweep.txt": lambda fh: write_sweep_table(result, fh),
-            "trials.txt": lambda fh: write_trials_table(results, summary.variant_names, fh),
-            "summary.txt": lambda fh: write_summary_table(summary, fh),
-        },
-    )
-    print(f"baseline mean OSPA {summary.mean_ospa[summary.baseline_name]:.4f}")
-    for delta in result.grid:
-        line = f"delta_r={delta:g}:"
-        for mode in SWEEP_MODES:
-            line += f"  {mode} gain {summary.gain_ratios[arm_name(mode, delta)]:+.4f}"
-        print(line)
-    print(f"wrote {sweep_path}, {summary_path} and {trials_path}")
+    print(f"wrote {', '.join(map(str, paths))} and {last}")
     return 0
 
 
@@ -123,26 +109,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Particle intensity-filter benchmark: basic vs. roughened variants",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="Monte Carlo comparison run")
-    _add_common(p_run)
-    p_run.add_argument(
-        "--workers", type=_worker_count, default=1, help="parallel trial processes"
-    )
-    p_run.set_defaults(func=_cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="gain ratio across jitter levels")
-    _add_common(p_sweep)
-    p_sweep.add_argument(
-        "--workers", type=_worker_count, default=1, help="parallel trial processes"
-    )
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_scen = sub.add_parser("scenario", help="dump one realization's truth and scans")
-    _add_common(p_scen)
-    p_scen.add_argument("--trial", type=_trial_index, default=0, help="trial index to realize")
-    p_scen.set_defaults(func=_cmd_scenario)
-
+    for command, text in (
+        ("run", "Monte Carlo comparison run"),
+        ("sweep", "the run over both roughening modes at each jitter level"),
+    ):
+        p = sub.add_parser(command, help=text)
+        _add_common(p)
+        p.add_argument(
+            "--workers", type=_integer_at_least(1), default=1, help="parallel trial processes"
+        )
+        p.set_defaults(func=_cmd_run)
+    p = sub.add_parser("scenario", help="dump one realization's truth and scans")
+    _add_common(p)
+    p.add_argument("--trial", type=_integer_at_least(0), default=0, help="trial index to realize")
+    p.set_defaults(func=_cmd_scenario)
     return parser
 
 

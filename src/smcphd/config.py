@@ -7,7 +7,7 @@ tokens `birth:death` optionally extended with a fixed initial state
 `birth:death:px:vx:py:vy`.
 """
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .filter import FilterConfig
 from .metrics import OspaParams
@@ -297,12 +297,3 @@ def load_run_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return run_config_from_mapping(parse_kv_text(fh.read()))
 
-
-def with_overrides(config: RunConfig, trials: int | None = None, master_seed: int | None = None) -> RunConfig:
-    """Copy with CLI-level overrides applied."""
-    out = config
-    if trials is not None:
-        out = replace(out, trials=trials)
-    if master_seed is not None:
-        out = replace(out, master_seed=master_seed)
-    return out

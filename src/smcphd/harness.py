@@ -212,7 +212,8 @@ def pool_size(workers: int, trials: int, cpus: int | None) -> int:
 
 def run_trials(config: RunConfig, workers: int = 1) -> list:
     """All trials, optionally across processes; order is by trial index
-    either way, so downstream output is identical."""
+    either way (`Executor.map` yields in input order), so downstream output
+    is identical."""
     indices = list(range(config.trials))
     # The CPUs this process may run on, where the platform reports them.
     if hasattr(os, "sched_getaffinity"):
@@ -225,9 +226,7 @@ def run_trials(config: RunConfig, workers: int = 1) -> list:
     from concurrent.futures import ProcessPoolExecutor  # a serial run loads no pool
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_trial_task, [(config, i) for i in indices], chunksize=1))
-    results.sort(key=lambda r: r.trial)
-    return results
+        return list(pool.map(_trial_task, [(config, i) for i in indices], chunksize=1))
 
 
 def summarize(config: RunConfig, results: list) -> RunSummary:

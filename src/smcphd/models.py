@@ -40,24 +40,17 @@ def check_number(key: str, value, minimum: float | None = None, *, strict: bool 
         raise ValueError(f"{key} must be a finite number{bound}, got {value}")
 
 
-def _as_state(x) -> np.ndarray:
-    """States as a float (n, 4) array; every component must be finite."""
+def _as_rows(x, width: int = STATE_DIM) -> np.ndarray:
+    """States as a float (n, 4) array, or with `width` 2 measurements as an
+    (m, 2) one; every component must be finite."""
+    what, rows = ("state", "n") if width == STATE_DIM else ("measurement", "m")
     arr = np.asarray(x, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != STATE_DIM:
-        raise ValueError(f"states must be an (n, {STATE_DIM}) array, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise ValueError(f"{what}s must be an ({rows}, {width}) array, got shape {arr.shape}")
     # The array method, not np.all, whose Python wrapper costs as much as
     # the check: this runs in every kernel and on every particle set.
     if not np.isfinite(arr).all():
-        raise ValueError("state contains non-finite components")
-    return arr
-
-
-def _as_measurements(z) -> np.ndarray:
-    arr = np.asarray(z, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"measurements must be an (m, 2) array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("measurement contains non-finite components")
+        raise ValueError(f"{what} contains non-finite components")
     return arr
 
 
@@ -110,6 +103,15 @@ class MeasurementModel:
     def __post_init__(self):
         check_number("measurement.sigma_w1", self.sigma_w1, 0.0, strict=True)
         check_number("measurement.sigma_w2", self.sigma_w2, 0.0, strict=True)
+        # The peak is a factor of every likelihood and `subnormal_cut` takes
+        # its log; a product of the stds that under- or overflows leaves none.
+        product = _TWO_PI * self.sigma_w1 * self.sigma_w2
+        check_number(
+            "the likelihood peak 1 / (2 pi measurement.sigma_w1 measurement.sigma_w2)",
+            1.0 / product if product > 0.0 else math.inf,
+            0.0,
+            strict=True,
+        )
 
     def min_std(self) -> float:
         return min(self.sigma_w1, self.sigma_w2)
@@ -172,6 +174,9 @@ class ClutterModel:
         xmin, xmax, ymin, ymax = self.region
         if xmax <= xmin or ymax <= ymin:
             raise ValueError(f"clutter.region must have positive area, got {self.region!r}")
+        # kappa = rate / area: an area that under- or overflows would divide
+        # by zero or silently zero the clutter intensity.
+        check_number("clutter.region area", self.area(), 0.0, strict=True)
 
     def area(self) -> float:
         xmin, xmax, ymin, ymax = self.region
@@ -210,7 +215,7 @@ def propagate(states, motion: MotionModel, rng: np.random.Generator) -> np.ndarr
     When both noise stds are zero the noise draw is skipped entirely so the
     result is exactly F @ x.
     """
-    x = _as_state(states)
+    x = _as_rows(states)
     stds = motion.noise_stds()
     # A finite but huge state can overflow to inf; the next kernel's finite
     # check rejects it, so numpy's overflow warning would only be noise.
@@ -233,22 +238,25 @@ def likelihood(z, states, meas: MeasurementModel, cut=EXP_ZERO_BELOW) -> np.ndar
     underflow path; `update` passes a higher cut for rows where it drops
     subnormal likelihoods (`MeasurementModel.subnormal_cut`).
     """
-    zv = _as_measurements(z)
-    x = _as_state(states)
+    zv = _as_rows(z, 2)
+    x = _as_rows(states)
     norm = meas.norm()
     px = np.ascontiguousarray(x[:, 0])
     py = np.ascontiguousarray(x[:, 2])
     # In place, in the order (dx*dx + dy*dy) * -0.5, with at most two (m, n)
-    # float64 arrays live at once.
-    arg = zv[:, :1] - px
-    arg /= meas.sigma_w1
-    arg *= arg
-    dy = zv[:, 1:] - py
-    dy /= meas.sigma_w2
-    dy *= dy
-    arg += dy
-    del dy
-    arg *= -0.5
+    # float64 arrays live at once.  An exponent that overflows is -inf,
+    # below every cut, and its likelihood the exact 0.0, so numpy's overflow
+    # warning would only be noise.
+    with np.errstate(over="ignore"):
+        arg = zv[:, :1] - px
+        arg /= meas.sigma_w1
+        arg *= arg
+        dy = zv[:, 1:] - py
+        dy /= meas.sigma_w2
+        dy *= dy
+        arg += dy
+        del dy
+        arg *= -0.5
     live = arg >= np.reshape(cut, (-1, 1))
     vals = arg[live]
     np.exp(vals, out=vals)
@@ -267,7 +275,7 @@ def birth_sample(birth: BirthModel, rng: np.random.Generator, count: int = 1) ->
 def clutter_intensity(z, clutter: ClutterModel) -> np.ndarray:
     """Clutter intensity at measurements z (m, 2), as an (m,) array:
     rate/area inside the region (its boundary included), 0 outside."""
-    zv = _as_measurements(z)
+    zv = _as_rows(z, 2)
     xmin, xmax, ymin, ymax = clutter.region
     x = zv[:, 0]
     y = zv[:, 1]
@@ -287,6 +295,6 @@ def clutter_sample(clutter: ClutterModel, rng: np.random.Generator) -> np.ndarra
 
 def measure(states, meas: MeasurementModel, rng: np.random.Generator) -> np.ndarray:
     """Noisy position observations H @ x + w of (n, 4) states, as (n, 2)."""
-    x = _as_state(states)
+    x = _as_rows(states)
     stds = np.array([meas.sigma_w1, meas.sigma_w2])
     return x[:, POSITION_IDX] + rng.standard_normal((x.shape[0], 2)) * stds

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import STATE_DIM, _as_state
+from .models import STATE_DIM, _as_rows
 
 WEIGHT_FLOOR = 1e-300  # a weight below this is held as exactly zero
 
@@ -36,7 +36,7 @@ class ParticleSet:
     ancestry: np.ndarray | None = None
 
     def __post_init__(self):
-        self.states = _as_state(self.states)
+        self.states = _as_rows(self.states)
         self.weights = np.asarray(self.weights, dtype=float).ravel()
         if self.weights.shape[0] != self.states.shape[0]:
             raise ValueError("weights length must match number of states")

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from smcphd.cli import main as cli_main
+from smcphd.cli import _load_config, build_parser, main as cli_main
 from smcphd.config import (
     DEFAULT_SWEEP_GRID,
     RunConfig,
@@ -14,7 +14,6 @@ from smcphd.config import (
     parse_kv_text,
     benchmark_preset,
     run_config_from_mapping,
-    with_overrides,
 )
 from smcphd.resampling import target_count
 from smcphd.roughening import RougheningConfig
@@ -189,11 +188,11 @@ def test_duplicate_variant_names_rejected():
 
 
 def test_overrides():
-    config = with_overrides(benchmark_preset(), trials=7, master_seed=99)
+    config = _load_config(build_parser().parse_args(["run", "--trials", "7", "--seed", "99"]))
     assert config.trials == 7
     assert config.master_seed == 99
-    untouched = with_overrides(benchmark_preset())
-    assert untouched.trials == 100
+    untouched = _load_config(build_parser().parse_args(["run"]))
+    assert (untouched.trials, untouched.master_seed) == (100, 1)
 
 
 def test_filter_min_particles_propagates_to_resampling():
@@ -236,13 +235,28 @@ def test_filter_min_particles_propagates_to_resampling():
         ("scenario.targets", "1:40:inf:0:0:0"),
         ("clutter.region", "1,2,3"),
         ("ospa.full_state", "maybe"),
+        # Stds whose product under- or overflows leave the likelihood peak
+        # 1 / (2 pi sigma_w1 sigma_w2) infinite or zero; regions whose area
+        # does leave the clutter intensity undefined or silently zero.
+        *(
+            pytest.param(
+                "measurement.sigma_w1",
+                {"measurement.sigma_w1": std, "measurement.sigma_w2": std},
+                id=f"measurement.sigma_w1-sigma_w2-{std}",
+            )
+            for std in ("1e-170", "1e-155", "1e200")
+        ),
+        ("clutter.region", "0, 1e-200, 0, 1e-200"),
+        ("clutter.region", "-1e160, 1e160, -1e160, 1e160"),
     ],
 )
 def test_nonfinite_or_degenerate_parameter_fails_at_load(tmp_path, capsys, key, value):
+    # `value` is the value of `key`, or a mapping of every key to set.
+    kv = value if isinstance(value, dict) else {key: value}
     with pytest.raises(ValueError, match=re.escape(key)):
-        run_config_from_mapping({key: value})
+        run_config_from_mapping(kv)
     path = tmp_path / "bad.cfg"
-    path.write_text(f"{key} = {value}\n", encoding="utf-8")
+    path.write_text("".join(f"{k} = {v}\n" for k, v in kv.items()), encoding="utf-8")
     for command in ("run", "sweep"):
         assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert key in capsys.readouterr().err

@@ -676,7 +676,7 @@ def test_single_target_clean_sensor_tracks_tightly():
     assert float(np.mean(summary.mean_step_ospa["basic"][9:])) < 10.0
 
 
-def test_cli_sweep_writes_tables(tmp_path):
+def test_cli_sweep_writes_tables(tmp_path, capsys):
     text = (
         "scenario.steps = 8\n"
         "scenario.targets = 1:8, 2:8\n"
@@ -696,6 +696,14 @@ def test_cli_sweep_writes_tables(tmp_path):
     # baseline row + 2 grid values x 2 modes
     assert len(lines) == 1 + 1 + 2 * 2
     assert (out / "summary.txt").exists() and (out / "trials.txt").exists()
+    # Standard output: a header, then one line for the baseline and for each
+    # arm in order, each with the gain sweep.txt holds, then `wrote ...`.
+    printed = capsys.readouterr().out.splitlines()
+    arms = [v.name for v in load_run_config(cfg).sweep_variants()]
+    assert [line.split(": mean OSPA ")[0] for line in printed[1:-1]] == arms
+    assert printed[-1].startswith("wrote ")
+    for line, row in zip(printed[1:-1], lines[1:]):
+        assert abs(float(line.split("gain ratio ")[1]) - float(row.split("\t")[3])) <= 1e-4
 
 
 def test_runtime_imports_load_no_scipy():

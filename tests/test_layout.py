@@ -88,6 +88,13 @@ def test_harness_and_cli_leave_arm_names_and_the_baseline_to_config():
                 operands = [node.left, *node.comparators]
                 constants = [v.value for v in operands if isinstance(v, ast.Constant)]
                 assert "none" not in constants, f"{module}:{node.lineno} tests for the baseline"
+    # `RunConfig.sweep_variants` and `write_sweep_table` lay out the sweep's
+    # arms; the CLI prints the summary's variants as they come.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    names = set(_names(tree))
+    names.update(a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names)
+    for name in ("SWEEP_MODES", "arm_name"):
+        assert name not in names, f"cli.py names {name}"
 
 
 def test_only_particle_sets_hold_the_weight_floor():

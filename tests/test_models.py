@@ -136,6 +136,20 @@ def test_likelihood_matches_row_by_row_reference(n, m, sigma, seed):
     assert np.array_equal(got, want)
 
 
+def test_likelihood_is_exactly_zero_where_the_exponent_overflows():
+    # Scan points about 1e156 sigma from a particle: (dx / sigma)^2
+    # overflows, the exponent is -inf and the likelihood the exact 0.0.  The
+    # suite turns the overflow warning numpy would raise into an error.
+    meas = MeasurementModel(sigma_w1=0.001, sigma_w2=0.001)
+    states = np.array([[0.0, 1.0, 0.0, -1.0], [1e153, 0.0, 0.0, 0.0]])
+    z = np.array([[1e153, 0.0], [0.001, 0.0]])
+    got = likelihood(z, states, meas)
+    assert got[0, 0] == 0.0 and got[1, 1] == 0.0
+    assert got[0, 1] == meas.norm()
+    with np.errstate(over="ignore"):
+        assert np.array_equal(got, _reference_likelihood(z, states, meas))
+
+
 def test_exp_is_exactly_zero_below_threshold():
     # The kernel writes 0.0 instead of calling exp below EXP_ZERO_BELOW;
     # that is only sound if exp itself returns exactly 0.0 there.
