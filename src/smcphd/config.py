@@ -175,11 +175,6 @@ def _parse_targets(value: str) -> list:
     return scripts
 
 
-def _parse_jitter(value: str):
-    values = _parse_floats(value)
-    return values[0] if len(values) == 1 else values
-
-
 # Config-file key -> (section, dataclass field, parser).  A section names
 # the dataclass that owns the field's default: one of the `ModelSet` parts,
 # `scenario` (ScenarioConfig), `filter` (FilterConfig), `ospa` (OspaParams)
@@ -216,7 +211,7 @@ CONFIG_KEYS = {
 # one section is `roughening` (RougheningConfig).
 ROUGHENING_KEYS = {
     "mode": ("roughening", "mode", str),
-    "jitter_std": ("roughening", "jitter_std", _parse_jitter),
+    "jitter_std": ("roughening", "jitter_std", _parse_floats),
     "selective_threshold": ("roughening", "selective_threshold", float),
     "overlapped_only": ("roughening", "overlapped_only", _parse_bool),
     "cap_to_measurement": ("roughening", "cap_to_measurement", _parse_bool),

@@ -190,7 +190,9 @@ def extract_states(pset: ParticleSet, n: int, rng: np.random.Generator) -> np.nd
 
     States are standardized per dimension (weighted mean/std) before
     clustering so position and velocity scales contribute comparably, and
-    the centroids are mapped back afterwards.
+    the centroids are mapped back afterwards.  Both transforms raise
+    FloatingPointError where they overflow or give NaN, which a state
+    spread near the largest double can make them do.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -204,12 +206,13 @@ def extract_states(pset: ParticleSet, n: int, rng: np.random.Generator) -> np.nd
     states = pset.states.take(order, axis=0)
     weights = pset.weights.take(order)
 
-    mean = weights @ states / total
-    centered = states - mean
-    var = weights @ centered**2 / total
-    std = np.sqrt(var)
-    std[std == 0] = 1.0
-
-    normalized = centered / std
+    with np.errstate(over="raise", invalid="raise"):
+        mean = weights @ states / total
+        centered = states - mean
+        var = weights @ centered**2 / total
+        std = np.sqrt(var)
+        std[std == 0] = 1.0
+        normalized = centered / std
     centers = weighted_kmeans(normalized, weights, n, rng)
-    return centers * std + mean
+    with np.errstate(over="raise", invalid="raise"):
+        return centers * std + mean

@@ -94,12 +94,8 @@ def predict(
     weight floor (1e-300) as zero, so a birth mass under J * 1e-300 adds
     none.
     """
-    if len(prev) > 0:
-        surv_states = propagate(prev.states, models.motion, rng)
-        surv_weights = models.detection.p_survive * prev.weights
-    else:
-        surv_states = prev.states
-        surv_weights = prev.weights
+    surv_states = propagate(prev.states, models.motion, rng)
+    surv_weights = models.detection.p_survive * prev.weights
 
     j = config.birth_particle_count(models.birth.mass)
     if models.birth.mass > 0 and j > 0:
@@ -113,26 +109,27 @@ def predict(
     return ParticleSet(states=states, weights=weights)
 
 
-def _exp_cuts(kappa: np.ndarray, weights: np.ndarray, models: ModelSet) -> np.ndarray | float:
+def _exp_cuts(kappa: np.ndarray, weights: np.ndarray, models: ModelSet) -> np.ndarray:
     """The exponent cut of each scan row, for `likelihood`.
 
     A row drops its likelihoods below the normal range, each at most g_max
     (`MeasurementModel.subnormal_cut`), only where that leaves every weight
-    bit for bit.  That holds when kappa(z) > 0 and
+    bit for bit.  That holds when
       - each dropped term p_D g / (kappa + C), at most p_D g_max / kappa, is
         under 2^-60 (1 - p_D), so it vanishes in the factor's partial sums,
         which start at 1 - p_D;
       - the dropped support p_D g_max sum(w) is under 2^-60 kappa, so it
         vanishes in kappa + C.
-    Other rows (no clutter, p_D = 1, or too little clutter) keep every term.
+    Both are tested as products, so no clutter (kappa = 0) and p_D = 1
+    fail the first test and keep every term.
     """
     p_d = models.detection.p_detect
-    if p_d >= 1.0:
-        return EXP_ZERO_BELOW
     cut, g_max = models.measurement.subnormal_cut()
     # n * max(w) bounds sum(w) and, in Python floats, cannot overflow.
-    dropped = p_d * g_max * max(1.0 / (1.0 - p_d), len(weights) * float(weights.max()))
-    return np.where(kappa * _VANISHES > dropped, cut, EXP_ZERO_BELOW)
+    term = p_d * g_max
+    support = term * (len(weights) * float(weights.max(initial=0.0)))
+    scaled = kappa * _VANISHES
+    return np.where((scaled * (1.0 - p_d) > term) & (scaled > support), cut, EXP_ZERO_BELOW)
 
 
 def update(pred: ParticleSet, measurements, models: ModelSet) -> ParticleSet:
@@ -149,8 +146,6 @@ def update(pred: ParticleSet, measurements, models: ModelSet) -> ParticleSet:
     by 1 / w_j <= 1e300, and a new weight under the floor becomes 0.
     """
     z_arr = np.asarray(measurements, dtype=float).reshape(-1, 2)
-    if len(pred) == 0:
-        return pred
     p_d = models.detection.p_detect
     kappa = clutter_intensity(z_arr, models.clutter)
     cuts = _exp_cuts(kappa, pred.weights, models)
@@ -170,18 +165,16 @@ def update(pred: ParticleSet, measurements, models: ModelSet) -> ParticleSet:
         rows[:, dead] = 0.0
     rows *= p_d
     rows /= np.where(denom > 0, denom, np.inf)[:, None]
-    if len(rows) == 0 or len(pred) == 1:
+    if len(pred) == 1:
         # np.add.reduce sums a single column pairwise, which moves bits, so
         # one particle takes the terms one measurement at a time.
-        factor = np.full(len(pred), 1.0 - p_d)
+        factor = np.full(1, 1.0 - p_d)
         for row in rows:
             factor += row
     else:
-        # Over axis 0 of a C-ordered array with two or more columns the
-        # reduce adds whole rows in scan order.  Folding 1 - p_D into the
-        # first row is exact: IEEE addition commutes.
-        rows[0] += 1.0 - p_d
-        factor = np.add.reduce(rows, axis=0)
+        # Over axis 0 of a C-ordered array with any column count but one,
+        # the reduce starts at 1 - p_D and adds whole rows in scan order.
+        factor = np.add.reduce(rows, axis=0, initial=1.0 - p_d)
     return ParticleSet(states=pred.states, weights=factor * pred.weights)
 
 

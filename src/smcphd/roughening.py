@@ -32,7 +32,8 @@ class RougheningConfig:
     exactly when every field is equal.
 
     `jitter_std` is a per-state-dimension std vector, stored as a 4-tuple; a
-    scalar is shorthand for jitter on the velocity dimensions only.
+    scalar, or a one-element sequence, is shorthand for jitter on the
+    velocity dimensions only.
     `gordon_constant` K instead selects the adaptive bandwidth
     K * E * N^(-1/d): E is the per-dimension spread of the particles, N
     their count, d `gordon_dimension`, and `gordon_positive_exponent` makes
@@ -45,7 +46,7 @@ class RougheningConfig:
     """
 
     mode: str = "none"
-    jitter_std: tuple | None = None  # a scalar or length-4 vector is accepted
+    jitter_std: tuple | None = None  # a scalar, or a length-1 or length-4 sequence
     gordon_constant: float | None = None
     gordon_dimension: int = STATE_DIM
     gordon_positive_exponent: bool = False
@@ -59,8 +60,8 @@ class RougheningConfig:
         jitter = self.jitter_std
         if jitter is not None:
             arr = np.asarray(jitter, dtype=float)
-            if arr.ndim == 0:
-                arr = velocity_jitter(float(arr))
+            if arr.size == 1:
+                arr = velocity_jitter(arr.item())
             elif arr.size != STATE_DIM:
                 raise ValueError(f"jitter_std must be a scalar or a length-{STATE_DIM} vector")
             jitter = tuple(arr.ravel().tolist())
@@ -121,7 +122,7 @@ def gordon_std(
 def state_spread(states: np.ndarray) -> np.ndarray:
     """Per-dimension max - min over a particle population."""
     if states.shape[0] == 0:
-        return np.zeros(states.shape[1] if states.ndim == 2 else STATE_DIM)
+        return np.zeros(states.shape[1])
     return states.max(axis=0) - states.min(axis=0)
 
 
@@ -178,12 +179,10 @@ def separate_roughen(
 
     `config` is a separate-mode config; `harness._run_variant` calls this
     only for such variants.  Weights are never modified, so the represented
-    mass is unchanged.  With an all-zero jitter vector the input is returned
-    untouched and no random draws are consumed, which keeps other streams
-    aligned when roughening is toggled off.
+    mass is unchanged.  With an all-zero jitter vector, or an empty set, the
+    input is returned untouched and no random draws are consumed, which
+    keeps other streams aligned when roughening is toggled off.
     """
-    if len(pset) == 0:
-        return pset
     if config.selective_threshold is not None:
         if unique_ancestor_fraction(pset) >= config.selective_threshold:
             return pset
@@ -194,7 +193,7 @@ def separate_roughen(
     if config.overlapped_only:
         if pset.ancestry is None:
             raise ValueError("overlapped_only requires ancestry (resample first)")
-        counts = np.bincount(pset.ancestry, minlength=int(pset.ancestry.max()) + 1)
+        counts = np.bincount(pset.ancestry)
         rows = np.flatnonzero(counts[pset.ancestry] > 1)
     else:
         rows = np.arange(len(pset))

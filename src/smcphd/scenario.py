@@ -149,17 +149,13 @@ def _compose_scan(
     shuffle_rng: np.random.Generator,
 ) -> np.ndarray:
     models = config.models
-    parts = []
-    if len(truth_states) > 0:
-        detected = detection_rng.random(len(truth_states)) < models.detection.p_detect
-        if np.any(detected):
-            parts.append(measure(truth_states[detected], models.measurement, measurement_rng))
-    clutter = clutter_sample(models.clutter, clutter_rng)
-    if len(clutter) > 0:
-        parts.append(clutter)
-    if not parts:
-        return np.empty((0, 2))
-    scan = np.vstack(parts)
+    detected = detection_rng.random(len(truth_states)) < models.detection.p_detect
+    scan = np.vstack(
+        [
+            measure(truth_states[detected], models.measurement, measurement_rng),
+            clutter_sample(models.clutter, clutter_rng),
+        ]
+    )
     return scan[shuffle_rng.permutation(len(scan))]
 
 

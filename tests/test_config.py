@@ -269,6 +269,8 @@ def test_roughening_parameter_errors_name_the_variant(tmp_path, capsys):
         run_config_from_mapping({**base, "roughening.sep.jitter_std": "nan"})
     with pytest.raises(ValueError, match=r"roughening\.sep: gordon_constant"):
         run_config_from_mapping({**base, "roughening.sep.gordon_constant": "inf"})
+    with pytest.raises(ValueError, match=r"roughening\.sep: jitter_std must be a scalar"):
+        run_config_from_mapping({**base, "roughening.sep.jitter_std": ""})
     with pytest.raises(ValueError, match=r"roughening\.sep: selective_threshold: "):
         run_config_from_mapping({**base, "roughening.sep.selective_threshold": "x"})
     with pytest.raises(ValueError, match=r"roughening\.sep: gordon_constant is required"):
@@ -284,3 +286,15 @@ def test_roughening_parameter_errors_name_the_variant(tmp_path, capsys):
     assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "roughening.dir: jitter_std" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_one_jitter_value_is_the_velocity_shorthand():
+    # The config file's one value, a one-element sequence and a scalar all
+    # mean velocity jitter.
+    scalar = RougheningConfig(mode="separate", jitter_std=0.4)
+    assert RougheningConfig(mode="separate", jitter_std=[0.4]) == scalar
+    assert RougheningConfig(mode="separate", jitter_std=np.array([0.4])) == scalar
+    kv = {"roughening.basic.mode": "none", "roughening.sep.mode": "separate"}
+    loaded = run_config_from_mapping({**kv, "roughening.sep.jitter_std": "0.4"})
+    assert loaded.variants[1].roughening == scalar
+    assert scalar.jitter_std == (0.0, 0.4, 0.0, 0.4)

@@ -7,8 +7,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import measurement_mass_terms
-from smcphd.filter import MAX_PARTICLES, FilterConfig, estimate_cardinality, predict, update
+from smcphd.filter import (
+    MAX_PARTICLES,
+    FilterConfig,
+    _exp_cuts,
+    estimate_cardinality,
+    predict,
+    update,
+)
 from smcphd.models import (
+    EXP_ZERO_BELOW,
     BirthModel,
     ClutterModel,
     DetectionModel,
@@ -138,6 +146,25 @@ def test_update_empty_scan_scales_by_missed_detection():
     pred = ParticleSet(states=rng.normal(size=(20, 4)), weights=rng.uniform(0, 1, 20))
     out = update(pred, np.empty((0, 2)), _models())
     assert np.allclose(out.weights, 0.05 * pred.weights, rtol=1e-15)
+
+
+@pytest.mark.parametrize("p_detect", [0.95, 1.0])
+@pytest.mark.parametrize("scan", [np.empty((0, 2)), [[0.0, 0.0], [5.0, -5.0], [500.0, 0.0]]])
+def test_update_of_an_empty_set_is_empty(p_detect, scan):
+    models = _models(detection=DetectionModel(p_detect=p_detect))
+    out = update(empty_set(), scan, models)
+    assert out.states.shape == (0, 4) and out.weights.shape == (0,)
+
+
+def test_exp_cuts_keep_every_term_without_clutter_or_at_certain_detection():
+    # A row cuts its subnormal likelihoods only when its clutter outweighs
+    # them both in the missed-detection mass 1 - p_D and in the support.
+    cut, _ = _models().measurement.subnormal_cut()
+    kappa = np.array([0.0, 25.0])
+    for weights in (np.full(10, 0.1), np.empty(0)):
+        assert _exp_cuts(kappa, weights, _models()).tolist() == [EXP_ZERO_BELOW, cut]
+        certain = _models(detection=DetectionModel(p_detect=1.0))
+        assert _exp_cuts(kappa, weights, certain).tolist() == [EXP_ZERO_BELOW] * 2
 
 
 def test_update_single_particle_hand_computed():

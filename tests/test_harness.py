@@ -493,6 +493,28 @@ def test_cli_fault_prints_only_the_error_and_removes_the_out_dir_it_made(tmp_pat
     assert not out.exists()
 
 
+def test_cli_extraction_overflow_is_one_trial_error_and_no_warning(tmp_path):
+    # Velocity noise of 1e200 loads, but by step 2 the particles' spread
+    # overflows the weighted variance that standardizes them for k-means.
+    # A fresh interpreter, so stderr shows exactly what a user sees.
+    cfg = tmp_path / "spread.cfg"
+    cfg.write_text("motion.sigma_v1 = 1e200\nscenario.steps = 5\nscenario.targets = 1:5, 2:5\n")
+    src = str(Path(smcphd.__file__).resolve().parents[1])
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "smcphd.cli", "run", "--config", str(cfg), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(
+        "error: trial 0, variant 'basic', step 2: FloatingPointError: overflow"
+    )
+
+
 def test_cli_fault_keeps_an_out_dir_that_existed(tmp_path):
     cfg = _overflow_config(tmp_path)
     out = tmp_path / "existing"
@@ -591,16 +613,19 @@ _BOOLEAN = st.sampled_from(["true", "false"])
 
 @st.composite
 def _loadable_configs(draw):
-    """Config mappings over the model space that load, at 1-4 steps and at
-    most 50 particles per target; the separate and direct variants each
-    take a fixed or a Gordon jitter."""
+    """Config mappings over the model space that load, at 1-4 steps, 0-4
+    targets and at most 50 particles per target; the separate and direct
+    variants each take a fixed or a Gordon jitter."""
     steps = draw(st.integers(1, 4))
     schedule = st.tuples(st.integers(1, steps), st.integers(1, steps)).map(sorted)
-    targets = draw(st.lists(schedule, min_size=1, max_size=4))
+    targets = draw(st.lists(schedule, max_size=4))
+    motion_noise = st.one_of(st.just("0"), _log_uniform(-3, 3))
     kv = {
         "scenario.steps": str(steps),
         "scenario.targets": ", ".join(f"{b}:{d}" for b, d in targets),
         "motion.sampling_interval": draw(_log_uniform(-6, 0.3)),
+        "motion.sigma_v1": draw(motion_noise),
+        "motion.sigma_v2": draw(motion_noise),
         "measurement.sigma_w1": draw(_log_uniform(-3, 3)),
         "measurement.sigma_w2": draw(_log_uniform(-3, 3)),
         "birth.mass": draw(

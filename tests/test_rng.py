@@ -34,3 +34,15 @@ def test_trial_streams_are_lazy_and_persistent():
     assert np.array_equal(second, fresh.random(4))
     # a purpose left untouched is not consumed by other purposes
     assert np.array_equal(streams.get("roughening").random(4), stream(11, 2, "roughening").random(4))
+
+
+def test_zero_size_draws_leave_the_stream_in_place():
+    # The filter and the scenario draw for empty sets and empty scans with
+    # no special case: a zero-size request must not move the stream.
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    rng.standard_normal((0, 2))
+    rng.standard_normal((0, 4))
+    rng.random(0)
+    rng.permutation(0)
+    assert rng.bit_generator.state == before

@@ -60,6 +60,26 @@ def test_zero_jitter_is_bitwise_noop_and_consumes_no_draws():
     assert probe_a.random() == probe_b.random()
 
 
+@pytest.mark.parametrize(
+    "guard",
+    [
+        {"jitter_std": 0.4},
+        {"jitter_std": 0.4, "overlapped_only": True},
+        {"jitter_std": 0.4, "selective_threshold": 0.5},
+        {"gordon_constant": 0.2},
+    ],
+)
+def test_empty_resampled_set_is_returned_untouched(guard):
+    empty = ParticleSet(
+        states=np.empty((0, 4)), weights=np.empty(0), ancestry=np.empty(0, dtype=np.intp)
+    )
+    rng = np.random.default_rng(7)
+    before = rng.bit_generator.state
+    out = separate_roughen(empty, RougheningConfig(mode="separate", **guard), MOTION, MEAS, rng)
+    assert out is empty
+    assert rng.bit_generator.state == before
+
+
 def test_jitter_moments_and_untouched_positions():
     rng = np.random.default_rng(22)
     n = 100_000

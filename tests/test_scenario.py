@@ -104,8 +104,12 @@ def test_scan_clutter_only():
 def test_empty_truth_no_clutter_gives_empty_scan():
     models = _models(clutter=ClutterModel(rate=0.0))
     config = ScenarioConfig(steps=1, targets=[TargetScript(1, 1)], models=models)
-    scan = single_stream_scan(np.empty((0, 4)), config, np.random.default_rng(5))
+    streams = [np.random.default_rng(seed) for seed in range(4)]
+    before = [rng.bit_generator.state for rng in streams]
+    scan = _compose_scan(np.empty((0, 4)), config, *streams)
     assert scan.shape == (0, 2)
+    # Nothing to detect, measure, scatter or shuffle: no stream moves.
+    assert [rng.bit_generator.state for rng in streams] == before
 
 
 def test_detection_frequency_matches_probability():
