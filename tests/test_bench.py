@@ -41,6 +41,23 @@ def _filter_like_cloud(n_particles: int, seed: int = 0) -> ParticleSet:
     return ParticleSet(states=states, weights=weights)
 
 
+def _exchange_cloud(n_particles: int = 3300, seed: int = 0) -> ParticleSet:
+    """Two targets 1 sigma (3 m in px) apart, weight 1 each, plus a broad
+    birth cloud of a fifth of the particles, weight 0.2.  The clusters
+    keep trading particles, so Lloyd takes well over ten assignments where
+    `_filter_like_cloud` settles in two or three."""
+    rng = np.random.default_rng(seed)
+    spread = np.array([3.0, 0.5, 3.0, 0.5])
+    birth_spread = np.sqrt([10.0, 1.0, 10.0, 1.0])
+    centres = np.array([[20.0, 1.0, 10.0, -1.0], [23.0, 1.0, 10.0, -1.0], [0.0, 3.0, 0.0, -3.0]])
+    births = n_particles // 5
+    label = np.r_[np.arange(n_particles - births) % 2, np.full(births, 2)]
+    noise = rng.normal(size=(n_particles, 4)) * np.where(label[:, None] == 2, birth_spread, spread)
+    share = np.where(label == 2, 0.2 / births, 2.0 / (n_particles - births))
+    weights = rng.uniform(0.5, 1.5, n_particles) * share
+    return ParticleSet(states=centres[label] + noise, weights=weights * 2.2 / weights.sum())
+
+
 def _scan(clutter_points: int, region=SURVEILLANCE, seed: int = 0) -> np.ndarray:
     """One benchmark-like scan: a detection near each target plus
     `clutter_points` clutter points over `region` (10 in the paper presets,
@@ -70,6 +87,21 @@ def test_weighted_kmeans(benchmark, n_particles, k):
         lambda: weighted_kmeans(points, pset.weights, k, np.random.default_rng(1))
     )
     assert centers.shape == (k, 4)
+
+
+def test_extract_states_cluster_exchange(benchmark):
+    pset = _exchange_cloud()
+    est = benchmark(lambda: extract_states(pset, 3, np.random.default_rng(1)))
+    assert est.shape == (3, 4)
+
+
+def test_weighted_kmeans_cluster_exchange(benchmark):
+    pset = _exchange_cloud()
+    points = (pset.states - pset.states.mean(axis=0)) / pset.states.std(axis=0)
+    centers = benchmark(
+        lambda: weighted_kmeans(points, pset.weights, 3, np.random.default_rng(1))
+    )
+    assert centers.shape == (3, 4)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from smcphd import extraction
 from smcphd.extraction import (
     MAX_ITERATIONS,
     REL_MOVE_TOL,
+    _move_ratio,
     _weighted_pick,
     extract_states,
     weighted_kmeans,
@@ -119,6 +120,120 @@ def test_weighted_kmeans_bit_identical_to_reference(seed, n_points, k):
     got = weighted_kmeans(points, weights, k, np.random.default_rng(seed + 1))
     expect = _reference_kmeans(points, weights, k, np.random.default_rng(seed + 1))
     assert np.array_equal(got, expect)
+
+
+def _exchange_points(seed, n_points, columns, zero_frac, zero_cloud, duplicate_frac):
+    """A far cloud whose cluster freezes after the first assignment, beside
+    two overlapping clouds that keep exchanging points.  Some points weigh
+    nothing, one cloud may weigh nothing as a whole, and some points repeat
+    an earlier one exactly, so two centers can coincide and tie."""
+    rng = np.random.default_rng(seed)
+    cloud = rng.integers(0, 3, n_points)
+    spread = np.array([1.0, 1.0, 0.1])[cloud, None]
+    noise = rng.normal(size=(n_points, columns)) * spread
+    points = np.array([0.0, 1.0, 40.0])[cloud, None] + noise
+    duplicates = rng.random(n_points) < duplicate_frac
+    points[duplicates] = points[rng.integers(0, n_points, duplicates.sum())]
+    weights = rng.uniform(0.5, 1.5, n_points)
+    weights[rng.random(n_points) < zero_frac] = 0.0
+    if zero_cloud is not None:
+        weights[cloud == zero_cloud] = 0.0
+    weights[rng.integers(n_points)] = 1.0  # keep the total weight positive
+    return points, weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.integers(1, 300),
+    columns=st.sampled_from([1, 2, 4]),
+    k=st.integers(2, 8),
+    zero_frac=st.sampled_from([0.0, 0.3]),
+    zero_cloud=st.sampled_from([None, 0, 2]),
+    duplicate_frac=st.sampled_from([0.0, 0.5]),
+    max_iterations=st.sampled_from([1, 2, 3, MAX_ITERATIONS]),
+    tol=st.sampled_from([REL_MOVE_TOL, 0.0]),
+)
+def test_skipped_rows_and_sums_keep_kmeans_bit_identical(
+    seed, n_points, columns, k, zero_frac, zero_cloud, duplicate_frac, max_iterations, tol
+):
+    # Lloyd recomputes only moved centers' distance rows and re-sums only
+    # clusters whose members changed; the reference redoes everything.
+    points, weights = _exchange_points(
+        seed, n_points, columns, zero_frac, zero_cloud, duplicate_frac
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(extraction, "MAX_ITERATIONS", max_iterations)
+        patch.setattr(extraction, "REL_MOVE_TOL", tol)
+        got = weighted_kmeans(points, weights, k, np.random.default_rng(seed))
+    expect = _reference_kmeans(
+        points, weights, k, np.random.default_rng(seed), max_iterations, tol
+    )
+    assert np.array_equal(got, expect)
+    assert np.array_equal(np.signbit(got), np.signbit(expect))
+
+
+def test_frozen_cluster_is_summed_and_measured_once(monkeypatch):
+    # A tight far cloud keeps its members from the first assignment on,
+    # while two overlapping clouds trade points for many assignments.  After
+    # seeding, the far cluster's mean and its distance row are computed once
+    # each; recomputing every row or every sum would repeat them.
+    rng = np.random.default_rng(21)
+    near = np.vstack([rng.normal(0.0, 1.0, (150, 4)), rng.normal(1.0, 1.0, (150, 4))])
+    points = np.vstack([near, rng.normal(60.0, 0.1, (50, 4))])
+    weights = rng.uniform(0.5, 1.5, len(points))
+    far = np.arange(300, 350)
+    sums, rows, assignments = [], [], []
+    cluster_mean = extraction._cluster_mean
+    distance_rows = extraction._distance_rows
+    nearest = extraction._nearest_center
+
+    def sum_spy(points, weights, members):
+        sums.append((members.copy(), cluster_mean(points, weights, members)))
+        return sums[-1][1]
+
+    def rows_spy(coords, centers, out, term):
+        rows.append(centers.tolist())
+        distance_rows(coords, centers, out, term)
+
+    def nearest_spy(d2):
+        assignments.append(None)
+        return nearest(d2)
+
+    monkeypatch.setattr(extraction, "_cluster_mean", sum_spy)
+    monkeypatch.setattr(extraction, "_distance_rows", rows_spy)
+    monkeypatch.setattr(extraction, "_nearest_center", nearest_spy)
+    got = weighted_kmeans(points, weights, 3, np.random.default_rng(1))
+    assert len(assignments) >= 4
+    far_means = [mean for members, mean in sums if np.array_equal(members, far)]
+    assert len(far_means) == 1
+    assert far_means[0] in got.tolist()
+    assert sum(far_means[0] in centers for centers in rows) == 1
+    expect = _reference_kmeans(points, weights, 3, np.random.default_rng(1))
+    assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("columns", range(1, 8))
+def test_move_ratio_has_the_bits_of_numpy_row_norms(columns):
+    # The move test runs on Python floats, summing squares left to right.
+    # numpy's reduce sums a row of fewer than 8 columns in that order; from
+    # 8 columns on it does not, and `weighted_kmeans` rejects such points.
+    rng = np.random.default_rng(columns)
+    shape = (20000, columns)
+    old = 10.0 ** rng.uniform(-8, 8, shape) * rng.choice([-1.0, 1.0], shape)
+    new = old + 10.0 ** rng.uniform(-8, 8, shape) * rng.choice([-1.0, 1.0], shape)
+    diff = new - old
+    expect = np.sqrt(np.add.reduce(diff * diff, axis=1)) / np.maximum(
+        1.0, np.sqrt(np.add.reduce(old * old, axis=1))
+    )
+    got = [_move_ratio(a, b) for a, b in zip(new.tolist(), old.tolist())]
+    assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("columns", [0, 8])
+def test_weighted_kmeans_takes_1_to_7_columns(columns):
+    with pytest.raises(ValueError, match="1 to 7 columns"):
+        weighted_kmeans(np.zeros((5, columns)), np.ones(5), 2, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("max_iterations, tol", [(0, REL_MOVE_TOL), (1, REL_MOVE_TOL), (100, 0.0), (100, REL_MOVE_TOL)])
