@@ -24,8 +24,15 @@ from .models import (
 from .particles import ParticleSet, round_half_up
 
 # The most particles a set may be asked for (not a config key): the weight
-# floor 1e-300 over 2**20 is a normal mean, and 54 x 2**20 likelihoods fit in 0.5 GB.
+# floor 1e-300 over 2**20 is a normal mean.  It does not depend on the scan
+# length: `update` works in row blocks, so an update array holds at most
+# max(_BLOCK_DOUBLES, _BLOCK_MIN_ROWS * N) doubles, 64 MiB at 2**20 particles.
 MAX_PARTICLES = 2**20
+# `update` reweights a scan in blocks of max(_BLOCK_MIN_ROWS,
+# _BLOCK_DOUBLES // N) rows.  The row floor shares `likelihood`'s per-call
+# state check and position copies among 8 rows once N exceeds 8,192.
+_BLOCK_DOUBLES = 2**16
+_BLOCK_MIN_ROWS = 8
 # A term under 2^-60 of a sum is under half an ulp of it (at least 2^-54 of
 # the sum), so adding it rounds back to the same sum.
 _VANISHES = 2.0**-60
@@ -144,37 +151,52 @@ def update(pred: ParticleSet, measurements, models: ModelSet) -> ParticleSet:
     computed (`_exp_cuts`).  A `ParticleSet` holds every weight at 0 or
     at least the weight floor (1e-300), which bounds each term p_D g / C(z)
     by 1 / w_j <= 1e300, and a new weight under the floor becomes 0.
+
+    The scan is reweighted in blocks of max(_BLOCK_MIN_ROWS,
+    _BLOCK_DOUBLES // N) rows, so no array holds more than
+    max(2**16, 8 N) doubles however long the scan is.  Blocking moves no
+    bit: each C(z) is one row's own dot product, and the factor still adds
+    whole rows in scan order, each block's first row taking the factor
+    so far (IEEE addition commutes).
     """
     z_arr = np.asarray(measurements, dtype=float).reshape(-1, 2)
     p_d = models.detection.p_detect
     kappa = clutter_intensity(z_arr, models.clutter)
     cuts = _exp_cuts(kappa, pred.weights, models)
-    rows = likelihood(z_arr, pred.states, models.measurement, cuts)
-    # C(z) for the whole scan in one call: a stack of (1, n) @ (n, 1)
-    # products runs one ddot per measurement, the same dot `row @ w` takes.
-    # A single rows @ w (gemv) sums in another order and moves bits.
-    support = p_d * np.matmul(rows[:, None, :], pred.weights[:, None])[:, 0, 0]
-    denom = kappa + support
     # (p_d * g) / denom stays finite for w_j > 0 even for a subnormal
     # denominator (each ratio is bounded by 1 / w_j); p_d / denom alone can
     # overflow and then turn zero likelihoods into NaNs.  A zero weight has
-    # no such bound, and its column is dropped: inf * 0 would be NaN.  A
-    # zero denominator becomes infinity, so its row divides to +0.0.
+    # no such bound, and its column is dropped: inf * 0 would be NaN.
     dead = pred.weights == 0.0
-    if dead.any():
-        rows[:, dead] = 0.0
-    rows *= p_d
-    rows /= np.where(denom > 0, denom, np.inf)[:, None]
-    if len(pred) == 1:
-        # np.add.reduce sums a single column pairwise, which moves bits, so
-        # one particle takes the terms one measurement at a time.
-        factor = np.full(1, 1.0 - p_d)
-        for row in rows:
-            factor += row
-    else:
-        # Over axis 0 of a C-ordered array with any column count but one,
-        # the reduce starts at 1 - p_D and adds whole rows in scan order.
-        factor = np.add.reduce(rows, axis=0, initial=1.0 - p_d)
+    any_dead = dead.any()
+    n = len(pred)
+    step = max(_BLOCK_MIN_ROWS, _BLOCK_DOUBLES // max(n, 1))
+    factor = np.full(n, 1.0 - p_d)
+    for a in range(0, len(z_arr), step):
+        b = a + step
+        rows = likelihood(z_arr[a:b], pred.states, models.measurement, cuts[a:b])
+        # C(z) for the block in one call: a stack of (1, n) @ (n, 1)
+        # products runs one ddot per measurement, the same dot `row @ w`
+        # takes.  A single rows @ w (gemv) sums in another order and moves
+        # bits.
+        support = p_d * np.matmul(rows[:, None, :], pred.weights[:, None])[:, 0, 0]
+        denom = kappa[a:b] + support
+        if any_dead:
+            rows[:, dead] = 0.0
+        rows *= p_d
+        # A zero denominator becomes infinity, so its row divides to +0.0.
+        rows /= np.where(denom > 0, denom, np.inf)[:, None]
+        if n == 1:
+            # np.add.reduce sums a single column pairwise, which moves bits,
+            # so one particle takes the terms one measurement at a time.
+            for row in rows:
+                factor += row
+        else:
+            # Over axis 0 of a C-ordered array with any column count but
+            # one, the reduce adds whole rows in scan order; the block's
+            # first row carries the factor of the rows before it.
+            rows[0] += factor
+            factor = np.add.reduce(rows, axis=0)
     return ParticleSet(states=pred.states, weights=factor * pred.weights)
 
 

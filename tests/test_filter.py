@@ -1,11 +1,15 @@
+import contextlib
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import smcphd.filter
 from oracles import measurement_mass_terms
 from smcphd.filter import (
     MAX_PARTICLES,
@@ -28,6 +32,14 @@ from smcphd.models import (
 )
 from smcphd.particles import WEIGHT_FLOOR, ParticleSet, empty_set
 from smcphd.roughening import RougheningConfig, direct_motion, velocity_jitter
+
+
+def _row_blocks(rows):
+    """Make `update` reweight the scan `rows` rows at a time; None keeps the
+    module's block constants."""
+    if rows is None:
+        return contextlib.nullcontext()
+    return mock.patch.multiple(smcphd.filter, _BLOCK_DOUBLES=0, _BLOCK_MIN_ROWS=rows)
 
 
 def _models(**overrides):
@@ -151,9 +163,12 @@ def test_update_empty_scan_scales_by_missed_detection():
 @pytest.mark.parametrize("p_detect", [0.95, 1.0])
 @pytest.mark.parametrize("scan", [np.empty((0, 2)), [[0.0, 0.0], [5.0, -5.0], [500.0, 0.0]]])
 def test_update_of_an_empty_set_is_empty(p_detect, scan):
+    # Whole scans, then blocks of 2 rows with a short last one.
     models = _models(detection=DetectionModel(p_detect=p_detect))
-    out = update(empty_set(), scan, models)
-    assert out.states.shape == (0, 4) and out.weights.shape == (0,)
+    for block in (None, 2):
+        with _row_blocks(block):
+            out = update(empty_set(), scan, models)
+        assert out.states.shape == (0, 4) and out.weights.shape == (0,)
 
 
 def test_exp_cuts_keep_every_term_without_clutter_or_at_certain_detection():
@@ -321,22 +336,25 @@ def _reference_mass_terms(pred, z, models):
     spread=st.sampled_from([1.0, 30.0, 100.0, 400.0]),
     zero_frac=st.sampled_from([0.0, 0.1, 0.5]),
     on_particles=st.integers(0, 5),
+    block=st.sampled_from([None, 1, 2, 3]),
     seed=st.integers(0, 2**32 - 1),
 )
 # One particle and 16 measurements within 1 m of the origin: a column that a
 # pairwise sum would add in another order.
 @example(
-    n=1, m=16, p_detect=0.95, clutter_rate=10.0, spread=1.0, zero_frac=0.0, on_particles=0, seed=0
+    n=1, m=16, p_detect=0.95, clutter_rate=10.0, spread=1.0, zero_frac=0.0, on_particles=0,
+    block=None, seed=0,
 )
 def test_update_matches_per_measurement_reference(
-    n, m, p_detect, clutter_rate, spread, zero_frac, on_particles, seed
+    n, m, p_detect, clutter_rate, spread, zero_frac, on_particles, block, seed
 ):
     # Spreads from 1 m to 400 m put the likelihoods anywhere from all normal
     # to all exactly zero, with subnormal supports in between, and a scan
     # reaching past the clutter region has no clutter there.  Scan points
     # placed on particles, some of them of zero weight, give rows with
     # nonzero likelihoods but a zero denominator.  Few particles exercise
-    # the sum over a scan along a single column.
+    # the sum over a scan along a single column.  Blocks of 1, 2 and 3 rows,
+    # most scans ending in a short one, carry the factor from block to block.
     rng = np.random.default_rng(seed)
     models = _models(
         clutter=ClutterModel(rate=clutter_rate, region=(-100, 100, -100, 100)),
@@ -348,7 +366,8 @@ def test_update_matches_per_measurement_reference(
     scan = rng.uniform(-1, 1, size=(m, 2)) * rng.choice([spread, 150.0, 400.0])
     k = min(on_particles, m)
     scan[:k] = pred.states[rng.integers(0, n, size=k)][:, [0, 2]]
-    post = update(pred, scan, models)
+    with _row_blocks(block):
+        post = update(pred, scan, models)
     assert np.array_equal(post.weights, _reference_update_weights(pred, scan, models))
     terms = measurement_mass_terms(pred, scan, models)
     assert np.array_equal(terms, _reference_mass_terms(pred, scan, models))
@@ -395,10 +414,11 @@ def test_update_zero_weight_particle_on_an_unsupported_measurement_stays_zero():
     zero_frac=st.sampled_from([0.0, 0.1, 0.5]),
     clustered=st.booleans(),
     at_cut=st.booleans(),
+    block=st.sampled_from([None, 1, 2, 3]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_update_matches_reference_at_the_subnormal_cut(
-    n, m, p_detect, clutter, sigma, weight_scale, zero_frac, clustered, at_cut, seed
+    n, m, p_detect, clutter, sigma, weight_scale, zero_frac, clustered, at_cut, block, seed
 ):
     # update drops a row's subnormal likelihoods only where kappa(z) bounds
     # every dropped term and the dropped support.  Clutter "bound" puts
@@ -445,7 +465,8 @@ def test_update_matches_reference_at_the_subnormal_cut(
     picked = states[rng.integers(0, n, size=m)]
     scan[near, 0] = (picked[:, 0] + r * np.cos(angle) * sigma[0])[near]
     scan[near, 1] = (picked[:, 2] + r * np.sin(angle) * sigma[1])[near]
-    post = update(pred, scan, models)
+    with _row_blocks(block):
+        post = update(pred, scan, models)
     assert np.array_equal(post.weights, _reference_update_weights(pred, scan, models))
 
 
@@ -472,6 +493,24 @@ def test_update_keeps_the_denominator_of_a_row_dropping_a_whole_cloud():
         )
         post = update(pred, scan, models)
         assert np.array_equal(post.weights, _reference_update_weights(pred, scan, models))
+
+
+def test_update_memory_is_bounded_by_the_block_not_the_scan():
+    # 100,000 particles and 60 scan points: a whole-scan update would hold
+    # (60, 10^5) likelihood arrays, 46 MiB each.  In blocks of 8 rows each
+    # array is 6.1 MiB, and the traced peak stays under 32 MiB.
+    rng = np.random.default_rng(16)
+    n = 100_000
+    pred = ParticleSet(states=rng.uniform(-100, 100, (n, 4)), weights=rng.uniform(0, 0.01, n))
+    scan = rng.uniform(-100, 100, (60, 2))
+    models = _models(clutter=ClutterModel(rate=50.0, region=(-100, 100, -100, 100)))
+    tracemalloc.start()
+    try:
+        update(pred, scan, models)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 @pytest.mark.xfail(strict=True, reason="update loses mass once the products in C(z) underflow")
