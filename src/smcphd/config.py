@@ -241,12 +241,6 @@ def _parse_into(table: dict, texts: dict) -> tuple:
 def _build_roughening(name: str, texts: dict) -> RougheningConfig:
     try:
         args, unknown = _parse_into(ROUGHENING_KEYS, texts)
-        gordon_options = texts.keys() & {"gordon_dimension", "gordon_positive_exponent"}
-        if gordon_options and "gordon_constant" not in texts:
-            raise ValueError(
-                "gordon_constant is required when gordon_dimension or "
-                "gordon_positive_exponent is set"
-            )
         config = RougheningConfig(**args["roughening"])
     except ValueError as exc:
         raise ValueError(f"roughening.{name}: {exc}") from None

@@ -1,4 +1,4 @@
-"""Particle intensity-filter recursion: predict, update, cardinality.
+"""Particle intensity-filter recursion: predict and update.
 
 The filter propagates a weighted particle approximation of the multi-target
 intensity.  Prediction thins survivors by the survival probability and
@@ -16,27 +16,19 @@ import numpy as np
 from .models import (
     EXP_ZERO_BELOW,
     ModelSet,
+    _as_rows,
     birth_sample,
     clutter_intensity,
     likelihood,
     propagate,
 )
-from .particles import ParticleSet, round_half_up
+from .particles import MAX_PARTICLES, ParticleSet, round_half_up
+from .resampling import RESAMPLE_SCHEMES
 
-# The most particles a set may be asked for (not a config key): the weight
-# floor 1e-300 over 2**20 is a normal mean.  It does not depend on the scan
-# length: `update` works in row blocks, so an update array holds at most
-# max(_BLOCK_DOUBLES, _BLOCK_MIN_ROWS * N) doubles, 64 MiB at 2**20 particles.
-MAX_PARTICLES = 2**20
-# `update` reweights a scan in blocks of max(_BLOCK_MIN_ROWS,
-# _BLOCK_DOUBLES // N) rows.  The row floor shares `likelihood`'s per-call
-# state check and position copies among 8 rows once N exceeds 8,192.
-_BLOCK_DOUBLES = 2**16
-_BLOCK_MIN_ROWS = 8
+_BLOCK_DOUBLES = 2**16  # `update` reweights a scan in blocks of this many doubles
 # A term under 2^-60 of a sum is under half an ulp of it (at least 2^-54 of
 # the sum), so adding it rounds back to the same sum.
 _VANISHES = 2.0**-60
-RESAMPLE_SCHEMES = ("systematic", "multinomial")
 
 
 @dataclass
@@ -104,16 +96,14 @@ def predict(
     surv_states = propagate(prev.states, models.motion, rng)
     surv_weights = models.detection.p_survive * prev.weights
 
-    j = config.birth_particle_count(models.birth.mass)
-    if models.birth.mass > 0 and j > 0:
-        birth_states = birth_sample(models.birth, rng, j)
-        birth_weights = np.full(j, models.birth.mass / j)
-        states = np.vstack([surv_states, birth_states])
-        weights = np.concatenate([surv_weights, birth_weights])
-    else:
-        states = surv_states
-        weights = surv_weights
-    return ParticleSet(states=states, weights=weights)
+    mass = models.birth.mass
+    j = config.birth_particle_count(mass) if mass > 0 else 0
+    # A zero-size draw leaves the stream where it was, and np.full(0, m) / 0
+    # is empty, so a zero birth mass or count adds no particle.
+    return ParticleSet(
+        states=np.vstack([surv_states, birth_sample(models.birth, rng, j)]),
+        weights=np.concatenate([surv_weights, np.full(j, mass) / j]),
+    )
 
 
 def _exp_cuts(kappa: np.ndarray, weights: np.ndarray, models: ModelSet) -> np.ndarray:
@@ -152,14 +142,14 @@ def update(pred: ParticleSet, measurements, models: ModelSet) -> ParticleSet:
     at least the weight floor (1e-300), which bounds each term p_D g / C(z)
     by 1 / w_j <= 1e300, and a new weight under the floor becomes 0.
 
-    The scan is reweighted in blocks of max(_BLOCK_MIN_ROWS,
-    _BLOCK_DOUBLES // N) rows, so no array holds more than
-    max(2**16, 8 N) doubles however long the scan is.  Blocking moves no
-    bit: each C(z) is one row's own dot product, and the factor still adds
-    whole rows in scan order, each block's first row taking the factor
-    so far (IEEE addition commutes).
+    The scan, an (m, 2) array, is reweighted in blocks of max(1,
+    _BLOCK_DOUBLES // N) rows, so no array holds more than max(2**16, N)
+    doubles however long the scan is.  Blocking moves no bit: each C(z) is
+    one row's own dot product, and the factor still adds whole rows in
+    scan order, each block's first row taking the factor so far (IEEE
+    addition commutes).
     """
-    z_arr = np.asarray(measurements, dtype=float).reshape(-1, 2)
+    z_arr = _as_rows(measurements, 2)
     p_d = models.detection.p_detect
     kappa = clutter_intensity(z_arr, models.clutter)
     cuts = _exp_cuts(kappa, pred.weights, models)
@@ -168,9 +158,10 @@ def update(pred: ParticleSet, measurements, models: ModelSet) -> ParticleSet:
     # overflow and then turn zero likelihoods into NaNs.  A zero weight has
     # no such bound, and its column is dropped: inf * 0 would be NaN.
     dead = pred.weights == 0.0
-    any_dead = dead.any()
     n = len(pred)
-    step = max(_BLOCK_MIN_ROWS, _BLOCK_DOUBLES // max(n, 1))
+    # The reduce below adds whole rows in scan order, but sums a single
+    # column pairwise: a set of at most one particle takes one-row blocks.
+    step = max(1, _BLOCK_DOUBLES // n) if n > 1 else 1
     factor = np.full(n, 1.0 - p_d)
     for a in range(0, len(z_arr), step):
         b = a + step
@@ -181,26 +172,12 @@ def update(pred: ParticleSet, measurements, models: ModelSet) -> ParticleSet:
         # bits.
         support = p_d * np.matmul(rows[:, None, :], pred.weights[:, None])[:, 0, 0]
         denom = kappa[a:b] + support
-        if any_dead:
-            rows[:, dead] = 0.0
+        rows[:, dead] = 0.0
         rows *= p_d
         # A zero denominator becomes infinity, so its row divides to +0.0.
         rows /= np.where(denom > 0, denom, np.inf)[:, None]
-        if n == 1:
-            # np.add.reduce sums a single column pairwise, which moves bits,
-            # so one particle takes the terms one measurement at a time.
-            for row in rows:
-                factor += row
-        else:
-            # Over axis 0 of a C-ordered array with any column count but
-            # one, the reduce adds whole rows in scan order; the block's
-            # first row carries the factor of the rows before it.
-            rows[0] += factor
-            factor = np.add.reduce(rows, axis=0)
+        # The block's first row carries the factor of the rows before it.
+        rows[0] += factor
+        factor = np.add.reduce(rows, axis=0)
     return ParticleSet(states=pred.states, weights=factor * pred.weights)
 
-
-def estimate_cardinality(mass: float) -> int:
-    """Expected-count estimate from the intensity mass (a particle set's
-    `total_weight()`): the mass rounded half-up."""
-    return round_half_up(mass)

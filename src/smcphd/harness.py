@@ -15,10 +15,10 @@ import numpy as np
 
 from .config import SWEEP_MODES, RunConfig, VariantSpec, arm_name
 from .extraction import extract_states
-from .filter import estimate_cardinality, predict, update
+from .filter import predict, update
 from .metrics import gain_ratio, ospa
 from .models import POSITION_IDX
-from .particles import empty_set
+from .particles import empty_set, round_half_up
 from .resampling import resample
 from .rng import TrialStreams
 from .roughening import RougheningConfig, direct_motion, separate_roughen
@@ -98,7 +98,7 @@ def _run_variant(
             pset = predict(pset, step_models, config.filter, streams.get("prediction"))
             pset = update(pset, scans.at(step), models)
             mass = pset.total_weight()
-            n_hat = estimate_cardinality(mass)
+            n_hat = round_half_up(mass)
             states = extract_states(pset, n_hat, streams.get("extraction"))
             est_counts[step - 1] = n_hat
             if mass <= 0:

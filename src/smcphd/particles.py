@@ -12,6 +12,10 @@ import numpy as np
 from .models import STATE_DIM, _as_rows
 
 WEIGHT_FLOOR = 1e-300  # a weight below this is held as exactly zero
+# The most particles a set may be asked for (not a config key): the weight
+# floor over 2**20 is a normal mean, and an `update` array, at most
+# max(2**16, N) doubles whatever the scan length, is 8 MiB at 2**20.
+MAX_PARTICLES = 2**20
 
 
 def round_half_up(value: float) -> int:

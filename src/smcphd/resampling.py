@@ -6,14 +6,17 @@ so the population cannot die out while the expected count is small.
 """
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .filter import MAX_PARTICLES, FilterConfig
-from .particles import WEIGHT_FLOOR, ParticleSet, round_half_up
+from .particles import MAX_PARTICLES, WEIGHT_FLOOR, ParticleSet, round_half_up
+
+if TYPE_CHECKING:  # `filter` imports this module for its scheme table
+    from .filter import FilterConfig
 
 
-def target_count(mass: float, config: FilterConfig) -> int:
+def target_count(mass: float, config: "FilterConfig") -> int:
     """Particle budget for an expected target count: round(mass) per-target
     blocks, hard-floored at `min_particles`, and at most MAX_PARTICLES."""
     if mass < 0:
@@ -38,6 +41,9 @@ def multinomial_indices(weights: np.ndarray, count: int, rng: np.random.Generato
     w, total = _selection_weights(weights)
     points = rng.random(count) * total
     return _points_to_indices(w, total, points)
+
+
+RESAMPLE_SCHEMES = {"systematic": systematic_indices, "multinomial": multinomial_indices}
 
 
 def _selection_weights(weights) -> tuple:
@@ -100,7 +106,7 @@ def _equalized_weights(total: float, count: int) -> np.ndarray:
 
 
 def resample(
-    pset: ParticleSet, total: float, config: FilterConfig, rng: np.random.Generator
+    pset: ParticleSet, total: float, config: "FilterConfig", rng: np.random.Generator
 ) -> ParticleSet:
     """Draw a new population proportional to weight and equalize the weights.
 
@@ -116,10 +122,7 @@ def resample(
     if total <= 0:
         raise ValueError("cannot resample a particle set with zero total weight")
     count = target_count(total, config)
-    if config.resample_scheme == "systematic":
-        idx = systematic_indices(pset.weights, count, rng)
-    else:
-        idx = multinomial_indices(pset.weights, count, rng)
+    idx = RESAMPLE_SCHEMES[config.resample_scheme](pset.weights, count, rng)
     return ParticleSet(
         states=pset.states[idx],  # fancy indexing returns a new array
         weights=_equalized_weights(total, count),

@@ -37,12 +37,13 @@ class RougheningConfig:
     `gordon_constant` K instead selects the adaptive bandwidth
     K * E * N^(-1/d): E is the per-dimension spread of the particles, N
     their count, d `gordon_dimension`, and `gordon_positive_exponent` makes
-    it N^(+1/d).  An active mode takes exactly one of the two; direct mode
-    takes velocity jitter only (see `direct_motion`).  `selective_threshold`
-    skips roughening while the fraction of unique ancestor indices is at or
-    above it; `overlapped_only` jitters only particles that share an
-    ancestor; `cap_to_measurement` clamps the jitter so its one-step
-    position projection stays within the smallest measurement noise std.
+    it N^(+1/d); either of the last two away from its default needs K.  An
+    active mode takes exactly one of `jitter_std` and K; direct mode takes
+    velocity jitter only (see `direct_motion`).  `selective_threshold` skips
+    roughening while the fraction of unique ancestor indices is at or above
+    it; `overlapped_only` jitters only particles that share an ancestor;
+    `cap_to_measurement` clamps the jitter so its one-step position
+    projection stays within the smallest measurement noise std.
     """
 
     mode: str = "none"
@@ -72,6 +73,12 @@ class RougheningConfig:
             check_number("gordon_constant", self.gordon_constant, 0.0)
         if self.gordon_dimension < 1:
             raise ValueError(f"gordon_dimension must be >= 1, got {self.gordon_dimension}")
+        gordon_options = (self.gordon_dimension, self.gordon_positive_exponent)
+        if self.gordon_constant is None and gordon_options != (STATE_DIM, False):
+            raise ValueError(
+                "gordon_constant is required when gordon_dimension or "
+                "gordon_positive_exponent is set"
+            )
         if jitter is not None and self.gordon_constant is not None:
             raise ValueError("set either a fixed jitter_std or gordon_constant, not both")
         if self.mode != "none" and jitter is None and self.gordon_constant is None:

@@ -11,14 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import smcphd.filter
 from oracles import measurement_mass_terms
-from smcphd.filter import (
-    MAX_PARTICLES,
-    FilterConfig,
-    _exp_cuts,
-    estimate_cardinality,
-    predict,
-    update,
-)
+from smcphd.filter import FilterConfig, _exp_cuts, predict, update
 from smcphd.models import (
     EXP_ZERO_BELOW,
     BirthModel,
@@ -29,17 +22,18 @@ from smcphd.models import (
     MotionModel,
     clutter_intensity,
     likelihood,
+    propagate,
 )
-from smcphd.particles import WEIGHT_FLOOR, ParticleSet, empty_set
+from smcphd.particles import MAX_PARTICLES, WEIGHT_FLOOR, ParticleSet, empty_set, round_half_up
 from smcphd.roughening import RougheningConfig, direct_motion, velocity_jitter
 
 
-def _row_blocks(rows):
-    """Make `update` reweight the scan `rows` rows at a time; None keeps the
-    module's block constants."""
+def _row_blocks(rows, n):
+    """Make `update` reweight the scan of a set of `n` particles `rows` rows
+    at a time (one row for n <= 1); None keeps the module's block size."""
     if rows is None:
         return contextlib.nullcontext()
-    return mock.patch.multiple(smcphd.filter, _BLOCK_DOUBLES=0, _BLOCK_MIN_ROWS=rows)
+    return mock.patch.object(smcphd.filter, "_BLOCK_DOUBLES", rows * n)
 
 
 def _models(**overrides):
@@ -114,6 +108,19 @@ def test_predict_flushes_weights_below_the_floor():
     assert np.array_equal(prev.weights, [2e-300, 1e-300, 0.5])
 
 
+def test_predict_zero_birth_mass_adds_no_particle_and_draws_nothing():
+    # A birth count set but no birth mass: the survivors alone, drawn from
+    # the stream exactly as propagating them alone draws.
+    models = _models(birth=BirthModel(mass=0.0))
+    config = FilterConfig(particles_per_target=200, birth_particles=5)
+    prev = ParticleSet(states=np.ones((3, 4)), weights=[0.1, 0.2, 0.3])
+    rng, alone = np.random.default_rng(8), np.random.default_rng(8)
+    out = predict(prev, models, config, rng)
+    assert len(out) == 3
+    assert np.array_equal(out.states, propagate(prev.states, models.motion, alone))
+    assert rng.bit_generator.state == alone.bit_generator.state
+
+
 def _direct_models(prev, roughening, models=None):
     """The models of a direct-roughening prediction from `prev`."""
     models = models or _models()
@@ -166,7 +173,7 @@ def test_update_of_an_empty_set_is_empty(p_detect, scan):
     # Whole scans, then blocks of 2 rows with a short last one.
     models = _models(detection=DetectionModel(p_detect=p_detect))
     for block in (None, 2):
-        with _row_blocks(block):
+        with _row_blocks(block, 0):
             out = update(empty_set(), scan, models)
         assert out.states.shape == (0, 4) and out.weights.shape == (0,)
 
@@ -366,11 +373,32 @@ def test_update_matches_per_measurement_reference(
     scan = rng.uniform(-1, 1, size=(m, 2)) * rng.choice([spread, 150.0, 400.0])
     k = min(on_particles, m)
     scan[:k] = pred.states[rng.integers(0, n, size=k)][:, [0, 2]]
-    with _row_blocks(block):
+    with _row_blocks(block, n):
         post = update(pred, scan, models)
     assert np.array_equal(post.weights, _reference_update_weights(pred, scan, models))
     terms = measurement_mass_terms(pred, scan, models)
     assert np.array_equal(terms, _reference_mass_terms(pred, scan, models))
+
+
+@pytest.mark.parametrize("scan", [np.zeros((3, 4)), np.zeros(2), np.zeros((1, 1, 2))])
+def test_update_rejects_a_scan_that_is_not_m_by_2(scan):
+    pred = ParticleSet(states=np.zeros((2, 4)), weights=[0.1, 0.2])
+    with pytest.raises(ValueError, match=r"measurements must be an \(m, 2\) array"):
+        update(pred, scan, _models())
+
+
+@pytest.mark.parametrize("block", [None, 3, 8, 16])
+@pytest.mark.parametrize("n", [0, 1])
+def test_update_of_at_most_one_particle_sums_the_scan_in_order(n, block):
+    # A 40-point scan near the particle, so every term is normal.  Here a
+    # block of 8 or more rows would be one column, which numpy sums
+    # pairwise, and that moves bits: the set takes one-row blocks instead.
+    models = _models()
+    pred = ParticleSet(states=np.tile([1.0, 0.5, -2.0, 0.1], (n, 1)), weights=np.full(n, 0.8))
+    scan = np.array([1.0, -2.0]) + np.random.default_rng(0).normal(0, 2.5, size=(40, 2))
+    with _row_blocks(block, n):
+        post = update(pred, scan, models)
+    assert np.array_equal(post.weights, _reference_update_weights(pred, scan, models))
 
 
 def test_update_single_particle_sums_the_scan_in_order():
@@ -465,7 +493,7 @@ def test_update_matches_reference_at_the_subnormal_cut(
     picked = states[rng.integers(0, n, size=m)]
     scan[near, 0] = (picked[:, 0] + r * np.cos(angle) * sigma[0])[near]
     scan[near, 1] = (picked[:, 2] + r * np.sin(angle) * sigma[1])[near]
-    with _row_blocks(block):
+    with _row_blocks(block, n):
         post = update(pred, scan, models)
     assert np.array_equal(post.weights, _reference_update_weights(pred, scan, models))
 
@@ -497,8 +525,8 @@ def test_update_keeps_the_denominator_of_a_row_dropping_a_whole_cloud():
 
 def test_update_memory_is_bounded_by_the_block_not_the_scan():
     # 100,000 particles and 60 scan points: a whole-scan update would hold
-    # (60, 10^5) likelihood arrays, 46 MiB each.  In blocks of 8 rows each
-    # array is 6.1 MiB, and the traced peak stays under 32 MiB.
+    # (60, 10^5) likelihood arrays, 46 MiB each.  In blocks of one row each
+    # array is 0.8 MiB, and the traced peak stays under 32 MiB.
     rng = np.random.default_rng(16)
     n = 100_000
     pred = ParticleSet(states=rng.uniform(-100, 100, (n, 4)), weights=rng.uniform(0, 0.01, n))
@@ -542,10 +570,11 @@ def test_estimate_cardinality_rounding():
     def pset_with_mass(mass, n=8):
         return ParticleSet(states=np.zeros((n, 4)), weights=np.full(n, mass / n))
 
-    assert estimate_cardinality(pset_with_mass(3.6).total_weight()) == 4
-    assert estimate_cardinality(pset_with_mass(0.4).total_weight()) == 0
-    assert estimate_cardinality(2.5) == 3
-    assert estimate_cardinality(empty_set().total_weight()) == 0
+    # The harness estimates the target count as the mass rounded half-up.
+    assert round_half_up(pset_with_mass(3.6).total_weight()) == 4
+    assert round_half_up(pset_with_mass(0.4).total_weight()) == 0
+    assert round_half_up(2.5) == 3
+    assert round_half_up(empty_set().total_weight()) == 0
 
 
 def test_filter_config_defaults_and_validation():

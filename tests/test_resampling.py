@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from smcphd.filter import MAX_PARTICLES, FilterConfig
-from smcphd.particles import WEIGHT_FLOOR, ParticleSet
+from smcphd.filter import FilterConfig
+from smcphd.particles import MAX_PARTICLES, WEIGHT_FLOOR, ParticleSet
 from smcphd.resampling import (
     _equalized_weights,
     multinomial_indices,

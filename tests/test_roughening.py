@@ -209,6 +209,11 @@ def test_config_validation():
         RougheningConfig(mode="separate", gordon_constant=-0.1)
     with pytest.raises(ValueError, match="^gordon_dimension must be >= 1"):
         RougheningConfig(mode="separate", gordon_constant=0.1, gordon_dimension=0)
+    # The Gordon options need the constant whether built here or from a file.
+    with pytest.raises(ValueError, match="^gordon_constant is required"):
+        RougheningConfig(mode="separate", jitter_std=0.4, gordon_dimension=3)
+    with pytest.raises(ValueError, match="^gordon_constant is required"):
+        RougheningConfig(mode="none", gordon_positive_exponent=True)
     with pytest.raises(ValueError):
         RougheningConfig(mode="direct", jitter_std=0.4, overlapped_only=True)
     with pytest.raises(ValueError):
