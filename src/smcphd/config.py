@@ -27,18 +27,13 @@ def arm_name(mode: str, delta: float) -> str:
 
 
 @dataclass
-class VariantSpec:
-    name: str
-    roughening: RougheningConfig
-
-
-@dataclass
 class RunConfig:
-    """Everything one Monte Carlo benchmark run needs."""
+    """Everything one Monte Carlo benchmark run needs.  `variants` maps each
+    variant's name to its roughening config, in run order."""
 
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     filter: FilterConfig = field(default_factory=FilterConfig)
-    variants: list = field(default_factory=lambda: default_variants())
+    variants: dict = field(default_factory=lambda: default_variants())
     trials: int = 100
     master_seed: int = 1
     ospa: OspaParams = field(default_factory=OspaParams)
@@ -50,52 +45,50 @@ class RunConfig:
             raise ValueError(f"run.trials must be >= 1, got {self.trials}")
         if self.master_seed < 0:
             raise ValueError(f"run.master_seed must be >= 0, got {self.master_seed}")
-        if not self.variants:
-            raise ValueError("at least one filter variant is required")
+        for name in self.variants:  # a name is one column of a tab-separated table row
+            if not name or {"\t", "\r", "\n"} & set(name):
+                raise ValueError(f"roughening.<variant>: empty name or tab, CR or LF in {name!r}")
         self.filter.birth_particle_count(self.scenario.models.birth.mass)  # checks the bound
-        names = self.variant_names()
-        if len(set(names)) != len(names):
-            raise ValueError(f"variant names must be unique, got {names}")
         self.sweep_grid = tuple(float(v) for v in self.sweep_grid)
         for v in self.sweep_grid:
             check_number("run.sweep_grid", v, 0.0)
-        arms = [v.name for v in self.sweep_variants()]  # also checks the baseline
-        if len(set(arms)) != len(arms):
-            raise ValueError(f"run.sweep_grid: sweep arm names must be unique, got {arms}")
+        self.sweep_variants()  # checks that there is one baseline, and the arm names
 
     @property
-    def baseline(self) -> VariantSpec:
-        """The one variant with roughening mode none; gain ratios are taken
-        against it."""
-        found = [v for v in self.variants if v.roughening.mode == "none"]
+    def baseline(self) -> str:
+        """The name of the one variant with roughening mode none; gain ratios
+        are taken against it."""
+        found = [name for name, roughening in self.variants.items() if roughening.mode == "none"]
         if len(found) != 1:
             raise ValueError(
                 "roughening.<variant>.mode: exactly one variant must be none (the "
-                f"baseline), got {[v.name for v in found]}"
+                f"baseline), got {found}"
             )
         return found[0]
 
-    def variant_names(self) -> list:
-        return [v.name for v in self.variants]
+    def sweep_variants(self) -> dict:
+        """The sweep's arms, name -> roughening config: the baseline, then
+        each grid value in each of `SWEEP_MODES`.  Random streams do not
+        depend on the variants, so one paired run over these arms equals a
+        run per grid value."""
+        baseline = self.baseline
+        arms = {baseline: self.variants[baseline]}
+        for delta in self.sweep_grid:
+            for mode in SWEEP_MODES:
+                name = arm_name(mode, delta)
+                if name in arms:
+                    raise ValueError(f"run.sweep_grid: sweep arm names must be unique: {name!r}")
+                arms[name] = RougheningConfig(mode=mode, jitter_std=delta)
+        return arms
 
-    def sweep_variants(self) -> list:
-        """The sweep's arms: the baseline, then each grid value in each of
-        `SWEEP_MODES`.  Random streams do not depend on the variant list, so
-        one paired run over these arms equals a run per grid value."""
-        return [self.baseline] + [
-            VariantSpec(arm_name(mode, delta), RougheningConfig(mode=mode, jitter_std=delta))
-            for delta in self.sweep_grid
-            for mode in SWEEP_MODES
-        ]
 
-
-def default_variants() -> list:
+def default_variants() -> dict:
     """Baseline plus both roughening modes at DEFAULT_JITTER_STD."""
-    return [
-        VariantSpec("basic", RougheningConfig(mode="none")),
-        VariantSpec("separate", RougheningConfig(mode="separate", jitter_std=DEFAULT_JITTER_STD)),
-        VariantSpec("direct", RougheningConfig(mode="direct", jitter_std=DEFAULT_JITTER_STD)),
-    ]
+    return {
+        "basic": RougheningConfig(mode="none"),
+        "separate": RougheningConfig(mode="separate", jitter_std=DEFAULT_JITTER_STD),
+        "direct": RougheningConfig(mode="direct", jitter_std=DEFAULT_JITTER_STD),
+    }
 
 
 def benchmark_preset(
@@ -270,10 +263,9 @@ def run_config_from_mapping(kv: dict) -> RunConfig:
     models = ModelSet(**{part.name: part.type(**args[part.name]) for part in fields(ModelSet)})
     run_args = args["run"]
     if variant_fields:
-        run_args["variants"] = [
-            VariantSpec(name, _build_roughening(name, variant))
-            for name, variant in variant_fields.items()
-        ]
+        run_args["variants"] = {
+            name: _build_roughening(name, variant) for name, variant in variant_fields.items()
+        }
     return RunConfig(
         scenario=ScenarioConfig(models=models, **args["scenario"]),
         filter=FilterConfig(**args["filter"]),

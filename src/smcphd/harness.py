@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import SWEEP_MODES, RunConfig, VariantSpec, arm_name
+from .config import SWEEP_MODES, RunConfig, arm_name
 from .extraction import extract_states
 from .filter import predict, update
 from .metrics import gain_ratio, ospa
@@ -68,7 +68,8 @@ def _run_variant(
     scans: ScanData,
     true_points: list,
     config: RunConfig,
-    variant: VariantSpec,
+    name: str,
+    roughening: RougheningConfig,
     streams: TrialStreams,
 ):
     """Run one filter variant over a trial's scans, scoring each step.
@@ -82,7 +83,6 @@ def _run_variant(
     ArithmeticError inside a step is re-raised as a TrialError that says
     where it happened.
     """
-    roughening = variant.roughening
     models = config.scenario.models
     steps = config.scenario.steps
     pset = empty_set()
@@ -113,7 +113,7 @@ def _run_variant(
             points = _ospa_points(states, config)
             ospa_values[step - 1] = ospa(points, true_points[step - 1], config.ospa)
         except (ValueError, ArithmeticError) as exc:
-            where = f"variant {variant.name!r}, step {step}"
+            where = f"variant {name!r}, step {step}"
             raise _trial_error(streams.trial, where, exc) from exc
         if collapsed_at is not None:
             import logging  # only a collapse logs
@@ -181,15 +181,15 @@ def run_trial(config: RunConfig, trial_index: int) -> TrialResult:
     ospa_values: dict = {}
     collapsed: dict = {}
     runs: dict = {}
-    for variant in config.variants:
-        key = _roughening_key(variant.roughening)
+    for name, roughening in config.variants.items():
+        key = _roughening_key(roughening)
         if key not in runs:
             streams = TrialStreams(config.master_seed, trial_index)
-            runs[key] = _run_variant(scans, true_points, config, variant, streams)
+            runs[key] = _run_variant(scans, true_points, config, name, roughening, streams)
         counts, values, collapsed_at = runs[key]
-        est_counts[variant.name] = counts.copy()
-        ospa_values[variant.name] = values.copy()
-        collapsed[variant.name] = collapsed_at
+        est_counts[name] = counts.copy()
+        ospa_values[name] = values.copy()
+        collapsed[name] = collapsed_at
     return TrialResult(
         trial=trial_index,
         true_counts=true_counts,
@@ -230,7 +230,7 @@ def run_trials(config: RunConfig, workers: int = 1) -> list:
 
 
 def summarize(config: RunConfig, results: list) -> RunSummary:
-    names = config.variant_names()
+    names = list(config.variants)
     steps = config.scenario.steps
     mean_true = np.mean([r.true_counts for r in results], axis=0)
     mean_est = {
@@ -246,7 +246,7 @@ def summarize(config: RunConfig, results: list) -> RunSummary:
         )
         for name in names
     }
-    baseline = config.baseline.name
+    baseline = config.baseline
     try:
         gains = {name: gain_ratio(mean_ospa[baseline], mean_ospa[name]) for name in names}
     except ValueError as exc:

@@ -17,7 +17,7 @@ import pytest
 from oracles import measurement_mass_terms, ospa_bruteforce, write_variant_table
 from smcphd import harness
 from smcphd.cli import main as cli_main
-from smcphd.config import SWEEP_MODES, VariantSpec, arm_name, benchmark_preset, default_variants
+from smcphd.config import SWEEP_MODES, arm_name, benchmark_preset, default_variants
 from smcphd.filter import FilterConfig, predict, update
 from smcphd.harness import run, sweep
 from smcphd.metrics import OspaParams, ospa
@@ -54,8 +54,8 @@ def sweep_np200():
     # Criteria 07 and 08 read the default variants' columns from the sweep:
     # its baseline and 0.4 arms are those variants' configs, and a column
     # does not depend on which other variants run.
-    arms = {v.name: v.roughening for v in config.sweep_variants()}
-    defaults = [v.roughening for v in default_variants()]
+    arms = config.sweep_variants()
+    defaults = list(default_variants().values())
     assert [arms["basic"], arms["separate@0.4"], arms["direct@0.4"]] == defaults
     return config, result, summary
 
@@ -182,11 +182,11 @@ def test_criterion_06_zero_roughening_bitwise_equivalence(tmp_path, monkeypatch)
     config = benchmark_preset(particles_per_target=200, trials=10, master_seed=MASTER_SEED)
     config = replace(
         config,
-        variants=[
-            VariantSpec("basic", RougheningConfig(mode="none")),
-            VariantSpec("sep0", RougheningConfig(mode="separate", jitter_std=0.0)),
-            VariantSpec("dir0", RougheningConfig(mode="direct", jitter_std=0.0)),
-        ],
+        variants={
+            "basic": RougheningConfig(mode="none"),
+            "sep0": RougheningConfig(mode="separate", jitter_std=0.0),
+            "dir0": RougheningConfig(mode="direct", jitter_std=0.0),
+        },
     )
     _, results = run(config)
     paths = {}

@@ -8,7 +8,6 @@ from smcphd.cli import _load_config, build_parser, main as cli_main
 from smcphd.config import (
     DEFAULT_SWEEP_GRID,
     RunConfig,
-    VariantSpec,
     load_preset,
     load_run_config,
     parse_kv_text,
@@ -72,13 +71,13 @@ def test_full_config_document():
     assert config.trials == 25
     assert config.master_seed == 77
     assert config.sweep_grid == (0.0, 0.2, 0.4)
-    assert config.variant_names() == ["basic", "sep", "dir"]
-    assert config.baseline.name == "basic"
-    sep = config.variants[1].roughening
+    assert list(config.variants) == ["basic", "sep", "dir"]
+    assert config.baseline == "basic"
+    sep = config.variants["sep"]
     assert sep.mode == "separate"
     assert sep.overlapped_only is True
     assert np.array_equal(sep.jitter_std, [0.0, 0.4, 0.0, 0.4])
-    dir_cfg = config.variants[2].roughening
+    dir_cfg = config.variants["dir"]
     assert np.array_equal(dir_cfg.jitter_std, [0.0, 0.4, 0.0, 0.4])
 
 
@@ -123,17 +122,16 @@ def test_exactly_one_baseline_required():
         RunConfig(
             scenario=base.scenario,
             filter=base.filter,
-            variants=[VariantSpec("a", RougheningConfig(mode="separate", jitter_std=0.4))],
+            variants={"a": RougheningConfig(mode="separate", jitter_std=0.4)},
         )
     with pytest.raises(ValueError):
         RunConfig(
             scenario=base.scenario,
             filter=base.filter,
-            variants=[
-                VariantSpec("a", RougheningConfig(mode="none")),
-                VariantSpec("b", RougheningConfig(mode="none")),
-            ],
+            variants={"a": RougheningConfig(mode="none"), "b": RougheningConfig(mode="none")},
         )
+    with pytest.raises(ValueError, match=r"exactly one variant must be none .*, got \[\]"):
+        RunConfig(scenario=base.scenario, filter=base.filter, variants={})
     with pytest.raises(ValueError):
         RunConfig(scenario=base.scenario, filter=base.filter, trials=0)
 
@@ -155,36 +153,60 @@ def test_baseline_named_like_a_sweep_arm_fails_at_load(tmp_path, capsys):
     # Duplicate grid values are rows of the parametrized load-failure test;
     # here the baseline's own name collides with the arm direct@2.
     text = "run.sweep_grid = 2\nroughening.direct@2.mode = none\n"
-    with pytest.raises(ValueError, match=r"run\.sweep_grid: sweep arm names must be unique"):
+    message = "run.sweep_grid: sweep arm names must be unique: 'direct@2'"
+    with pytest.raises(ValueError, match=re.escape(message)):
         run_config_from_mapping(parse_kv_text(text))
     path = tmp_path / "bad.cfg"
     path.write_text(text, encoding="utf-8")
     for command in ("run", "sweep"):
         assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert "run.sweep_grid" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "grid, arm", [("0.4, 0.4", "separate@0.4"), ("0, 0.1, 0.1000001", "separate@0.1")]
+)
+def test_sweep_arm_collision_names_the_repeated_arm(grid, arm):
+    message = f"run.sweep_grid: sweep arm names must be unique: {arm!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_config_from_mapping({"run.sweep_grid": grid})
 
 
 def test_sweep_variants_are_the_baseline_then_both_modes_per_grid_value():
     config = replace(benchmark_preset(), sweep_grid=(0.0, 0.4))
     arms = config.sweep_variants()
     names = ["basic", "separate@0", "direct@0", "separate@0.4", "direct@0.4"]
-    assert [v.name for v in arms] == names
-    assert arms[0] is config.baseline
-    assert arms[4].roughening == RougheningConfig(mode="direct", jitter_std=0.4)
+    assert list(arms) == names
+    assert arms["basic"] is config.variants[config.baseline]
+    assert arms["direct@0.4"] == RougheningConfig(mode="direct", jitter_std=0.4)
 
 
-def test_duplicate_variant_names_rejected():
-    base = benchmark_preset()
-    with pytest.raises(ValueError, match="unique"):
-        RunConfig(
-            scenario=base.scenario,
-            filter=base.filter,
-            variants=[
-                VariantSpec("x", RougheningConfig(mode="none")),
-                VariantSpec("x", RougheningConfig(mode="separate", jitter_std=0.4)),
-            ],
-        )
+@pytest.mark.parametrize("name", ["a\tb", ""])
+def test_variant_name_that_breaks_a_table_row_fails_at_load(tmp_path, capsys, name):
+    # A name is one column of a tab-separated row: a tab would add a column,
+    # and an empty name would leave the variant column blank.
+    text = f"roughening.basic.mode = none\nroughening.{name}.mode = separate\n"
+    text += f"roughening.{name}.jitter_std = 0.4\n"
+    message = f"roughening.<variant>: empty name or tab, CR or LF in {name!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_config_from_mapping(parse_kv_text(text))
+    path = tmp_path / "bad.cfg"
+    path.write_text(text, encoding="utf-8")
+    for command in ("run", "sweep"):
+        assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["a\nb", "a\rb"])
+def test_run_config_rejects_a_variant_name_that_breaks_a_row(name):
+    # CR and LF end a config file's lines, so only a program can give them.
+    message = f"roughening.<variant>: empty name or tab, CR or LF in {name!r}"
+    direct = RougheningConfig(mode="direct", jitter_std=0.4)
+    variants = {"basic": RougheningConfig(mode="none"), name: direct}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RunConfig(variants=variants)
 
 
 def test_overrides():
@@ -296,5 +318,5 @@ def test_one_jitter_value_is_the_velocity_shorthand():
     assert RougheningConfig(mode="separate", jitter_std=np.array([0.4])) == scalar
     kv = {"roughening.basic.mode": "none", "roughening.sep.mode": "separate"}
     loaded = run_config_from_mapping({**kv, "roughening.sep.jitter_std": "0.4"})
-    assert loaded.variants[1].roughening == scalar
+    assert loaded.variants["sep"] == scalar
     assert scalar.jitter_std == (0.0, 0.4, 0.0, 0.4)

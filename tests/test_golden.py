@@ -75,7 +75,7 @@ def _sha256(write) -> str:
 
 def _assert_golden(config, trials_sha256=TRIALS_SHA256, summary_sha256=SUMMARY_SHA256) -> None:
     summary, results = run(config, workers=1)
-    trials = _sha256(lambda fh: write_trials_table(results, config.variant_names(), fh))
+    trials = _sha256(lambda fh: write_trials_table(results, summary.variant_names, fh))
     summary_hash = _sha256(lambda fh: write_summary_table(summary, fh))
     assert trials == trials_sha256
     assert summary_hash == summary_sha256
@@ -159,7 +159,7 @@ def test_direct_roughening_paths_match_golden_hashes():
         for field, value in fields.items()
     }
     config = run_config_from_mapping({**kv, "run.trials": "3", "run.master_seed": "1"})
-    assert config.variant_names() == list(DIRECT_VARIANTS)
+    assert list(config.variants) == list(DIRECT_VARIANTS)
     _assert_golden(config, DIRECT_TRIALS_SHA256, DIRECT_SUMMARY_SHA256)
 
 

@@ -15,7 +15,7 @@ import smcphd
 from oracles import write_variant_table
 from smcphd import harness
 from smcphd.cli import main as cli_main
-from smcphd.config import VariantSpec, benchmark_preset, load_run_config, run_config_from_mapping
+from smcphd.config import benchmark_preset, load_run_config, run_config_from_mapping
 from smcphd.harness import (
     TrialError,
     pool_size,
@@ -58,7 +58,7 @@ def test_same_seed_same_trial_is_bitwise_reproducible():
     a = run_trial(config, 1)
     b = run_trial(config, 1)
     assert_same_scans(realize_trial(config, 1)[1], realize_trial(config, 1)[1])
-    for name in config.variant_names():
+    for name in config.variants:
         assert np.array_equal(a.est_counts[name], b.est_counts[name])
         assert np.array_equal(a.ospa_values[name], b.ospa_values[name])
 
@@ -70,11 +70,11 @@ def unshare_runs(monkeypatch):
 
 
 def test_identical_roughening_configs_give_identical_columns(monkeypatch):
-    variants = [
-        VariantSpec("basic", RougheningConfig(mode="none")),
-        VariantSpec("twin_a", RougheningConfig(mode="separate", jitter_std=0.4)),
-        VariantSpec("twin_b", RougheningConfig(mode="separate", jitter_std=0.4)),
-    ]
+    variants = {
+        "basic": RougheningConfig(mode="none"),
+        "twin_a": RougheningConfig(mode="separate", jitter_std=0.4),
+        "twin_b": RougheningConfig(mode="separate", jitter_std=0.4),
+    }
     config = small_config(variants=variants)
     shared = run_trial(config, 0)
     unshare_runs(monkeypatch)
@@ -87,11 +87,11 @@ def test_identical_roughening_configs_give_identical_columns(monkeypatch):
 
 
 def test_zero_jitter_variants_match_baseline_bitwise(monkeypatch):
-    variants = [
-        VariantSpec("basic", RougheningConfig(mode="none")),
-        VariantSpec("sep0", RougheningConfig(mode="separate", jitter_std=0.0)),
-        VariantSpec("dir0", RougheningConfig(mode="direct", jitter_std=0.0)),
-    ]
+    variants = {
+        "basic": RougheningConfig(mode="none"),
+        "sep0": RougheningConfig(mode="separate", jitter_std=0.0),
+        "dir0": RougheningConfig(mode="direct", jitter_std=0.0),
+    }
     config = small_config(trials=2, variants=variants)
     _, shared = run(config)
     unshare_runs(monkeypatch)
@@ -109,9 +109,9 @@ def record_runs(monkeypatch) -> list:
     ran = []
     real = harness._run_variant
 
-    def recording(scans, true_points, config, variant, streams):
-        ran.append((streams.trial, variant.name))
-        return real(scans, true_points, config, variant, streams)
+    def recording(scans, true_points, config, name, roughening, streams):
+        ran.append((streams.trial, name))
+        return real(scans, true_points, config, name, roughening, streams)
 
     monkeypatch.setattr(harness, "_run_variant", recording)
     return ran
@@ -143,12 +143,12 @@ def test_fault_names_first_variant_with_the_failing_config(monkeypatch):
         return real_roughen(pset, roughening, *args)
 
     monkeypatch.setattr(harness, "separate_roughen", failing_roughen)
-    variants = [
-        VariantSpec("sep0", RougheningConfig(mode="separate", jitter_std=0.0)),
-        VariantSpec("basic", RougheningConfig(mode="none")),
-        VariantSpec("twin_a", RougheningConfig(mode="separate", jitter_std=0.4)),
-        VariantSpec("twin_b", RougheningConfig(mode="separate", jitter_std=0.4)),
-    ]
+    variants = {
+        "sep0": RougheningConfig(mode="separate", jitter_std=0.0),
+        "basic": RougheningConfig(mode="none"),
+        "twin_a": RougheningConfig(mode="separate", jitter_std=0.4),
+        "twin_b": RougheningConfig(mode="separate", jitter_std=0.4),
+    }
     with pytest.raises(TrialError, match=r"^trial 1, variant 'twin_a', step 1: ValueError: "):
         run_trial(small_config(variants=variants), 1)
 
@@ -162,7 +162,7 @@ def test_fault_names_first_variant_with_the_failing_config(monkeypatch):
 
 def test_variant_list_does_not_shift_shared_streams():
     # The baseline column must be identical whether or not other variants run.
-    lone = small_config(variants=[VariantSpec("basic", RougheningConfig(mode="none"))])
+    lone = small_config(variants={"basic": RougheningConfig(mode="none")})
     full = small_config()
     a = run_trial(lone, 2)
     b = run_trial(full, 2)
@@ -178,7 +178,7 @@ def test_doubling_trials_reproduces_prefix():
     _, long_results = run(long)
     for a, b in zip(short_results, long_results):
         assert_same_scans(realize_trial(short, a.trial)[1], realize_trial(long, b.trial)[1])
-        for name in short.variant_names():
+        for name in short.variants:
             assert np.array_equal(a.ospa_values[name], b.ospa_values[name])
 
 
@@ -186,18 +186,18 @@ def test_single_trial_summary_equals_trial_values():
     config = small_config(trials=1)
     summary, results = run(config)
     (result,) = results
-    for name in config.variant_names():
+    for name in config.variants:
         assert np.allclose(summary.mean_step_ospa[name], result.ospa_values[name])
         expected = float(np.mean(result.ospa_values[name]))
         assert summary.mean_ospa[name] == pytest.approx(expected, rel=1e-12)
-    assert summary.gain_ratios[config.baseline.name] == 0.0
+    assert summary.gain_ratios[config.baseline] == 0.0
 
 
 def test_summary_recomputable_from_trials_table():
     config = small_config(trials=4)
     summary, results = run(config)
     buf = io.StringIO()
-    write_trials_table(results, config.variant_names(), buf)
+    write_trials_table(results, list(config.variants), buf)
     lines = buf.getvalue().strip().split("\n")
     header = lines[0].split("\t")
     assert header == ["trial", "step", "variant", "true_n", "est_n", "ospa"]
@@ -205,7 +205,7 @@ def test_summary_recomputable_from_trials_table():
     for line in lines[1:]:
         trial, step, variant, true_n, est_n, ospa_s = line.split("\t")
         acc.setdefault(variant, []).append(float(ospa_s))
-    for name in config.variant_names():
+    for name in config.variants:
         table_mean = np.mean(acc[name])
         # table values carry 6 significant digits
         assert table_mean == pytest.approx(summary.mean_ospa[name], rel=1e-4)
@@ -216,8 +216,8 @@ def test_parallel_run_matches_serial_bytes():
     serial = run_trials(config, workers=1)
     parallel = run_trials(config, workers=2)
     buf_a, buf_b = io.StringIO(), io.StringIO()
-    write_trials_table(serial, config.variant_names(), buf_a)
-    write_trials_table(parallel, config.variant_names(), buf_b)
+    write_trials_table(serial, list(config.variants), buf_a)
+    write_trials_table(parallel, list(config.variants), buf_b)
     assert buf_a.getvalue() == buf_b.getvalue()
     sum_a, sum_b = io.StringIO(), io.StringIO()
     write_summary_table(summarize(config, serial), sum_a)
@@ -272,7 +272,7 @@ def collapse_config(death_step):
 def test_mass_collapse_records_cutoff_for_remaining_steps():
     config = collapse_config(6)
     result = run_trial(config, 0)
-    for name in config.variant_names():
+    for name in config.variants:
         assert result.collapsed_at[name] == 1
         assert np.all(result.est_counts[name] == 0)
         assert np.all(result.ospa_values[name][1:] == config.ospa.cutoff)
@@ -294,7 +294,7 @@ def test_mass_collapse_scores_zero_once_no_target_is_alive():
     # The empty estimate is exact on steps 4-6, where no target is alive.
     config = collapse_config(3)
     result = run_trial(config, 0)
-    for name in config.variant_names():
+    for name in config.variants:
         assert result.collapsed_at[name] == 1
         assert np.all(result.est_counts[name] == 0)
         assert np.array_equal(result.ospa_values[name], [100.0] * 3 + [0.0] * 3)
@@ -304,7 +304,7 @@ def test_full_state_ospa_scores_velocities_too():
     config = small_config(trials=1)
     positions = run_trial(config, 0)
     full = run_trial(replace(config, ospa_full_state=True), 0)
-    for name in config.variant_names():
+    for name in config.variants:
         assert np.array_equal(full.est_counts[name], positions.est_counts[name])
         assert np.all(full.ospa_values[name] >= positions.ospa_values[name])
         assert np.any(full.ospa_values[name] > positions.ospa_values[name])
@@ -332,8 +332,8 @@ def test_configs_differing_in_one_field_get_runs_of_their_own(monkeypatch, field
     b = replace(a, **{field: value})
     assert not a.inert and not b.inert and a != b
     ran = record_runs(monkeypatch)
-    basic = VariantSpec("basic", RougheningConfig(mode="none"))
-    run_trial(small_config(steps=3, variants=[basic, VariantSpec("a", a), VariantSpec("b", b)]), 0)
+    basic = RougheningConfig(mode="none")
+    run_trial(small_config(steps=3, variants={"basic": basic, "a": a, "b": b}), 0)
     assert ran == [(0, "basic"), (0, "a"), (0, "b")]
 
 
@@ -350,10 +350,10 @@ def test_sweep_shares_baseline_and_pairs_variants():
 
 
 def test_variant_table_supports_bitwise_comparison():
-    variants = [
-        VariantSpec("basic", RougheningConfig(mode="none")),
-        VariantSpec("sep0", RougheningConfig(mode="separate", jitter_std=0.0)),
-    ]
+    variants = {
+        "basic": RougheningConfig(mode="none"),
+        "sep0": RougheningConfig(mode="separate", jitter_std=0.0),
+    }
     config = small_config(trials=2, variants=variants)
     _, results = run(config)
     buf_a, buf_b = io.StringIO(), io.StringIO()
@@ -388,6 +388,29 @@ def test_cli_run_writes_tables(tmp_path, capsys):
     # 2 trials x 8 steps x 3 variants + header
     assert len(trials_text.strip().split("\n")) == 1 + 2 * 8 * 3
     assert "mean OSPA" in capsys.readouterr().out
+
+
+def test_variants_run_in_the_order_their_names_first_appear(tmp_path):
+    # The two variants' keys interleave; each takes its place at its first key.
+    text = (
+        "scenario.steps = 2\n"
+        "scenario.targets = 1:2\n"
+        "filter.particles_per_target = 20\n"
+        "run.trials = 1\n"
+        "roughening.b.mode = separate\n"
+        "roughening.a.mode = none\n"
+        "roughening.b.jitter_std = 0.4\n"
+    )
+    cfg = tmp_path / "order.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    config = load_run_config(cfg)
+    assert list(config.variants) == ["b", "a"]
+    summary, _ = run(config)
+    assert summary.variant_names == ["b", "a"]
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = (out / "trials.txt").read_text().splitlines()[1:]
+    assert [row.split("\t")[2] for row in rows] == ["b", "a"] * 2
 
 
 def test_cli_run_is_deterministic_across_invocations(tmp_path):
@@ -663,7 +686,7 @@ def test_every_loadable_config_runs_cleanly(kv):
     # suite turns every RuntimeWarning into an error.
     config = run_config_from_mapping(kv)
     result = run_trial(config, 0)
-    for name in config.variant_names():
+    for name in config.variants:
         assert np.all(result.est_counts[name] >= 0)
         values = result.ospa_values[name]
         assert np.all((values >= 0) & (values <= config.ospa.cutoff))
@@ -695,7 +718,7 @@ def test_single_target_clean_sensor_tracks_tightly():
     config = replace(
         base,
         scenario=ScenarioConfig(steps=40, targets=[TargetScript(1, 40)], models=models),
-        variants=[VariantSpec("basic", RougheningConfig(mode="none"))],
+        variants={"basic": RougheningConfig(mode="none")},
     )
     summary, _ = run(config, workers=2)
     assert float(np.mean(summary.mean_step_ospa["basic"][9:])) < 10.0
@@ -724,7 +747,7 @@ def test_cli_sweep_writes_tables(tmp_path, capsys):
     # Standard output: a header, then one line for the baseline and for each
     # arm in order, each with the gain sweep.txt holds, then `wrote ...`.
     printed = capsys.readouterr().out.splitlines()
-    arms = [v.name for v in load_run_config(cfg).sweep_variants()]
+    arms = list(load_run_config(cfg).sweep_variants())
     assert [line.split(": mean OSPA ")[0] for line in printed[1:-1]] == arms
     assert printed[-1].startswith("wrote ")
     for line, row in zip(printed[1:-1], lines[1:]):
