@@ -3,8 +3,8 @@
 Subcommands: run (Monte Carlo comparison of the configured variants),
 sweep (the same run over the baseline and both roughening modes at each
 jitter level), scenario (dump one realization's truth and scans).  Exit
-code 2 means the configuration or the output directory was rejected
-before any work started; 1 means a trial failed.
+code 2: the config or the output directory was rejected before any work
+started; 1: a trial failed or an output table could not be written.
 """
 
 import argparse
@@ -148,7 +148,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(config, args)
-    except TrialError as exc:
+    except (TrialError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if created:
             # Leave no empty directory behind; one that already existed, or

@@ -45,9 +45,9 @@ class RunConfig:
             raise ValueError(f"run.trials must be >= 1, got {self.trials}")
         if self.master_seed < 0:
             raise ValueError(f"run.master_seed must be >= 0, got {self.master_seed}")
-        for name in self.variants:  # a name is one column of a tab-separated table row
-            if not name or {"\t", "\r", "\n"} & set(name):
-                raise ValueError(f"roughening.<variant>: empty name or tab, CR or LF in {name!r}")
+        for name in self.variants:  # one column of a tab-separated row, one line of text
+            if "\t" in name or name.splitlines() != [name]:
+                raise ValueError(f"roughening.<variant>: empty name, tab or line break in {name!r}")
         self.filter.birth_particle_count(self.scenario.models.birth.mass)  # checks the bound
         self.sweep_grid = tuple(float(v) for v in self.sweep_grid)
         for v in self.sweep_grid:

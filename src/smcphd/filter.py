@@ -159,13 +159,14 @@ def update(pred: ParticleSet, measurements, models: ModelSet) -> ParticleSet:
     # no such bound, and its column is dropped: inf * 0 would be NaN.
     dead = pred.weights == 0.0
     n = len(pred)
+    px, py = np.ascontiguousarray(pred.states[:, ::2].T)  # x, y; the set checked them
     # The reduce below adds whole rows in scan order, but sums a single
     # column pairwise: a set of at most one particle takes one-row blocks.
     step = max(1, _BLOCK_DOUBLES // n) if n > 1 else 1
     factor = np.full(n, 1.0 - p_d)
     for a in range(0, len(z_arr), step):
         b = a + step
-        rows = likelihood(z_arr[a:b], pred.states, models.measurement, cuts[a:b])
+        rows = likelihood(z_arr[a:b], px, py, models.measurement, cuts[a:b])
         # C(z) for the block in one call: a stack of (1, n) @ (n, 1)
         # products runs one ddot per measurement, the same dot `row @ w`
         # takes.  A single rows @ w (gemv) sums in another order and moves

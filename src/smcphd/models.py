@@ -48,7 +48,7 @@ def _as_rows(x, width: int = STATE_DIM) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != width:
         raise ValueError(f"{what}s must be an ({rows}, {width}) array, got shape {arr.shape}")
     # The array method, not np.all, whose Python wrapper costs as much as
-    # the check: this runs in every kernel and on every particle set.
+    # the check: this runs on every scan, particle set and propagation.
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite components")
     return arr
@@ -227,31 +227,30 @@ def propagate(states, motion: MotionModel, rng: np.random.Generator) -> np.ndarr
     return out
 
 
-def likelihood(z, states, meas: MeasurementModel, cut=EXP_ZERO_BELOW) -> np.ndarray:
+def likelihood(z, px, py, meas: MeasurementModel, cut=EXP_ZERO_BELOW) -> np.ndarray:
     """Measurement likelihoods N(zx; px, sw1^2) * N(zy; py, sw2^2).
 
-    For measurements z (m, 2) and states (n, 4), returns the (m, n) array
-    whose row i holds g(z_i | x_j) for every state j.  Pairs whose exponent
-    lies below `cut`, a scalar or one value per row, are set to exactly 0.0
-    without calling `exp`.  The default, EXP_ZERO_BELOW, gives the values
-    `exp` would give, which returns the same 0.0 only after a slow
-    underflow path; `update` passes a higher cut for rows where it drops
-    subnormal likelihoods (`MeasurementModel.subnormal_cut`).
+    For checked measurements z (m, 2) and position columns px, py (n,),
+    returns the (m, n) array of g(z_i | x_j); only shapes are checked here.
+    Pairs whose exponent lies below `cut`, a scalar or one value per row,
+    are exactly 0.0, with no call to `exp`.  The default, EXP_ZERO_BELOW,
+    gives what `exp` gives after its slow underflow path; `update` raises
+    the cut where it drops subnormal g (`MeasurementModel.subnormal_cut`).
     """
-    zv = _as_rows(z, 2)
-    x = _as_rows(states)
+    if z.ndim != 2 or z.shape[1] != 2:
+        raise ValueError(f"measurements must be an (m, 2) array, got shape {z.shape}")
+    if px.ndim != 1 or px.shape != py.shape:
+        raise ValueError(f"px and py must be two (n,) arrays, got shapes {px.shape}, {py.shape}")
     norm = meas.norm()
-    px = np.ascontiguousarray(x[:, 0])
-    py = np.ascontiguousarray(x[:, 2])
     # In place, in the order (dx*dx + dy*dy) * -0.5, with at most two (m, n)
     # float64 arrays live at once.  An exponent that overflows is -inf,
     # below every cut, and its likelihood the exact 0.0, so numpy's overflow
     # warning would only be noise.
     with np.errstate(over="ignore"):
-        arg = zv[:, :1] - px
+        arg = z[:, :1] - px
         arg /= meas.sigma_w1
         arg *= arg
-        dy = zv[:, 1:] - py
+        dy = z[:, 1:] - py
         dy /= meas.sigma_w2
         dy *= dy
         arg += dy

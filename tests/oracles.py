@@ -49,7 +49,7 @@ def measurement_mass_terms(pred: ParticleSet, measurements, models: ModelSet) ->
     a zero term.
     """
     z_arr = np.asarray(measurements, dtype=float).reshape(-1, 2)
-    g = likelihood(z_arr, pred.states, models.measurement)
+    g = likelihood(z_arr, pred.states[:, 0], pred.states[:, 2], models.measurement)
     c = models.detection.p_detect * np.array([row @ pred.weights for row in g])
     denom = clutter_intensity(z_arr, models.clutter) + c
     return np.divide(c, denom, out=np.zeros_like(c), where=denom > 0)

@@ -113,14 +113,16 @@ def test_weighted_kmeans_cluster_exchange(benchmark):
         (800, 50, CLEAR_OF_TARGETS),
         (4000, 116, SURVEILLANCE),
         (30_000, 56, SURVEILLANCE),
+        (100_000, 56, SURVEILLANCE),
     ],
-    ids=["800-10", "4000-10", "800-50", "800-50-clear", "4000-116", "30000-56"],
+    ids=["800-10", "4000-10", "800-50", "800-50-clear", "4000-116", "30000-56", "100000-60"],
 )
 def test_update(benchmark, n_particles, clutter_points, region):
     """Every row with clutter drops its subnormal likelihoods; with the
     clutter clear of the targets, the detections' rows keep theirs.  A
     120-point scan at 4,000 particles runs in 8 blocks of 16 rows, and a
-    60-point scan at 30,000 particles in 30 blocks of 2 rows."""
+    60-point scan in 30 blocks of 2 rows at 30,000 particles and in 60
+    one-row blocks at 100,000 (the id `100000-60` counts scan points)."""
     pset = _filter_like_cloud(n_particles)
     scan = _scan(clutter_points, region)
     models = ModelSet(clutter=ClutterModel(rate=10.0, region=region))

@@ -188,7 +188,7 @@ def test_variant_name_that_breaks_a_table_row_fails_at_load(tmp_path, capsys, na
     # and an empty name would leave the variant column blank.
     text = f"roughening.basic.mode = none\nroughening.{name}.mode = separate\n"
     text += f"roughening.{name}.jitter_std = 0.4\n"
-    message = f"roughening.<variant>: empty name or tab, CR or LF in {name!r}"
+    message = f"roughening.<variant>: empty name, tab or line break in {name!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         run_config_from_mapping(parse_kv_text(text))
     path = tmp_path / "bad.cfg"
@@ -199,10 +199,11 @@ def test_variant_name_that_breaks_a_table_row_fails_at_load(tmp_path, capsys, na
         assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("name", ["a\nb", "a\rb"])
+@pytest.mark.parametrize("name", ["a\nb", "a\rb", "a\x0bb", "a\x85b", "a\u2028b"])
 def test_run_config_rejects_a_variant_name_that_breaks_a_row(name):
-    # CR and LF end a config file's lines, so only a program can give them.
-    message = f"roughening.<variant>: empty name or tab, CR or LF in {name!r}"
+    # Each ends a line for `str.splitlines`, as for a config file's lines, so
+    # only a program can give them; a table row holding one reads as two.
+    message = f"roughening.<variant>: empty name, tab or line break in {name!r}"
     direct = RougheningConfig(mode="direct", jitter_std=0.4)
     variants = {"basic": RougheningConfig(mode="none"), name: direct}
     with pytest.raises(ValueError, match=re.escape(message)):

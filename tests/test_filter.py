@@ -10,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import smcphd.filter
+import smcphd.models
+import smcphd.particles
 from oracles import measurement_mass_terms
 from smcphd.filter import FilterConfig, _exp_cuts, predict, update
 from smcphd.models import (
@@ -275,10 +277,11 @@ def test_update_over_model_space(n, m, p_detect, clutter_rate, birth_mass, seed)
     scan = rng.uniform(-150, 150, size=(m, 2))
     post = update(pred, scan, models)
     assert np.all(np.isfinite(post.weights)) and np.all(post.weights >= 0)
-    g = likelihood(scan, pred.states, models.measurement)
+    px, py = pred.states[:, 0], pred.states[:, 2]
+    g = likelihood(scan, px, py, models.measurement)
     assert g.shape == (m, len(pred))
     for i in range(m):
-        row = likelihood(scan[i : i + 1], pred.states, models.measurement)[0]
+        row = likelihood(scan[i : i + 1], px, py, models.measurement)[0]
         assert np.array_equal(g[i], row)
     # Without clutter, a C(z) below the normal range is summed from
     # underflowed products and breaks the identity: a known fault, pinned
@@ -539,6 +542,24 @@ def test_update_memory_is_bounded_by_the_block_not_the_scan():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_update_checks_do_not_grow_with_the_block_count():
+    # The scan is checked as it enters `update`, and the states when their
+    # set was built; `likelihood` checks only shapes.  So, in one-row
+    # blocks, a 6-point scan runs as many `_as_rows` checks as a 2-point one.
+    rng = np.random.default_rng(17)
+    pred = ParticleSet(states=rng.uniform(-50, 50, (5, 4)), weights=np.full(5, 0.1))
+    counts = []
+    for m in (2, 6):
+        counter = mock.Mock(wraps=smcphd.models._as_rows)
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(_row_blocks(1, len(pred)))
+            for module in (smcphd.models, smcphd.filter, smcphd.particles):
+                stack.enter_context(mock.patch.object(module, "_as_rows", counter))
+            update(pred, rng.uniform(-50, 50, (m, 2)), _models())
+        counts.append(counter.call_count)
+    assert counts[0] == counts[1] > 0
 
 
 @pytest.mark.xfail(strict=True, reason="update loses mass once the products in C(z) underflow")

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import smcphd
 from oracles import write_variant_table
-from smcphd import harness
+from smcphd import cli, harness
 from smcphd.cli import main as cli_main
 from smcphd.config import benchmark_preset, load_run_config, run_config_from_mapping
 from smcphd.harness import (
@@ -544,6 +544,36 @@ def test_cli_fault_keeps_an_out_dir_that_existed(tmp_path):
     out.mkdir()
     assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     assert out.is_dir() and not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, table", [("run", "trials.txt"), ("scenario", "truth.txt")])
+def test_cli_table_that_cannot_be_written_exits_1_with_one_line(tmp_path, capsys, command, table):
+    # A table's path is a directory: the OSError is one error line, not a
+    # traceback, and the output directory, which existed, stays.
+    cfg = _write_config(tmp_path, trials=1)
+    out = tmp_path / "o1"
+    (out / table).mkdir(parents=True)
+    assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and table in err
+    assert (out / table).is_dir()
+
+
+def test_cli_write_error_removes_only_an_empty_out_dir_it_made(tmp_path, capsys, monkeypatch):
+    # A write that fails before any table exists: the output directory is
+    # removed if this call made it, and kept if it existed.
+    def full_disk(out, writers):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_tables", full_disk)
+    cfg = _write_config(tmp_path, trials=1)
+    for command in ("run", "scenario"):
+        out = tmp_path / command
+        for existed in (False, True):
+            assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+            assert out.is_dir() == existed
+            out.mkdir(exist_ok=True)
 
 
 def test_cli_undefined_gain_ratio_prints_one_error_and_removes_the_out_dir(tmp_path, capsys):

@@ -59,17 +59,20 @@ def test_propagate_rejects_non_finite_state():
 
 
 def test_kernels_take_batches_only():
-    # A single (4,) state must not broadcast into a batch by accident.
+    # A single (4,) state must not broadcast into a batch by accident, nor a
+    # (2,) scan point, a 2-D position column or columns of unequal length.
     rng = np.random.default_rng(0)
     meas = MeasurementModel()
     with pytest.raises(ValueError, match=r"\(n, 4\)"):
         propagate(np.zeros(4), MotionModel(), rng)
     with pytest.raises(ValueError, match=r"\(n, 4\)"):
         measure(np.zeros(4), meas, rng)
-    with pytest.raises(ValueError, match=r"\(n, 4\)"):
-        likelihood(np.zeros((1, 2)), np.zeros(4), meas)
     with pytest.raises(ValueError, match=r"\(m, 2\)"):
-        likelihood(np.zeros(2), np.zeros((1, 4)), meas)
+        likelihood(np.zeros(2), np.zeros(1), np.zeros(1), meas)
+    with pytest.raises(ValueError, match=r"\(n,\)"):
+        likelihood(np.zeros((1, 2)), np.zeros((1, 1)), np.zeros(1), meas)
+    with pytest.raises(ValueError, match=r"\(n,\)"):
+        likelihood(np.zeros((1, 2)), np.zeros(2), np.zeros(3), meas)
     with pytest.raises(ValueError, match=r"\(m, 2\)"):
         clutter_intensity(np.zeros(2), ClutterModel())
 
@@ -77,12 +80,13 @@ def test_kernels_take_batches_only():
 def test_likelihood_examples():
     meas = MeasurementModel(sigma_w1=2.5, sigma_w2=2.5)
     x = np.array([[0.0, 1.0, 0.0, -1.0]])
+    px, py = x[:, 0], x[:, 2]
     mode = 1.0 / (2 * math.pi * 2.5 * 2.5)
-    assert likelihood(np.array([[0.0, 0.0]]), x, meas)[0, 0] == pytest.approx(mode, rel=1e-12)
-    one_sigma = likelihood(np.array([[2.5, 0.0]]), x, meas)[0, 0]
+    assert likelihood(np.array([[0.0, 0.0]]), px, py, meas)[0, 0] == pytest.approx(mode, rel=1e-12)
+    one_sigma = likelihood(np.array([[2.5, 0.0]]), px, py, meas)[0, 0]
     assert one_sigma == pytest.approx(mode * math.exp(-0.5), rel=1e-12)
     expected = stats.norm.pdf(5.0, 0.0, 2.5) ** 2
-    at_five = likelihood(np.array([[5.0, 5.0]]), x, meas)[0, 0]
+    at_five = likelihood(np.array([[5.0, 5.0]]), px, py, meas)[0, 0]
     assert at_five == pytest.approx(expected, rel=1e-12)
 
 
@@ -90,7 +94,7 @@ def test_likelihood_vectorized_nonnegative_finite():
     meas = MeasurementModel()
     rng = np.random.default_rng(3)
     states = rng.uniform(-200, 200, size=(500, 4))
-    vals = likelihood(np.array([[0.0, 0.0]]), states, meas)
+    vals = likelihood(np.array([[0.0, 0.0]]), states[:, 0], states[:, 2], meas)
     assert vals.shape == (1, 500)
     assert np.all(vals >= 0) and np.all(np.isfinite(vals))
 
@@ -130,7 +134,7 @@ def test_likelihood_matches_row_by_row_reference(n, m, sigma, seed):
         picked = states[rng.integers(0, n, size=m)]
         z[:, 0] = picked[:, 0] + r * np.cos(angle) * sigma[0]
         z[:, 1] = picked[:, 2] + r * np.sin(angle) * sigma[1]
-    got = likelihood(z, states, meas)
+    got = likelihood(z, states[:, 0], states[:, 2], meas)
     want = _reference_likelihood(z, states, meas)
     assert got.shape == (m, n)
     assert np.array_equal(got, want)
@@ -143,7 +147,7 @@ def test_likelihood_is_exactly_zero_where_the_exponent_overflows():
     meas = MeasurementModel(sigma_w1=0.001, sigma_w2=0.001)
     states = np.array([[0.0, 1.0, 0.0, -1.0], [1e153, 0.0, 0.0, 0.0]])
     z = np.array([[1e153, 0.0], [0.001, 0.0]])
-    got = likelihood(z, states, meas)
+    got = likelihood(z, states[:, 0], states[:, 2], meas)
     assert got[0, 0] == 0.0 and got[1, 1] == 0.0
     assert got[0, 1] == meas.norm()
     with np.errstate(over="ignore"):
@@ -201,8 +205,8 @@ def test_likelihood_per_row_cut_drops_only_pairs_below_it(sigma):
     )
     certified = np.arange(40) % 2 == 0
     cuts = np.where(certified, cut, EXP_ZERO_BELOW)
-    default = likelihood(z, states, meas)
-    got = likelihood(z, states, meas, cuts)
+    default = likelihood(z, states[:, 0], states[:, 2], meas)
+    got = likelihood(z, states[:, 0], states[:, 2], meas, cuts)
     assert np.array_equal(got[~certified], default[~certified])
     dx = (z[:, :1] - states[:, 0]) / sigma[0]
     dy = (z[:, 1:] - states[:, 2]) / sigma[1]
