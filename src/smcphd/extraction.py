@@ -8,17 +8,15 @@ order before seeding, so the result depends only on the particle population
 The seeding, the Lloyd step and the canonical sort take faster routes than
 the plain formulation: distances built per dimension into kept buffers
 instead of as one (N, k, 4) array, the seeding's distances reused by the
-first assignment, a stop at the first repeated assignment, and a one-key
-sort on px when it has no ties.  Lloyd recomputes only the distance rows of
-centers that moved, since the same center gives the same row bits, and
-re-sums only the clusters whose member set changed, since the same members
-taken in index order give the same operands.  These are exact re-orderings
-or omissions of the same floating-point operations, not approximations:
-the results are bit-identical to the plain k-means, which the tests keep
-as a reference implementation.
+first assignment, a stop at Lloyd's fixed point (a repeated assignment
+or no center moved), and a one-key sort on px when it has no ties.  Lloyd
+recomputes only the distance rows of centers that moved, since the same
+center gives the same row bits, and re-sums only the clusters whose member
+set changed, since the same members taken in index order give the same
+operands.  These are exact re-orderings or omissions of the same
+floating-point operations, not approximations: the results are
+bit-identical to the plain k-means, which the tests keep as a reference.
 """
-
-import math
 
 import numpy as np
 
@@ -26,7 +24,6 @@ from .models import STATE_DIM
 from .particles import ParticleSet
 
 MAX_ITERATIONS = 100
-REL_MOVE_TOL = 1e-6
 
 
 def _weighted_pick(cumulative: np.ndarray, rng: np.random.Generator) -> int:
@@ -111,17 +108,6 @@ def _cluster_mean(points: np.ndarray, weights: np.ndarray, members: np.ndarray):
     return (w @ points.take(members, axis=0) / total).tolist() if total > 0 else None
 
 
-def _move_ratio(new: list, old: list) -> float:
-    """`norm(new - old) / max(norm(old), 1)` over Python floats.  The squares
-    add left to right, the order in which numpy's reduce sums a row of
-    fewer than 8 columns, so the ratio has the bits of the numpy one."""
-    move = norm = 0.0
-    for a, b in zip(new, old):
-        move += (a - b) * (a - b)
-        norm += b * b
-    return math.sqrt(move) / max(math.sqrt(norm), 1.0)
-
-
 def weighted_kmeans(
     points: np.ndarray,
     weights: np.ndarray,
@@ -130,15 +116,15 @@ def weighted_kmeans(
 ) -> np.ndarray:
     """Lloyd iterations with weighted means; clusters that lose all weight
     keep their previous center (duplicate centroids are valid output).
-    The loop runs at most MAX_ITERATIONS times and stops once no center
-    moves by REL_MOVE_TOL of its norm (at least 1).  Points have 1 to 7
-    columns, which numpy sums left to right.
+    The loop stops at a fixed point, or after MAX_ITERATIONS assignments,
+    the safety cap.  Points have 1 to 7 columns, which the distance rows
+    sum left to right.
 
     An iteration recomputes only the distance rows of moved centers and
     the means of clusters whose member set changed.  An assignment equal
-    to the previous one changes no member set, so every center would stay
-    bit-equal: a fixed point, which the plain loop leaves only by its move
-    test or its iteration cap, with these same centers.  So the loop stops
+    to the previous one changes no member set, and an update that moves
+    no center gives the same assignment next: a fixed point, which the
+    plain loop would repeat bit for bit up to its cap.  So the loop stops
     there.  With one cluster every point is always assigned to it, and a
     single weighted mean is the result.
     """
@@ -170,15 +156,14 @@ def weighted_kmeans(
                 break
             changed = set(assign.take(flips).tolist()) | set(previous.take(flips).tolist())
         previous = assign
-        moved, ratios = [], [0.0] * k
+        moved = []
         for j in changed:
             mean = _cluster_mean(points, weights, (assign == j).nonzero()[0])
             if mean is not None:
                 if mean != rows[j]:  # -0.0 == 0.0 gives equal distances too
-                    ratios[j] = _move_ratio(mean, rows[j])
                     moved.append(j)
                 rows[j] = mean
-        if all(ratio < REL_MOVE_TOL for ratio in ratios):
+        if not moved:
             break
     return np.array(rows)
 
@@ -213,9 +198,9 @@ def extract_states(pset: ParticleSet, n: int, rng: np.random.Generator) -> np.nd
 
     States are standardized per dimension (weighted mean/std) before
     clustering so position and velocity scales contribute comparably, and
-    the centroids are mapped back afterwards.  Both transforms raise
-    FloatingPointError where they overflow or give NaN, which a state
-    spread near the largest double can make them do.
+    the centroids are mapped back afterwards.  Both transforms and the
+    clustering raise FloatingPointError where they overflow or give NaN,
+    which a state spread near the largest double can make them do.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -238,6 +223,5 @@ def extract_states(pset: ParticleSet, n: int, rng: np.random.Generator) -> np.nd
         std = np.sqrt(var)
         std[std == 0] = 1.0
         normalized = np.divide(centered, np.tile(std, (len(states), 1)), out=centered)
-    centers = weighted_kmeans(normalized, weights, n, rng)
-    with np.errstate(over="raise", invalid="raise"):
+        centers = weighted_kmeans(normalized, weights, n, rng)
         return centers * std + mean

@@ -143,16 +143,19 @@ def effective_jitter(
 
     Applies the adaptive bandwidth when configured, then the measurement
     cap: any component whose one-step position projection would exceed
-    min(sigma_w1, sigma_w2) is clamped to that bound.
+    min(sigma_w1, sigma_w2) is clamped to that bound.  A component still
+    not finite, an uncapped bandwidth that overflowed, raises
+    FloatingPointError.
     """
     if config.gordon_constant is not None:
-        jitter = gordon_std(
-            config.gordon_constant,
-            state_spread(pset.states),
-            max(len(pset), 1),
-            config.gordon_dimension,
-            config.gordon_positive_exponent,
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            jitter = gordon_std(
+                config.gordon_constant,
+                state_spread(pset.states),
+                max(len(pset), 1),
+                config.gordon_dimension,
+                config.gordon_positive_exponent,
+            )
     else:
         jitter = np.array(config.jitter_std)
     if config.cap_to_measurement:
@@ -164,6 +167,8 @@ def effective_jitter(
         with np.errstate(over="ignore"):
             bound = meas.min_std() / np.array([1.0, t, 1.0, t])
         jitter = np.minimum(jitter, bound)
+    if not np.isfinite(jitter).all():
+        raise FloatingPointError(f"roughening jitter is not finite: {jitter.tolist()}")
     return jitter
 
 
@@ -229,10 +234,12 @@ def direct_motion(
     sqrt(sigma_v^2 + d^2).  Position components of the jitter (which a
     Gordon bandwidth has) are not expressible and are dropped.  A
     zero-jitter axis keeps the model std bit for bit, so disabling the
-    jitter reproduces the unmodified dynamics exactly.
+    jitter reproduces the unmodified dynamics exactly.  A std that
+    overflows (a tiny T) raises FloatingPointError.
     """
     jitter = effective_jitter(pset, config, motion, meas)
-    d = jitter[list(VELOCITY_IDX)] / motion.sampling_interval
-    s = motion.noise_stds()
-    sigma_v1, sigma_v2 = np.where(d == 0, s, np.sqrt(s * s + d * d))
+    with np.errstate(over="raise", invalid="raise"):
+        d = jitter[list(VELOCITY_IDX)] / motion.sampling_interval
+        s = motion.noise_stds()
+        sigma_v1, sigma_v2 = np.where(d == 0, s, np.sqrt(s * s + d * d))
     return replace(motion, sigma_v1=float(sigma_v1), sigma_v2=float(sigma_v2))

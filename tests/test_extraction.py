@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from smcphd import extraction
 from smcphd.extraction import (
     MAX_ITERATIONS,
-    REL_MOVE_TOL,
-    _move_ratio,
+    _distance_rows,
     _weighted_pick,
     extract_states,
     weighted_kmeans,
@@ -36,22 +35,16 @@ def _reference_seed(points, weights, k, rng):
     return centers
 
 
-def _reference_kmeans(points, weights, k, rng, max_iterations=MAX_ITERATIONS, tol=REL_MOVE_TOL):
+def _reference_kmeans(points, weights, k, rng, max_iterations=MAX_ITERATIONS):
     centers = _reference_seed(points, weights, k, rng)
     for _ in range(max_iterations):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         assign = np.argmin(d2, axis=1)
-        new_centers = centers.copy()
         for j in range(k):
             mask = assign == j
             cluster_weight = weights[mask].sum()
             if cluster_weight > 0:
-                new_centers[j] = weights[mask] @ points[mask] / cluster_weight
-        move = np.linalg.norm(new_centers - centers, axis=1)
-        ref = np.maximum(1.0, np.linalg.norm(centers, axis=1))
-        centers = new_centers
-        if np.max(move / ref) < tol:
-            break
+                centers[j] = weights[mask] @ points[mask] / cluster_weight
     return centers
 
 
@@ -152,10 +145,9 @@ def _exchange_points(seed, n_points, columns, zero_frac, zero_cloud, duplicate_f
     zero_cloud=st.sampled_from([None, 0, 2]),
     duplicate_frac=st.sampled_from([0.0, 0.5]),
     max_iterations=st.sampled_from([1, 2, 3, MAX_ITERATIONS]),
-    tol=st.sampled_from([REL_MOVE_TOL, 0.0]),
 )
 def test_skipped_rows_and_sums_keep_kmeans_bit_identical(
-    seed, n_points, columns, k, zero_frac, zero_cloud, duplicate_frac, max_iterations, tol
+    seed, n_points, columns, k, zero_frac, zero_cloud, duplicate_frac, max_iterations
 ):
     # Lloyd recomputes only moved centers' distance rows and re-sums only
     # clusters whose members changed; the reference redoes everything.
@@ -164,11 +156,8 @@ def test_skipped_rows_and_sums_keep_kmeans_bit_identical(
     )
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(extraction, "MAX_ITERATIONS", max_iterations)
-        patch.setattr(extraction, "REL_MOVE_TOL", tol)
         got = weighted_kmeans(points, weights, k, np.random.default_rng(seed))
-    expect = _reference_kmeans(
-        points, weights, k, np.random.default_rng(seed), max_iterations, tol
-    )
+    expect = _reference_kmeans(points, weights, k, np.random.default_rng(seed), max_iterations)
     assert np.array_equal(got, expect)
     assert np.array_equal(np.signbit(got), np.signbit(expect))
 
@@ -214,20 +203,17 @@ def test_frozen_cluster_is_summed_and_measured_once(monkeypatch):
 
 
 @pytest.mark.parametrize("columns", range(1, 8))
-def test_move_ratio_has_the_bits_of_numpy_row_norms(columns):
-    # The move test runs on Python floats, summing squares left to right.
-    # numpy's reduce sums a row of fewer than 8 columns in that order; from
-    # 8 columns on it does not, and `weighted_kmeans` rejects such points.
+def test_distance_rows_have_the_bits_of_numpy_row_sums(columns):
+    # The distance rows sum squares left to right, the order numpy's reduce
+    # sums a row of fewer than 8 columns in; from 8 columns on it does not,
+    # and `weighted_kmeans` rejects such points.
     rng = np.random.default_rng(columns)
-    shape = (20000, columns)
-    old = 10.0 ** rng.uniform(-8, 8, shape) * rng.choice([-1.0, 1.0], shape)
-    new = old + 10.0 ** rng.uniform(-8, 8, shape) * rng.choice([-1.0, 1.0], shape)
-    diff = new - old
-    expect = np.sqrt(np.add.reduce(diff * diff, axis=1)) / np.maximum(
-        1.0, np.sqrt(np.add.reduce(old * old, axis=1))
-    )
-    got = [_move_ratio(a, b) for a, b in zip(new.tolist(), old.tolist())]
-    assert np.array_equal(got, expect)
+    shape = (5000, columns)
+    points = 10.0 ** rng.uniform(-8, 8, shape) * rng.choice([-1.0, 1.0], shape)
+    centers = points[rng.integers(0, len(points), 5)] + 10.0 ** rng.uniform(-8, 8, (5, columns))
+    out, term = np.empty((2, len(centers), len(points)))
+    _distance_rows(np.ascontiguousarray(points.T), centers, out, term)
+    assert np.array_equal(out, ((points[None] - centers[:, None]) ** 2).sum(axis=-1))
 
 
 @pytest.mark.parametrize("columns", [0, 8])
@@ -236,23 +222,19 @@ def test_weighted_kmeans_takes_1_to_7_columns(columns):
         weighted_kmeans(np.zeros((5, columns)), np.ones(5), 2, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("max_iterations, tol", [(0, REL_MOVE_TOL), (1, REL_MOVE_TOL), (100, 0.0), (100, REL_MOVE_TOL)])
+@pytest.mark.parametrize("max_iterations", [0, 1, 100])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_one_cluster_is_one_weighted_mean(monkeypatch, seed, max_iterations, tol):
-    # One cluster is one weighted mean whatever the iteration cap and the
-    # tolerance, even a cap of 0; with a cap of 1 or more that is also the
-    # plain loop's result.
+def test_one_cluster_is_one_weighted_mean(monkeypatch, seed, max_iterations):
+    # One cluster is one weighted mean whatever the iteration cap, even a
+    # cap of 0; with a cap of 1 or more that is also the plain loop's result.
     monkeypatch.setattr(extraction, "MAX_ITERATIONS", max_iterations)
-    monkeypatch.setattr(extraction, "REL_MOVE_TOL", tol)
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(200, 4)) * [20.0, 1.0, 20.0, 1.0]
     weights = rng.uniform(0.0, 1.0, 200)
     got = weighted_kmeans(points, weights, 1, np.random.default_rng(seed))
     assert np.array_equal(got[0], weights @ points / weights.sum())
     if max_iterations > 0:
-        expect = _reference_kmeans(
-            points, weights, 1, np.random.default_rng(seed), max_iterations, tol
-        )
+        expect = _reference_kmeans(points, weights, 1, np.random.default_rng(seed), max_iterations)
         assert np.array_equal(got, expect)
 
 
@@ -263,11 +245,10 @@ def test_one_target_extraction_matches_reference():
     assert np.array_equal(got, expect)
 
 
-@pytest.mark.parametrize("tol", [REL_MOVE_TOL, 0.0])
-def test_assignment_repeating_on_first_step_stops_lloyd(monkeypatch, tol):
+def test_assignment_repeating_on_first_step_stops_lloyd(monkeypatch):
     # Two far-apart clouds: k-means++ seeds one center in each, so the first
-    # weighted means leave every point where it was assigned.  With tol 0
-    # the plain loop runs all its iterations; the result must not change.
+    # weighted means leave every point where it was assigned.  The plain
+    # loop runs all its iterations; the result must not change.
     rng = np.random.default_rng(12)
     points = np.vstack([rng.normal(-50.0, 1.0, (100, 4)), rng.normal(50.0, 1.0, (100, 4))])
     weights = rng.uniform(0.5, 1.5, 200)
@@ -279,12 +260,41 @@ def test_assignment_repeating_on_first_step_stops_lloyd(monkeypatch, tol):
         return calls[-1]
 
     monkeypatch.setattr(extraction, "_nearest_center", spy)
-    monkeypatch.setattr(extraction, "REL_MOVE_TOL", tol)
     got = weighted_kmeans(points, weights, 2, np.random.default_rng(13))
     assert len(calls) == 2
     assert np.array_equal(calls[0], calls[1])
-    expect = _reference_kmeans(points, weights, 2, np.random.default_rng(13), tol=tol)
+    expect = _reference_kmeans(points, weights, 2, np.random.default_rng(13))
     assert np.array_equal(got, expect)
+
+
+def test_lloyd_stops_only_at_a_fixed_point(monkeypatch):
+    # The tiny point flips to the other cluster in the second assignment,
+    # which moves both centers by about 1e-12 of their norm.  The loop runs
+    # on until an assignment repeats.
+    calls = []
+    nearest = extraction._nearest_center
+
+    def spy(d2):
+        calls.append(nearest(d2))
+        return calls[-1]
+
+    monkeypatch.setattr(extraction, "_nearest_center", spy)
+    points, weights = [[-1.0], [1.0], [3.0], [0.2]], [1.0, 1.0, 1.0, 1e-12]
+    got = weighted_kmeans(points, weights, 2, np.random.default_rng(0))
+    assert not np.array_equal(calls[0], calls[1])
+    assert np.array_equal(calls[-2], calls[-1])
+    expect = _reference_kmeans(np.array(points), np.array(weights), 2, np.random.default_rng(0))
+    assert np.array_equal(got, expect)
+
+
+def test_clustering_overflow_is_a_floating_point_error():
+    # Standardized, the zero-weight row at 1e10 lies about 1e160 from the
+    # rest, and its squared distance to a center overflows.
+    states = np.zeros((4, 4))
+    states[1], states[3] = 1e-150, 1e10
+    pset = ParticleSet(states=states, weights=np.array([1.0, 1.0, 1.0, 0.0]))
+    with pytest.raises(FloatingPointError, match="overflow"):
+        extract_states(pset, 2, np.random.default_rng(0))
 
 
 def test_tied_px_takes_lexsort_fallback_and_matches(monkeypatch):

@@ -538,6 +538,45 @@ def test_cli_extraction_overflow_is_one_trial_error_and_no_warning(tmp_path):
     )
 
 
+_THREE_STEPS = "scenario.steps = 3\nscenario.targets = 1:3, 2:3\nrun.trials = 1\n"
+_GORDON_1E308 = (
+    "roughening.basic.mode = none\n"
+    "roughening.gordon.mode = separate\n"
+    "roughening.gordon.gordon_constant = 1e308\n"
+)
+
+
+@pytest.mark.parametrize(
+    "keys, variant",
+    [
+        pytest.param("motion.sampling_interval = 1e-300\n", "direct", id="direct"),
+        pytest.param(
+            _GORDON_1E308 + "roughening.gordon.cap_to_measurement = false\n",
+            "gordon",
+            id="uncapped-gordon",
+        ),
+    ],
+)
+def test_cli_roughening_overflow_is_one_trial_error(tmp_path, capsys, keys, variant):
+    # Direct mode's channel std delta / T overflows at T = 1e-300, and so
+    # does a Gordon bandwidth with K = 1e308 that no cap clamps: each ends
+    # the run with one error line that names the variant, and no warning.
+    cfg = tmp_path / "rough.cfg"
+    cfg.write_text(_THREE_STEPS + keys, encoding="utf-8")
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: trial 0, variant {variant!r}, step 1: FloatingPointError: ")
+
+
+def test_cli_capped_gordon_bandwidth_that_overflows_runs(tmp_path, capsys):
+    # The measurement cap clamps a bandwidth that overflows to inf.
+    cfg = tmp_path / "capped.cfg"
+    cfg.write_text(_THREE_STEPS + _GORDON_1E308, encoding="utf-8")
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_fault_keeps_an_out_dir_that_existed(tmp_path):
     cfg = _overflow_config(tmp_path)
     out = tmp_path / "existing"
@@ -716,6 +755,51 @@ def test_every_loadable_config_runs_cleanly(kv):
     # suite turns every RuntimeWarning into an error.
     config = run_config_from_mapping(kv)
     result = run_trial(config, 0)
+    for name in config.variants:
+        assert np.all(result.est_counts[name] >= 0)
+        values = result.ospa_values[name]
+        assert np.all((values >= 0) & (values <= config.ospa.cutoff))
+
+
+def _signed_log_uniform(low_exp, high_exp):
+    sign = st.sampled_from([-1.0, 1.0])
+    return st.tuples(sign, st.floats(low_exp, high_exp)).map(lambda t: repr(t[0] * 10.0 ** t[1]))
+
+
+@st.composite
+def _extreme_configs(draw):
+    """`_loadable_configs` with its constants drawn out to the float
+    extremes: sampling intervals down to 1e-300, noise stds, jitters, Gordon
+    constants and the birth density's mean and variances up to 1e300, and
+    clutter regions of half-width 1e-150 or 1e150."""
+    kv = draw(_loadable_configs())
+    huge = st.one_of(st.just("0"), _log_uniform(-300, 300))
+    kv["motion.sampling_interval"] = draw(_log_uniform(-300, 2))
+    kv["motion.sigma_v1"] = draw(huge)
+    kv["motion.sigma_v2"] = draw(huge)
+    mean = st.lists(_signed_log_uniform(-300, 300), min_size=4, max_size=4)
+    cov_diag = st.lists(_log_uniform(-300, 300), min_size=4, max_size=4)
+    kv["birth.mean"] = ", ".join(draw(mean))
+    kv["birth.cov_diag"] = ", ".join(draw(cov_diag))
+    half = draw(st.sampled_from([1e-150, 1e150]))
+    kv["clutter.region"] = f"{-half!r}, {half!r}, {-half!r}, {half!r}"
+    for mode in ("separate", "direct"):
+        key = "jitter_std" if f"roughening.{mode}.jitter_std" in kv else "gordon_constant"
+        kv[f"roughening.{mode}.{key}"] = draw(huge)
+    return kv
+
+
+@settings(max_examples=60, deadline=None)
+@given(kv=_extreme_configs())
+def test_every_loadable_config_at_the_float_extremes_ends_in_results_or_a_trial_error(kv):
+    # Overflow and underflow may end the trial, but only as one TrialError:
+    # no numeric warning escapes (the suite turns each into an error), and
+    # no other exception does.
+    config = run_config_from_mapping(kv)
+    try:
+        result = run_trial(config, 0)
+    except TrialError:
+        return
     for name in config.variants:
         assert np.all(result.est_counts[name] >= 0)
         values = result.ospa_values[name]
