@@ -35,16 +35,29 @@ def _reference_seed(points, weights, k, rng):
     return centers
 
 
-def _reference_kmeans(points, weights, k, rng, max_iterations=MAX_ITERATIONS):
+# The relative move tolerance Lloyd used to stop on: a step that moves every
+# center by less than this share of its norm (at least 1) ended the loop.
+OLD_REL_MOVE_TOL = 1e-6
+
+
+def _reference_kmeans(points, weights, k, rng, max_iterations=MAX_ITERATIONS, tol=0.0):
+    # Plain Lloyd for `max_iterations` iterations; a `tol` above 0 stops it
+    # early on the old relative move rule instead.
     centers = _reference_seed(points, weights, k, rng)
     for _ in range(max_iterations):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         assign = np.argmin(d2, axis=1)
+        new_centers = centers.copy()
         for j in range(k):
             mask = assign == j
             cluster_weight = weights[mask].sum()
             if cluster_weight > 0:
-                centers[j] = weights[mask] @ points[mask] / cluster_weight
+                new_centers[j] = weights[mask] @ points[mask] / cluster_weight
+        move = np.linalg.norm(new_centers - centers, axis=1)
+        ref = np.maximum(1.0, np.linalg.norm(centers, axis=1))
+        centers = new_centers
+        if np.max(move / ref) < tol:
+            break
     return centers
 
 
@@ -222,11 +235,15 @@ def test_weighted_kmeans_takes_1_to_7_columns(columns):
         weighted_kmeans(np.zeros((5, columns)), np.ones(5), 2, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("max_iterations", [0, 1, 100])
+@pytest.mark.parametrize(
+    "max_iterations, tol",
+    [(0, OLD_REL_MOVE_TOL), (1, OLD_REL_MOVE_TOL), (100, 0.0), (100, OLD_REL_MOVE_TOL)],
+)
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_one_cluster_is_one_weighted_mean(monkeypatch, seed, max_iterations):
+def test_one_cluster_is_one_weighted_mean(monkeypatch, seed, max_iterations, tol):
     # One cluster is one weighted mean whatever the iteration cap, even a
-    # cap of 0; with a cap of 1 or more that is also the plain loop's result.
+    # cap of 0; with a cap of 1 or more that is also the reference loop's
+    # result, whether it runs plain (tol 0) or stops on the old tolerance.
     monkeypatch.setattr(extraction, "MAX_ITERATIONS", max_iterations)
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(200, 4)) * [20.0, 1.0, 20.0, 1.0]
@@ -234,7 +251,9 @@ def test_one_cluster_is_one_weighted_mean(monkeypatch, seed, max_iterations):
     got = weighted_kmeans(points, weights, 1, np.random.default_rng(seed))
     assert np.array_equal(got[0], weights @ points / weights.sum())
     if max_iterations > 0:
-        expect = _reference_kmeans(points, weights, 1, np.random.default_rng(seed), max_iterations)
+        expect = _reference_kmeans(
+            points, weights, 1, np.random.default_rng(seed), max_iterations, tol
+        )
         assert np.array_equal(got, expect)
 
 
@@ -245,10 +264,12 @@ def test_one_target_extraction_matches_reference():
     assert np.array_equal(got, expect)
 
 
-def test_assignment_repeating_on_first_step_stops_lloyd(monkeypatch):
+@pytest.mark.parametrize("tol", [OLD_REL_MOVE_TOL, 0.0])
+def test_assignment_repeating_on_first_step_stops_lloyd(monkeypatch, tol):
     # Two far-apart clouds: k-means++ seeds one center in each, so the first
-    # weighted means leave every point where it was assigned.  The plain
-    # loop runs all its iterations; the result must not change.
+    # weighted means leave every point where it was assigned.  With tol 0
+    # the reference loop runs all its iterations, with the old tolerance it
+    # stops on the first step that moves nothing; the result must not change.
     rng = np.random.default_rng(12)
     points = np.vstack([rng.normal(-50.0, 1.0, (100, 4)), rng.normal(50.0, 1.0, (100, 4))])
     weights = rng.uniform(0.5, 1.5, 200)
@@ -263,7 +284,7 @@ def test_assignment_repeating_on_first_step_stops_lloyd(monkeypatch):
     got = weighted_kmeans(points, weights, 2, np.random.default_rng(13))
     assert len(calls) == 2
     assert np.array_equal(calls[0], calls[1])
-    expect = _reference_kmeans(points, weights, 2, np.random.default_rng(13))
+    expect = _reference_kmeans(points, weights, 2, np.random.default_rng(13), tol=tol)
     assert np.array_equal(got, expect)
 
 
