@@ -8,14 +8,11 @@ order before seeding, so the result depends only on the particle population
 The seeding, the Lloyd step and the canonical sort take faster routes than
 the plain formulation: distances built per dimension into kept buffers
 instead of as one (N, k, 4) array, the seeding's distances reused by the
-first assignment, a stop at Lloyd's fixed point (a repeated assignment
-or no center moved), and a one-key sort on px when it has no ties.  Lloyd
-recomputes only the distance rows of centers that moved, since the same
-center gives the same row bits, and re-sums only the clusters whose member
-set changed, since the same members taken in index order give the same
-operands.  These are exact re-orderings or omissions of the same
-floating-point operations, not approximations: the results are
-bit-identical to the plain k-means, which the tests keep as a reference.
+first assignment, a stop at Lloyd's fixed point (an assignment that
+repeats the previous one), and a one-key sort on px when it has no ties.
+These are exact re-orderings or omissions of the same floating-point
+operations, not approximations: the results are bit-identical to the
+plain k-means, which the tests keep as a reference.
 """
 
 import numpy as np
@@ -60,17 +57,17 @@ def _seed_centers(
     """Weighted k-means++ seeding: first center by weight, then by
     weight times squared distance to the nearest chosen center.
 
-    Returns the centers and, for k > 1, a (3, k, n) buffer: the squared
+    Returns the centers and, for k > 1, a (2, k, n) buffer: the squared
     distances from each center to every point (over `coords`, `points`
-    transposed) for the first Lloyd assignment, then two layers of scratch.
+    transposed) for the first Lloyd assignment, then a layer of scratch.
     """
     centers = np.empty((k, points.shape[1]))
     base = np.cumsum(weights / weights.sum())
     centers[0] = points[_weighted_pick(base, rng)]
     if k == 1:
         return centers, None
-    buffers = np.empty((3, k, len(points)))
-    d2, term = buffers[0], buffers[2]
+    buffers = np.empty((2, k, len(points)))
+    d2, term = buffers
     _distance_rows(coords, centers[:1], d2[:1], term[:1])
     nearest = d2[0]
     for j in range(1, k):
@@ -101,11 +98,11 @@ def _nearest_center(d2: np.ndarray) -> np.ndarray:
 
 
 def _cluster_mean(points: np.ndarray, weights: np.ndarray, members: np.ndarray):
-    """Weighted mean of the points at the indices `members`, as floats, or
-    None where they weigh nothing: the operands boolean masks would give."""
+    """Weighted mean of the points at the indices `members`, or None where
+    they weigh nothing: the operands boolean masks would give."""
     w = weights.take(members)
     total = w.sum()
-    return (w @ points.take(members, axis=0) / total).tolist() if total > 0 else None
+    return w @ points.take(members, axis=0) / total if total > 0 else None
 
 
 def weighted_kmeans(
@@ -116,56 +113,42 @@ def weighted_kmeans(
 ) -> np.ndarray:
     """Lloyd iterations with weighted means; clusters that lose all weight
     keep their previous center (duplicate centroids are valid output).
-    The loop stops at a fixed point, or after MAX_ITERATIONS assignments,
-    the safety cap.  Points have 1 to 7 columns, which the distance rows
-    sum left to right.
+    Points have 1 to 7 columns, which the distance rows sum left to right.
+    An empty point set, weights of another length, a negative or
+    non-finite weight and a zero total raise ValueError.
 
-    An iteration recomputes only the distance rows of moved centers and
-    the means of clusters whose member set changed.  An assignment equal
-    to the previous one changes no member set, and an update that moves
-    no center gives the same assignment next: a fixed point, which the
-    plain loop would repeat bit for bit up to its cap.  So the loop stops
-    there.  With one cluster every point is always assigned to it, and a
-    single weighted mean is the result.
+    The loop stops when an assignment repeats the previous one, since the
+    plain loop would then repeat it bit for bit, or after MAX_ITERATIONS
+    assignments, the safety cap.  One cluster is one weighted mean.
     """
     # Contiguous float64, the layout boolean-mask copies had, so the BLAS
     # products below see the same operands for any caller's arrays.
     points = np.ascontiguousarray(points, dtype=float)
     weights = np.ascontiguousarray(weights, dtype=float)
-    if not 0 < points.shape[1] < 8:
+    if points.ndim != 2 or not 0 < points.shape[1] < 8:
         raise ValueError("weighted_kmeans needs points of 1 to 7 columns")
+    if len(points) == 0 or weights.shape != (len(points),):
+        raise ValueError("weighted_kmeans needs one or more points and one weight per point")
+    # A NaN weight fails the first comparison and an infinite one the last.
+    if not (weights.min() >= 0 and 0 < weights.sum() < np.inf):
+        raise ValueError("weighted_kmeans needs finite weights >= 0 with a positive total")
     coords = np.ascontiguousarray(points.T) if k > 1 else None
     centers, buffers = _seed_centers(points, coords, weights, k, rng)
     if k == 1:
-        mean = _cluster_mean(points, weights, np.arange(len(points)))
-        return centers if mean is None else np.array([mean])
-    d2, fresh, term = buffers
-    rows = centers.tolist()
-    moved, previous = [], None
-    for _ in range(MAX_ITERATIONS):
-        if moved:
-            out = fresh[: len(moved)]
-            _distance_rows(coords, np.array([rows[j] for j in moved]), out, term[: len(moved)])
-            d2[moved] = out
-        assign = _nearest_center(d2)
-        if previous is None:
-            changed = range(k)
-        else:
-            flips = (assign != previous).nonzero()[0]
-            if len(flips) == 0:
-                break
-            changed = set(assign.take(flips).tolist()) | set(previous.take(flips).tolist())
-        previous = assign
-        moved = []
-        for j in changed:
+        return _cluster_mean(points, weights, np.arange(len(points)))[None]
+    d2, term = buffers
+    assign = None
+    for i in range(MAX_ITERATIONS):
+        if i:
+            _distance_rows(coords, centers, d2, term)
+        previous, assign = assign, _nearest_center(d2)
+        if i and np.array_equal(assign, previous):
+            break
+        for j in range(k):
             mean = _cluster_mean(points, weights, (assign == j).nonzero()[0])
             if mean is not None:
-                if mean != rows[j]:  # -0.0 == 0.0 gives equal distances too
-                    moved.append(j)
-                rows[j] = mean
-        if not moved:
-            break
-    return np.array(rows)
+                centers[j] = mean
+    return centers
 
 
 def _canonical_order(pset: ParticleSet) -> np.ndarray:

@@ -234,12 +234,17 @@ def direct_motion(
     sqrt(sigma_v^2 + d^2).  Position components of the jitter (which a
     Gordon bandwidth has) are not expressible and are dropped.  A
     zero-jitter axis keeps the model std bit for bit, so disabling the
-    jitter reproduces the unmodified dynamics exactly.  A std that
-    overflows (a tiny T) raises FloatingPointError.
+    jitter reproduces the unmodified dynamics exactly.  The squares are
+    scaled by a power of two, exact where they are normal, so they overflow
+    only where d or the std itself does (a T near the smallest double),
+    which raises FloatingPointError.
     """
     jitter = effective_jitter(pset, config, motion, meas)
     with np.errstate(over="raise", invalid="raise"):
         d = jitter[list(VELOCITY_IDX)] / motion.sampling_interval
         s = motion.noise_stds()
-        sigma_v1, sigma_v2 = np.where(d == 0, s, np.sqrt(s * s + d * d))
+        e = np.frexp(np.maximum(s, d))[1]
+        a, b = np.ldexp(s, -e), np.ldexp(d, -e)
+        std = np.ldexp(np.sqrt(a * a + b * b), e)
+        sigma_v1, sigma_v2 = np.where(d == 0, s, std)
     return replace(motion, sigma_v1=float(sigma_v1), sigma_v2=float(sigma_v2))

@@ -40,13 +40,18 @@ def _reference_seed(points, weights, k, rng):
 OLD_REL_MOVE_TOL = 1e-6
 
 
-def _reference_kmeans(points, weights, k, rng, max_iterations=MAX_ITERATIONS, tol=0.0):
+def _reference_kmeans(
+    points, weights, k, rng, max_iterations=MAX_ITERATIONS, tol=0.0, assignments=None
+):
     # Plain Lloyd for `max_iterations` iterations; a `tol` above 0 stops it
-    # early on the old relative move rule instead.
+    # early on the old relative move rule instead.  Each assignment is
+    # appended to `assignments` if that is a list.
     centers = _reference_seed(points, weights, k, rng)
     for _ in range(max_iterations):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         assign = np.argmin(d2, axis=1)
+        if assignments is not None:
+            assignments.append(assign)
         new_centers = centers.copy()
         for j in range(k):
             mask = assign == j
@@ -162,8 +167,8 @@ def _exchange_points(seed, n_points, columns, zero_frac, zero_cloud, duplicate_f
 def test_skipped_rows_and_sums_keep_kmeans_bit_identical(
     seed, n_points, columns, k, zero_frac, zero_cloud, duplicate_frac, max_iterations
 ):
-    # Lloyd recomputes only moved centers' distance rows and re-sums only
-    # clusters whose members changed; the reference redoes everything.
+    # Lloyd reuses the seeding's distances for its first assignment and
+    # stops at a repeated one; the reference runs every iteration in full.
     points, weights = _exchange_points(
         seed, n_points, columns, zero_frac, zero_cloud, duplicate_frac
     )
@@ -175,44 +180,42 @@ def test_skipped_rows_and_sums_keep_kmeans_bit_identical(
     assert np.array_equal(np.signbit(got), np.signbit(expect))
 
 
-def test_frozen_cluster_is_summed_and_measured_once(monkeypatch):
-    # A tight far cloud keeps its members from the first assignment on,
-    # while two overlapping clouds trade points for many assignments.  After
-    # seeding, the far cluster's mean and its distance row are computed once
-    # each; recomputing every row or every sum would repeat them.
-    rng = np.random.default_rng(21)
-    near = np.vstack([rng.normal(0.0, 1.0, (150, 4)), rng.normal(1.0, 1.0, (150, 4))])
-    points = np.vstack([near, rng.normal(60.0, 0.1, (50, 4))])
-    weights = rng.uniform(0.5, 1.5, len(points))
-    far = np.arange(300, 350)
-    sums, rows, assignments = [], [], []
-    cluster_mean = extraction._cluster_mean
-    distance_rows = extraction._distance_rows
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.integers(1, 300),
+    columns=st.sampled_from([1, 2, 4]),
+    k=st.integers(2, 8),
+    zero_frac=st.sampled_from([0.0, 0.3]),
+    zero_cloud=st.sampled_from([None, 0, 2]),
+    duplicate_frac=st.sampled_from([0.0, 0.5]),
+    max_iterations=st.sampled_from([1, 2, 3, MAX_ITERATIONS]),
+)
+def test_lloyd_makes_the_plain_loops_assignments(
+    seed, n_points, columns, k, zero_frac, zero_cloud, duplicate_frac, max_iterations
+):
+    # As many assignments as plain Lloyd makes up to and including its first
+    # repeated one, or the cap if that comes first: no more, no fewer.
+    points, weights = _exchange_points(
+        seed, n_points, columns, zero_frac, zero_cloud, duplicate_frac
+    )
+    calls = []
     nearest = extraction._nearest_center
 
-    def sum_spy(points, weights, members):
-        sums.append((members.copy(), cluster_mean(points, weights, members)))
-        return sums[-1][1]
-
-    def rows_spy(coords, centers, out, term):
-        rows.append(centers.tolist())
-        distance_rows(coords, centers, out, term)
-
-    def nearest_spy(d2):
-        assignments.append(None)
+    def spy(d2):
+        calls.append(None)
         return nearest(d2)
 
-    monkeypatch.setattr(extraction, "_cluster_mean", sum_spy)
-    monkeypatch.setattr(extraction, "_distance_rows", rows_spy)
-    monkeypatch.setattr(extraction, "_nearest_center", nearest_spy)
-    got = weighted_kmeans(points, weights, 3, np.random.default_rng(1))
-    assert len(assignments) >= 4
-    far_means = [mean for members, mean in sums if np.array_equal(members, far)]
-    assert len(far_means) == 1
-    assert far_means[0] in got.tolist()
-    assert sum(far_means[0] in centers for centers in rows) == 1
-    expect = _reference_kmeans(points, weights, 3, np.random.default_rng(1))
-    assert np.array_equal(got, expect)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(extraction, "MAX_ITERATIONS", max_iterations)
+        patch.setattr(extraction, "_nearest_center", spy)
+        weighted_kmeans(points, weights, k, np.random.default_rng(seed))
+    plain = []
+    _reference_kmeans(
+        points, weights, k, np.random.default_rng(seed), max_iterations, assignments=plain
+    )
+    repeats = [i for i in range(1, len(plain)) if np.array_equal(plain[i], plain[i - 1])]
+    assert len(calls) == (repeats[0] + 1 if repeats else max_iterations)
 
 
 @pytest.mark.parametrize("columns", range(1, 8))
@@ -233,6 +236,28 @@ def test_distance_rows_have_the_bits_of_numpy_row_sums(columns):
 def test_weighted_kmeans_takes_1_to_7_columns(columns):
     with pytest.raises(ValueError, match="1 to 7 columns"):
         weighted_kmeans(np.zeros((5, columns)), np.ones(5), 2, np.random.default_rng(0))
+
+
+_EIGHT = np.arange(8.0).reshape(4, 2)
+
+
+@pytest.mark.parametrize(
+    "points, weights",
+    [
+        pytest.param(np.zeros((0, 2)), np.zeros(0), id="no-points"),
+        pytest.param(_EIGHT, np.ones(3), id="short-weights"),
+        pytest.param(_EIGHT, np.ones((4, 1)), id="column-weights"),
+        pytest.param(_EIGHT, [1.0, np.nan, 1.0, 1.0], id="nan"),
+        pytest.param(_EIGHT, [1.0, np.inf, 1.0, 1.0], id="inf"),
+        pytest.param(_EIGHT, [1.0, -1.0, 1.0, 1.0], id="negative"),
+        pytest.param(_EIGHT, np.zeros(4), id="zero-total"),
+    ],
+)
+def test_weighted_kmeans_rejects_weights_it_cannot_use(points, weights):
+    # Each is a ValueError before any arithmetic, not an IndexError, a
+    # warning or a set of centers.
+    with pytest.raises(ValueError, match="weighted_kmeans needs"):
+        weighted_kmeans(points, weights, 2, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize(

@@ -549,7 +549,7 @@ _GORDON_1E308 = (
 @pytest.mark.parametrize(
     "keys, variant",
     [
-        pytest.param("motion.sampling_interval = 1e-300\n", "direct", id="direct"),
+        pytest.param("motion.sampling_interval = 1e-310\n", "direct", id="direct"),
         pytest.param(
             _GORDON_1E308 + "roughening.gordon.cap_to_measurement = false\n",
             "gordon",
@@ -558,7 +558,7 @@ _GORDON_1E308 = (
     ],
 )
 def test_cli_roughening_overflow_is_one_trial_error(tmp_path, capsys, keys, variant):
-    # Direct mode's channel std delta / T overflows at T = 1e-300, and so
+    # Direct mode's channel jitter delta / T overflows at T = 1e-310, and so
     # does a Gordon bandwidth with K = 1e308 that no cap clamps: each ends
     # the run with one error line that names the variant, and no warning.
     cfg = tmp_path / "rough.cfg"
@@ -567,6 +567,16 @@ def test_cli_roughening_overflow_is_one_trial_error(tmp_path, capsys, keys, vari
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"error: trial 0, variant {variant!r}, step 1: FloatingPointError: ")
+
+
+def test_cli_direct_noise_of_a_finite_jitter_runs(tmp_path, capsys):
+    # At T = 1e-300 the channel jitter delta / T is 4e299, whose square
+    # overflows but whose root sum of squares with sigma_v does not.
+    cfg = tmp_path / "direct.cfg"
+    cfg.write_text(_THREE_STEPS + "motion.sampling_interval = 1e-300\n", encoding="utf-8")
+    assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    assert "direct" in (tmp_path / "o" / "summary.txt").read_text(encoding="utf-8")
 
 
 def test_cli_capped_gordon_bandwidth_that_overflows_runs(tmp_path, capsys):

@@ -178,6 +178,28 @@ def test_direct_noise_with_zero_model_noise_is_the_jitter():
     assert combined[0] == pytest.approx(0.4, rel=1e-12)  # absolute std still defined
 
 
+# Stds whose squares and their sum are normal doubles.
+_NORMAL_STDS = st.floats(2.0**-500, 2.0**500)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sigma_v1=st.one_of(st.just(0.0), _NORMAL_STDS),
+    sigma_v2=st.one_of(st.just(0.0), _NORMAL_STDS),
+    delta=_NORMAL_STDS,
+)
+def test_direct_noise_has_the_bits_of_the_root_sum_of_squares(sigma_v1, sigma_v2, delta):
+    # The squares are scaled by a power of two, which moves no bit while
+    # they stay normal.
+    motion = MotionModel(sampling_interval=1.0, sigma_v1=sigma_v1, sigma_v2=sigma_v2)
+    cfg = RougheningConfig(
+        mode="direct", jitter_std=velocity_jitter(delta), cap_to_measurement=False
+    )
+    combined = direct_motion(empty_set(), cfg, motion, MEAS).noise_stds()
+    s = np.array([sigma_v1, sigma_v2])
+    assert np.array_equal(combined, np.sqrt(s * s + delta * delta))
+
+
 def test_mode_equivalence_velocity_moments():
     # Jitter-then-propagate vs. propagate-with-combined-noise must agree in
     # the velocity moments after one step (the jitter enters position with
