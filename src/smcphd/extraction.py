@@ -12,7 +12,8 @@ first assignment, a stop at Lloyd's fixed point (an assignment that
 repeats the previous one), and a one-key sort on px when it has no ties.
 These are exact re-orderings or omissions of the same floating-point
 operations, not approximations: the results are bit-identical to the
-plain k-means, which the tests keep as a reference.
+plain k-means, which the tests keep as a reference.  Every cluster count,
+one included, takes this one path.
 """
 
 import numpy as np
@@ -47,26 +48,19 @@ def _distance_rows(coords: np.ndarray, centers: np.ndarray, out: np.ndarray, ter
         np.add(out, term, out=out)
 
 
-def _seed_centers(
-    points: np.ndarray,
-    coords: np.ndarray | None,
-    weights: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-) -> tuple:
-    """Weighted k-means++ seeding: first center by weight, then by
-    weight times squared distance to the nearest chosen center.
+def _seed_centers(coords: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Generator):
+    """Weighted k-means++ seeding over `coords`, the points transposed:
+    first center by weight, then by weight times squared distance to the
+    nearest chosen center.
 
-    Returns the centers and, for k > 1, a (2, k, n) buffer: the squared
-    distances from each center to every point (over `coords`, `points`
-    transposed) for the first Lloyd assignment, then a layer of scratch.
+    Returns the centers and a (2, k, n) buffer: the squared distances from
+    each center to every point, for the first Lloyd assignment, then a
+    layer of scratch.
     """
-    centers = np.empty((k, points.shape[1]))
+    centers = np.empty((k, len(coords)))
     base = np.cumsum(weights / weights.sum())
-    centers[0] = points[_weighted_pick(base, rng)]
-    if k == 1:
-        return centers, None
-    buffers = np.empty((2, k, len(points)))
+    centers[0] = coords[:, _weighted_pick(base, rng)]
+    buffers = np.empty((2, k, len(weights)))
     d2, term = buffers
     _distance_rows(coords, centers[:1], d2[:1], term[:1])
     nearest = d2[0]
@@ -78,7 +72,7 @@ def _seed_centers(
         else:
             # All mass sits on already-chosen centers; duplicates are allowed.
             idx = _weighted_pick(base, rng)
-        centers[j] = points[idx]
+        centers[j] = coords[:, idx]
         _distance_rows(coords, centers[j : j + 1], d2[j : j + 1], term[:1])
         if j + 1 < k:
             nearest = np.minimum(nearest, d2[j])
@@ -88,8 +82,9 @@ def _seed_centers(
 def _nearest_center(d2: np.ndarray) -> np.ndarray:
     """Index of each point's nearest center, the first one on ties, from
     the (k, n) squared distances; equal to `np.argmin(d2, axis=0)`.  With
-    two centers that is one comparison.  Leaves `d2` as it is."""
-    assign = (d2[1] < d2[0]).astype(np.min_scalar_type(len(d2) - 1))
+    two centers that is one comparison; a lone center compares with itself,
+    so every point takes it.  Leaves `d2` as it is."""
+    assign = (d2[min(1, len(d2) - 1)] < d2[0]).astype(np.min_scalar_type(len(d2) - 1))
     best = d2[0]
     for j in range(2, len(d2)):
         best = np.minimum(best, d2[j - 1])
@@ -114,12 +109,14 @@ def weighted_kmeans(
     """Lloyd iterations with weighted means; clusters that lose all weight
     keep their previous center (duplicate centroids are valid output).
     Points have 1 to 7 columns, which the distance rows sum left to right.
-    An empty point set, weights of another length, a negative or
-    non-finite weight and a zero total raise ValueError.
+    k < 1, an empty point set, a non-finite point, weights of another
+    length, a negative or non-finite weight and a zero total raise
+    ValueError.
 
     The loop stops when an assignment repeats the previous one, since the
     plain loop would then repeat it bit for bit, or after MAX_ITERATIONS
-    assignments, the safety cap.  One cluster is one weighted mean.
+    assignments, the safety cap.  One cluster is one weighted mean: its
+    first assignment takes every point, and its second repeats that.
     """
     # Contiguous float64, the layout boolean-mask copies had, so the BLAS
     # products below see the same operands for any caller's arrays.
@@ -127,16 +124,17 @@ def weighted_kmeans(
     weights = np.ascontiguousarray(weights, dtype=float)
     if points.ndim != 2 or not 0 < points.shape[1] < 8:
         raise ValueError("weighted_kmeans needs points of 1 to 7 columns")
+    if k < 1:
+        raise ValueError(f"weighted_kmeans needs k >= 1 clusters, not {k}")
     if len(points) == 0 or weights.shape != (len(points),):
         raise ValueError("weighted_kmeans needs one or more points and one weight per point")
+    if not np.isfinite(points).all():
+        raise ValueError("weighted_kmeans needs finite points")
     # A NaN weight fails the first comparison and an infinite one the last.
     if not (weights.min() >= 0 and 0 < weights.sum() < np.inf):
         raise ValueError("weighted_kmeans needs finite weights >= 0 with a positive total")
-    coords = np.ascontiguousarray(points.T) if k > 1 else None
-    centers, buffers = _seed_centers(points, coords, weights, k, rng)
-    if k == 1:
-        return _cluster_mean(points, weights, np.arange(len(points)))[None]
-    d2, term = buffers
+    coords = np.ascontiguousarray(points.T)
+    centers, (d2, term) = _seed_centers(coords, weights, k, rng)
     assign = None
     for i in range(MAX_ITERATIONS):
         if i:

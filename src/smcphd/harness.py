@@ -79,9 +79,9 @@ def _run_variant(
     Returns per-step cardinality estimates and OSPA values, and the step at
     which the posterior mass collapsed to zero (None if never); later steps
     keep a zero count and score an empty estimate against their truth: the
-    OSPA cutoff while a target is alive, 0 when none is.  A ValueError or
-    ArithmeticError inside a step is re-raised as a TrialError that says
-    where it happened.
+    OSPA cutoff while a target is alive, 0 when none is.  A ValueError,
+    ArithmeticError or MemoryError inside a step is re-raised as a
+    TrialError that says where it happened.
     """
     models = config.scenario.models
     steps = config.scenario.steps
@@ -112,7 +112,7 @@ def _run_variant(
                     )
             points = _ospa_points(states, config)
             ospa_values[step - 1] = ospa(points, true_points[step - 1], config.ospa)
-        except (ValueError, ArithmeticError) as exc:
+        except (ValueError, ArithmeticError, MemoryError) as exc:
             where = f"variant {name!r}, step {step}"
             raise _trial_error(streams.trial, where, exc) from exc
         if collapsed_at is not None:
@@ -136,7 +136,8 @@ def _ospa_points(states: np.ndarray, config: RunConfig) -> np.ndarray:
 
 def realize_trial(config: RunConfig, trial_index: int) -> tuple[GroundTruth, ScanData]:
     """One trial's ground truth and scans, drawn from its scenario streams;
-    a ValueError or ArithmeticError while drawing them becomes a TrialError."""
+    a ValueError, ArithmeticError or MemoryError while drawing them becomes
+    a TrialError."""
     streams = TrialStreams(config.master_seed, trial_index)
     try:
         truth = generate_truth(config.scenario, streams.get("truth"))
@@ -148,7 +149,7 @@ def realize_trial(config: RunConfig, trial_index: int) -> tuple[GroundTruth, Sca
             streams.get("clutter"),
             streams.get("shuffle"),
         )
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         raise _trial_error(trial_index, "scenario", exc) from exc
     return truth, scans
 

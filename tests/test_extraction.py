@@ -158,7 +158,7 @@ def _exchange_points(seed, n_points, columns, zero_frac, zero_cloud, duplicate_f
     seed=st.integers(0, 2**32 - 1),
     n_points=st.integers(1, 300),
     columns=st.sampled_from([1, 2, 4]),
-    k=st.integers(2, 8),
+    k=st.integers(1, 8),
     zero_frac=st.sampled_from([0.0, 0.3]),
     zero_cloud=st.sampled_from([None, 0, 2]),
     duplicate_frac=st.sampled_from([0.0, 0.5]),
@@ -185,7 +185,7 @@ def test_skipped_rows_and_sums_keep_kmeans_bit_identical(
     seed=st.integers(0, 2**32 - 1),
     n_points=st.integers(1, 300),
     columns=st.sampled_from([1, 2, 4]),
-    k=st.integers(2, 8),
+    k=st.integers(1, 8),
     zero_frac=st.sampled_from([0.0, 0.3]),
     zero_cloud=st.sampled_from([None, 0, 2]),
     duplicate_frac=st.sampled_from([0.0, 0.5]),
@@ -239,25 +239,32 @@ def test_weighted_kmeans_takes_1_to_7_columns(columns):
 
 
 _EIGHT = np.arange(8.0).reshape(4, 2)
+_NAN_POINT, _INF_POINT = _EIGHT.copy(), _EIGHT.copy()
+_NAN_POINT[1, 0], _INF_POINT[1, 0] = np.nan, np.inf
 
 
 @pytest.mark.parametrize(
-    "points, weights",
+    "points, weights, k",
     [
-        pytest.param(np.zeros((0, 2)), np.zeros(0), id="no-points"),
-        pytest.param(_EIGHT, np.ones(3), id="short-weights"),
-        pytest.param(_EIGHT, np.ones((4, 1)), id="column-weights"),
-        pytest.param(_EIGHT, [1.0, np.nan, 1.0, 1.0], id="nan"),
-        pytest.param(_EIGHT, [1.0, np.inf, 1.0, 1.0], id="inf"),
-        pytest.param(_EIGHT, [1.0, -1.0, 1.0, 1.0], id="negative"),
-        pytest.param(_EIGHT, np.zeros(4), id="zero-total"),
+        pytest.param(np.zeros((0, 2)), np.zeros(0), 2, id="no-points"),
+        pytest.param(_EIGHT, np.ones(3), 2, id="short-weights"),
+        pytest.param(_EIGHT, np.ones((4, 1)), 2, id="column-weights"),
+        pytest.param(_EIGHT, [1.0, np.nan, 1.0, 1.0], 2, id="nan"),
+        pytest.param(_EIGHT, [1.0, np.inf, 1.0, 1.0], 2, id="inf"),
+        pytest.param(_EIGHT, [1.0, -1.0, 1.0, 1.0], 2, id="negative"),
+        pytest.param(_EIGHT, np.zeros(4), 2, id="zero-total"),
+        pytest.param(_EIGHT, np.ones(4), 0, id="k-zero"),
+        pytest.param(_EIGHT, np.ones(4), -1, id="k-negative"),
+        pytest.param(_NAN_POINT, np.ones(4), 2, id="nan-point"),
+        pytest.param(_INF_POINT, np.ones(4), 2, id="inf-point"),
     ],
 )
-def test_weighted_kmeans_rejects_weights_it_cannot_use(points, weights):
+def test_weighted_kmeans_rejects_weights_it_cannot_use(points, weights, k):
     # Each is a ValueError before any arithmetic, not an IndexError, a
-    # warning or a set of centers.
+    # warning or a set of centers; so are a cluster count below 1 and a
+    # non-finite point.
     with pytest.raises(ValueError, match="weighted_kmeans needs"):
-        weighted_kmeans(points, weights, 2, np.random.default_rng(0))
+        weighted_kmeans(points, weights, k, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize(
@@ -266,20 +273,21 @@ def test_weighted_kmeans_rejects_weights_it_cannot_use(points, weights):
 )
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_one_cluster_is_one_weighted_mean(monkeypatch, seed, max_iterations, tol):
-    # One cluster is one weighted mean whatever the iteration cap, even a
-    # cap of 0; with a cap of 1 or more that is also the reference loop's
-    # result, whether it runs plain (tol 0) or stops on the old tolerance.
+    # With a cap of 1 or more, one cluster is one weighted mean, and that is
+    # also the reference loop's result, whether it runs plain (tol 0) or
+    # stops on the old tolerance.  A cap of 0 makes no assignment and leaves
+    # the seed, as it does for any k.
     monkeypatch.setattr(extraction, "MAX_ITERATIONS", max_iterations)
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(200, 4)) * [20.0, 1.0, 20.0, 1.0]
     weights = rng.uniform(0.0, 1.0, 200)
     got = weighted_kmeans(points, weights, 1, np.random.default_rng(seed))
-    assert np.array_equal(got[0], weights @ points / weights.sum())
+    expect = _reference_kmeans(
+        points, weights, 1, np.random.default_rng(seed), max_iterations, tol
+    )
+    assert np.array_equal(got, expect)
     if max_iterations > 0:
-        expect = _reference_kmeans(
-            points, weights, 1, np.random.default_rng(seed), max_iterations, tol
-        )
-        assert np.array_equal(got, expect)
+        assert np.array_equal(got[0], weights @ points / weights.sum())
 
 
 def test_one_target_extraction_matches_reference():

@@ -587,6 +587,32 @@ def test_cli_capped_gordon_bandwidth_that_overflows_runs(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize(
+    "module, name, where",
+    [
+        pytest.param(smcphd.scenario, "clutter_sample", "scenario", id="scenario"),
+        pytest.param(harness, "extract_states", "variant 'basic', step 1", id="variant"),
+    ],
+)
+def test_cli_out_of_memory_is_one_trial_error(tmp_path, capsys, monkeypatch, module, name, where):
+    # An allocation that fails inside a trial, as a clutter rate of 1e9
+    # makes numpy's do, ends the run with one error line, not a traceback,
+    # and takes away the output directory the run made.  The stand-in
+    # raises without allocating anything.
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 14.9 GiB")
+
+    monkeypatch.setattr(module, name, out_of_memory)
+    cfg = tmp_path / "memory.cfg"
+    cfg.write_text(_THREE_STEPS, encoding="utf-8")
+    out = tmp_path / "o"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: trial 0, {where}: MemoryError: Unable to allocate 14.9 GiB\n"
+    )
+    assert not out.exists()
+
+
 def test_cli_fault_keeps_an_out_dir_that_existed(tmp_path):
     cfg = _overflow_config(tmp_path)
     out = tmp_path / "existing"
