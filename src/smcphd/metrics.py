@@ -10,9 +10,8 @@ assignment algorithms", IEEE TAES 2016), in plain Python over the cost
 matrix's list form.  It follows scipy's `linear_sum_assignment`
 (`rectangular_lsap`) step for step: the same scan order, the same
 arithmetic order for reduced costs, the same tie-break and dual updates.
-So it returns the same assignment as scipy, with numpy as the only runtime
-dependency.  The chosen costs are summed exactly (`math.fsum`), so two
-optimal injections that hold the same costs give the same distance.
+`ospa` runs it on the costs scaled to exact ints, since rounded float duals
+can pick an injection one ulp above the optimum, and sums the chosen exactly.
 """
 
 import math
@@ -81,8 +80,8 @@ def _cost_matrix(x: np.ndarray, y: np.ndarray, params: OspaParams) -> np.ndarray
 
 def _assignment_columns(cost: list) -> list:
     """Minimum-cost assignment of every row of an m x n cost matrix, given as
-    m lists of n floats with m <= n, to a distinct column: the column of
-    each row, in row order.
+    m lists of n numbers with m <= n, to a distinct column: the column of
+    each row, in row order.  Its int zeros act as 0.0 on floats.
 
     A port of scipy's `rectangular_lsap` (Crouse's shortest augmenting
     path).  Each row in turn grows a shortest path over the remaining
@@ -94,8 +93,8 @@ def _assignment_columns(cost: list) -> list:
     Raises ValueError when no finite-cost assignment exists.
     """
     m, n = len(cost), len(cost[0])
-    u = [0.0] * m
-    v = [0.0] * n
+    u = [0] * m
+    v = [0] * n
     col4row = [-1] * m
     row4col = [-1] * n
     path = [-1] * n
@@ -104,7 +103,7 @@ def _assignment_columns(cost: list) -> list:
         visited_rows = [cur_row]
         visited_cols = []
         remaining = list(range(n - 1, -1, -1))
-        min_val = 0.0
+        min_val = 0
         i = cur_row
         sink = -1
         while sink == -1:
@@ -166,7 +165,9 @@ def ospa(x, y, params: OspaParams) -> float:
         raise ValueError("point sets must share one dimension")
     xa, ya = _ordered_pair(xa, ya)
     costs = _cost_matrix(xa, ya, params).tolist()
-    cols = _assignment_columns(costs)
+    ratios = [[c.as_integer_ratio() for c in row] for row in costs]
+    den = max(d for row in ratios for _, d in row)
+    cols = _assignment_columns([[a * (den // d) for a, d in row] for row in ratios])
     total = math.fsum(row[j] for row, j in zip(costs, cols))
     return _finalize(total, len(xa), len(ya), params)
 
