@@ -3,15 +3,13 @@
 OSPA between point sets X (size m) and Y (size n), m <= n:
     ( (1/n) ( min over injections pi of sum_i d_c(x_i, y_pi(i))^p
               + c^p (n - m) ) )^(1/p)
-with d_c the Euclidean distance cut off at c.  The production path solves
-the optimal injection exactly with the shortest augmenting path algorithm
-for rectangular assignment (D. F. Crouse, "On implementing 2D rectangular
-assignment algorithms", IEEE TAES 2016), in plain Python over the cost
-matrix's list form.  It follows scipy's `linear_sum_assignment`
-(`rectangular_lsap`) step for step: the same scan order, the same
-arithmetic order for reduced costs, the same tie-break and dual updates.
-`ospa` runs it on the costs scaled to exact ints, since rounded float duals
-can pick an injection one ulp above the optimum, and sums the chosen exactly.
+with d_c the Euclidean distance cut off at c.  `ospa` scales the float
+costs by one shared power of two to exact ints and solves the optimal
+injection on them with the Hungarian method, in plain Python over the
+cost matrix's list form.  The int optimum divided by that power, rounded
+once, is the exact optimal sum correctly rounded: one value whichever
+optimal injection is taken, and whichever order or orientation the point
+sets arrive in.
 """
 
 import math
@@ -45,29 +43,22 @@ class OspaParams:
 
 
 def _as_points(points) -> np.ndarray:
-    """Validate and canonicalize a point set: rows sorted lexicographically,
-    so the distance is bitwise invariant under permutations of the input."""
+    """Validate a point set: one point per row, every coordinate finite."""
     arr = np.asarray(points, dtype=float)
+    if arr.ndim > 2:
+        raise ValueError(f"point sets must be 1-D or 2-D arrays, got {arr.ndim}-D")
     if arr.size == 0:
         return arr.reshape(0, 0)
     if arr.ndim == 1:
         arr = arr[None, :]
     if not np.isfinite(arr).all():
         raise ValueError("point sets must be finite")
-    if len(arr) > 1:
-        # Stable and lexicographic like np.lexsort over the columns, and
-        # cheaper on the few rows a point set holds here.
-        arr = np.array(sorted(arr.tolist()))
     return arr
 
 
 def _ordered_pair(xa: np.ndarray, ya: np.ndarray):
-    """Deterministic argument order (smaller set first, lexicographic
-    tie-break) so swapped arguments compute the identical float result."""
+    """The smaller set first, as the assignment solver takes rows <= columns."""
     if len(xa) > len(ya):
-        return ya, xa
-    # Lists of rows compare lexicographically, first differing entry first.
-    if len(xa) == len(ya) and xa.tolist() > ya.tolist():
         return ya, xa
     return xa, ya
 
@@ -78,73 +69,52 @@ def _cost_matrix(x: np.ndarray, y: np.ndarray, params: OspaParams) -> np.ndarray
     return (np.minimum(dist, params.cutoff) / params.cutoff) ** params.order
 
 
-def _assignment_columns(cost: list) -> list:
-    """Minimum-cost assignment of every row of an m x n cost matrix, given as
-    m lists of n numbers with m <= n, to a distinct column: the column of
-    each row, in row order.  Its int zeros act as 0.0 on floats.
+def _min_assignment_cost(cost: list) -> int:
+    """Least total cost of assigning every row of an m x n int cost matrix,
+    given as m lists of n ints with m <= n, to a distinct column.
 
-    A port of scipy's `rectangular_lsap` (Crouse's shortest augmenting
-    path).  Each row in turn grows a shortest path over the remaining
-    columns, scanned in reverse index order, until it reaches an unassigned
-    column.  Of columns tied at the lowest path cost, the last unassigned
-    one scanned wins, else the first one scanned.  Reduced costs are summed
-    in scipy's order and the duals updated and the path augmented as scipy
-    does, so ties between optimal assignments resolve the same way.
+    The Hungarian method with row and column potentials (Kuhn 1955, in the
+    O(m^2 n) shortest augmenting path form): each row in turn grows a
+    shortest path of reduced costs until it reaches a free column, and the
+    potentials keep every reduced cost non-negative.  The optimum is -v[0].
     Raises ValueError when no finite-cost assignment exists.
     """
     m, n = len(cost), len(cost[0])
-    u = [0] * m
-    v = [0] * n
-    col4row = [-1] * m
-    row4col = [-1] * n
-    path = [-1] * n
-    for cur_row in range(m):
-        shortest = [math.inf] * n
-        visited_rows = [cur_row]
-        visited_cols = []
-        remaining = list(range(n - 1, -1, -1))
-        min_val = 0
-        i = cur_row
-        sink = -1
-        while sink == -1:
-            index = -1
-            lowest = math.inf
-            cost_i, u_i = cost[i], u[i]
-            for it, j in enumerate(remaining):
-                r = min_val + cost_i[j] - u_i - v[j]
-                if r < shortest[j]:
-                    path[j] = i
-                    shortest[j] = r
-                else:
-                    r = shortest[j]
-                if r < lowest or (r == lowest and row4col[j] == -1):
-                    lowest = r
-                    index = it
-            min_val = lowest
-            if min_val == math.inf:
+    u, v = [0] * (m + 1), [0] * (n + 1)
+    # Rows and columns count from 1: virtual column 0 holds the row being
+    # placed, and row 0 marks a free column.
+    row4col, way = [0] * (n + 1), [0] * (n + 1)
+    for i in range(1, m + 1):
+        row4col[0] = i
+        j0 = 0
+        minv = [math.inf] * (n + 1)
+        used = [False] * (n + 1)
+        while row4col[j0]:
+            used[j0] = True
+            i0 = row4col[j0]
+            row, u_i = cost[i0 - 1], u[i0]
+            delta, j1 = math.inf, 0
+            for j in range(1, n + 1):
+                if not used[j]:
+                    r = row[j - 1] - u_i - v[j]
+                    if r < minv[j]:
+                        minv[j], way[j] = r, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            if j1 == 0:
                 raise ValueError("cost matrix is infeasible")
-            j = remaining[index]
-            if row4col[j] == -1:
-                sink = j
-            else:
-                i = row4col[j]
-                visited_rows.append(i)
-            visited_cols.append(j)
-            remaining[index] = remaining[-1]
-            remaining.pop()
-        u[cur_row] += min_val
-        for i in visited_rows[1:]:
-            u[i] += min_val - shortest[col4row[i]]
-        for j in visited_cols:
-            v[j] -= min_val - shortest[j]
-        j = sink
-        while True:
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == cur_row:
-                break
-    return col4row
+            for j in range(n + 1):
+                if used[j]:
+                    u[row4col[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            row4col[j0] = row4col[j1]
+            j0 = j1
+    return -v[0]
 
 
 def _finalize(cost: float, m: int, n: int, params: OspaParams) -> float:
@@ -167,8 +137,7 @@ def ospa(x, y, params: OspaParams) -> float:
     costs = _cost_matrix(xa, ya, params).tolist()
     ratios = [[c.as_integer_ratio() for c in row] for row in costs]
     den = max(d for row in ratios for _, d in row)
-    cols = _assignment_columns([[a * (den // d) for a, d in row] for row in ratios])
-    total = math.fsum(row[j] for row, j in zip(costs, cols))
+    total = _min_assignment_cost([[a * (den // d) for a, d in row] for row in ratios]) / den
     return _finalize(total, len(xa), len(ya), params)
 
 

@@ -139,7 +139,7 @@ def test_resample(benchmark, n_particles):
     assert len(out) == n_particles
 
 
-@pytest.mark.parametrize("estimated, true", [(3, 4), (4, 6)])
+@pytest.mark.parametrize("estimated, true", [(3, 4), (4, 6), (12, 15)])
 def test_ospa(benchmark, estimated, true):
     """One step's score: estimated positions against true positions over
     the benchmark's surveillance region, as `_run_variant` calls it."""

@@ -1,11 +1,19 @@
 import math
+import signal
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import ospa_bruteforce
-from smcphd.metrics import OspaParams, _assignment_columns, gain_ratio, ospa
+from smcphd.metrics import (
+    OspaParams,
+    _cost_matrix,
+    _finalize,
+    _min_assignment_cost,
+    gain_ratio,
+    ospa,
+)
 
 PARAMS = OspaParams(cutoff=100.0, order=2.0)
 
@@ -118,17 +126,110 @@ def _cost_matrices(draw):
 @settings(max_examples=500, deadline=None)
 @given(costs=_cost_matrices())
 def test_assignment_matches_scipy(costs):
-    # The solver is a port of scipy's: same columns, ties included.
+    # On the costs scaled to ints, the optimum is exact and unique.
     from scipy.optimize import linear_sum_assignment
 
-    rows, cols = linear_sum_assignment(costs)
-    assert np.array_equal(rows, np.arange(len(costs)))
-    assert np.array_equal(_assignment_columns(costs.tolist()), cols)
+    ints = np.round(costs * 2**20).astype(np.int64)
+    rows, cols = linear_sum_assignment(ints)
+    assert _min_assignment_cost(ints.tolist()) == int(ints[rows, cols].sum())
+
+
+@st.composite
+def _large_int_matrices(draw):
+    """m x n int cost matrices, m <= n <= 40, past the brute-force limit:
+    uniform in [0, 2^40), uniform in [0, 3] (many exact ties), or uniform
+    with whole columns at the largest cost."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "ties", "cutoff"]))
+    ints = rng.integers(0, 4 if kind == "ties" else 2**40, size=(m, n))
+    if kind == "cutoff":
+        ints[:, rng.uniform(size=n) < 0.5] = 2**40
+    return ints
+
+
+@settings(max_examples=150, deadline=None)
+@given(ints=_large_int_matrices())
+def test_large_assignment_matches_scipy(ints):
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = linear_sum_assignment(ints)
+    assert _min_assignment_cost(ints.tolist()) == int(ints[rows, cols].sum())
+
+
+def _assert_infeasible(cost):
+    # Some row's scan finds no finite reduced cost; without its check the
+    # solver would never leave that row, so an alarm bounds the call.
+    def hung(signum, frame):
+        raise TimeoutError("the solver did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        with pytest.raises(ValueError, match="infeasible"):
+            _min_assignment_cost(cost)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_assignment_of_infeasible_matrix_raises():
-    with pytest.raises(ValueError, match="infeasible"):
-        _assignment_columns([[math.inf, 1.0], [math.inf, 2.0]])
+    _assert_infeasible([[math.inf, 1.0], [math.inf, 2.0]])
+
+
+@pytest.mark.parametrize(
+    "cost",
+    [[[1, 2], [math.inf, math.inf]], [[1, math.inf], [2, math.inf]]],
+    ids=["row-without-finite-cost", "only-finite-column-taken"],
+)
+def test_assignment_of_infeasible_row_raises(cost):
+    _assert_infeasible(cost)
+
+
+@st.composite
+def _large_point_set_pairs(draw):
+    """Two sets of 9-30 points, 2-D or 4-D, past the brute-force limit:
+    uniform coordinates, or coordinates on a coarse grid (many exact ties
+    between costs, and costs at the cutoff)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([2, 4]))
+    grid = draw(st.booleans())
+    sets = []
+    for _ in range(2):
+        size = (draw(st.integers(9, 30)), dim)
+        if grid:
+            sets.append(rng.integers(-6, 7, size=size) * 25.0)
+        else:
+            sets.append(rng.uniform(-150, 150, size=size))
+    return sets
+
+
+@settings(max_examples=100, deadline=None)
+@given(sets=_large_point_set_pairs(), seed=st.integers(0, 2**32 - 1))
+def test_large_sets_match_scipy_assignment(sets, seed):
+    from scipy.optimize import linear_sum_assignment
+
+    x, y = sets
+    small, large = (x, y) if len(x) <= len(y) else (y, x)
+    costs = _cost_matrix(small, large, PARAMS)
+    rows, cols = linear_sum_assignment(costs)
+    expected = _finalize(math.fsum(costs[rows, cols]), len(small), len(large), PARAMS)
+    d = ospa(x, y, PARAMS)
+    assert d == pytest.approx(expected, rel=1e-12)
+    rng = np.random.default_rng(seed)
+    assert ospa(y, x, PARAMS) == d
+    assert ospa(x[rng.permutation(len(x))], y[rng.permutation(len(y))], PARAMS) == d
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [(np.zeros((2, 2, 2)), np.zeros((2, 2, 2))), (np.zeros((2, 2, 2)), np.zeros((3, 2)))],
+    ids=["3d-against-3d", "3d-against-2d"],
+)
+def test_ospa_rejects_point_arrays_of_more_than_two_dimensions(x, y):
+    with pytest.raises(ValueError, match="1-D or 2-D"):
+        ospa(x, y, PARAMS)
 
 
 @st.composite
