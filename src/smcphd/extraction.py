@@ -92,14 +92,6 @@ def _nearest_center(d2: np.ndarray) -> np.ndarray:
     return assign
 
 
-def _cluster_mean(points: np.ndarray, weights: np.ndarray, members: np.ndarray):
-    """Weighted mean of the points at the indices `members`, or None where
-    they weigh nothing: the operands boolean masks would give."""
-    w = weights.take(members)
-    total = w.sum()
-    return w @ points.take(members, axis=0) / total if total > 0 else None
-
-
 def weighted_kmeans(
     points: np.ndarray,
     weights: np.ndarray,
@@ -143,9 +135,12 @@ def weighted_kmeans(
         if i and np.array_equal(assign, previous):
             break
         for j in range(k):
-            mean = _cluster_mean(points, weights, (assign == j).nonzero()[0])
-            if mean is not None:
-                centers[j] = mean
+            # The operands boolean masks would give; a weightless cluster stays.
+            members = (assign == j).nonzero()[0]
+            w = weights.take(members)
+            total = w.sum()
+            if total > 0:
+                centers[j] = w @ points.take(members, axis=0) / total
     return centers
 
 

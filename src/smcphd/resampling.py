@@ -19,8 +19,6 @@ if TYPE_CHECKING:  # `filter` imports this module for its scheme table
 def target_count(mass: float, config: "FilterConfig") -> int:
     """Particle budget for an expected target count: round(mass) per-target
     blocks, hard-floored at `min_particles`, and at most MAX_PARTICLES."""
-    if mass < 0:
-        raise ValueError("mass must be >= 0")
     count = max(round_half_up(mass) * config.particles_per_target, config.min_particles)
     if count > MAX_PARTICLES:
         raise ValueError(f"mass {mass:g} needs {count} particles > MAX_PARTICLES {MAX_PARTICLES}")
@@ -31,44 +29,35 @@ def systematic_indices(weights: np.ndarray, count: int, rng: np.random.Generator
     """Systematic selection: one uniform offset, `count` equally spaced points
     on the cumulative weight axis.  Copy counts are floor or ceil of the
     expected value; output indices are non-decreasing."""
-    w, total = _selection_weights(weights)
-    points = (rng.random() + np.arange(count)) / count * total
-    return _points_to_indices(w, total, points)
+    return _select(weights, (rng.random() + np.arange(count)) / count)
 
 
 def multinomial_indices(weights: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
     """Independent draws proportional to weight."""
-    w, total = _selection_weights(weights)
-    points = rng.random(count) * total
-    return _points_to_indices(w, total, points)
+    return _select(weights, rng.random(count))
 
 
 RESAMPLE_SCHEMES = {"systematic": systematic_indices, "multinomial": multinomial_indices}
 
 
-def _selection_weights(weights) -> tuple:
-    """The weights as floats and their sum, which must be at least
-    WEIGHT_FLOOR, as any positive sum of a `ParticleSet`'s weights is.
-    Selection points on a smaller, subnormal sum would round onto the
-    cumulative weights."""
+def _select(weights, unit_points: np.ndarray) -> np.ndarray:
+    """Invert the cumulative weight function at `unit_points` times the total.
+
+    The total must be at least WEIGHT_FLOOR, as any positive sum of a
+    `ParticleSet`'s weights is: selection points on a smaller, subnormal
+    sum would round onto the cumulative weights.  Points are in [0, total);
+    rounding can push one to exactly `total`, in which case it is assigned
+    to the last positive-weight particle so that a zero-weight particle can
+    never be selected.
+    """
     w = np.asarray(weights, dtype=float)
     total = w.sum()
     if not total >= WEIGHT_FLOOR:
         raise ValueError(f"total weight must be >= {WEIGHT_FLOOR}, got {total}")
-    return w, total
-
-
-def _points_to_indices(w: np.ndarray, total: float, points: np.ndarray) -> np.ndarray:
-    """Invert the cumulative weight function at the given points.
-
-    Points are in [0, total); rounding can push one to exactly `total`, in
-    which case it is assigned to the last positive-weight particle so that a
-    zero-weight particle can never be selected.
-    """
     cum = np.cumsum(w)
     cum[-1] = total  # guard against round-off excluding the last particle
     last_positive = int(np.flatnonzero(w > 0).max())
-    return np.minimum(np.searchsorted(cum, points, side="right"), last_positive)
+    return np.minimum(np.searchsorted(cum, unit_points * total, side="right"), last_positive)
 
 
 def _remainder(total: float, x: float, count: int) -> float:

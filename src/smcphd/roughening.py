@@ -232,12 +232,14 @@ def direct_motion(
     The propagation noise enters velocity with gain T, so velocity jitter
     delta becomes channel jitter d = delta / T and each axis's noise std
     sqrt(sigma_v^2 + d^2).  Position components of the jitter (which a
-    Gordon bandwidth has) are not expressible and are dropped.  A
-    zero-jitter axis keeps the model std bit for bit, so disabling the
-    jitter reproduces the unmodified dynamics exactly.  The squares are
-    scaled by a power of two, exact where they are normal, so they overflow
-    only where d or the std itself does (a T near the smallest double),
-    which raises FloatingPointError.
+    Gordon bandwidth has) are not expressible and are dropped.  The squares
+    are scaled by a power of two, exact where they are normal, so they
+    overflow only where d or the std itself does (a T near the smallest
+    double), which raises FloatingPointError.  A zero-jitter axis keeps the
+    model std bit for bit (but for the sign of a -0.0), so disabling the
+    jitter reproduces the unmodified dynamics: with d = 0 the scaled std a
+    is 0 or lies in [0.5, 1), where sqrt(fl(a * a)) = a exactly in binary
+    floating point, and the power-of-two scalings are exact.
     """
     jitter = effective_jitter(pset, config, motion, meas)
     with np.errstate(over="raise", invalid="raise"):
@@ -245,6 +247,5 @@ def direct_motion(
         s = motion.noise_stds()
         e = np.frexp(np.maximum(s, d))[1]
         a, b = np.ldexp(s, -e), np.ldexp(d, -e)
-        std = np.ldexp(np.sqrt(a * a + b * b), e)
-        sigma_v1, sigma_v2 = np.where(d == 0, s, std)
+        sigma_v1, sigma_v2 = np.ldexp(np.sqrt(a * a + b * b), e)
     return replace(motion, sigma_v1=float(sigma_v1), sigma_v2=float(sigma_v2))

@@ -1,8 +1,8 @@
 """Reference implementations the tests check the library against.
 
 None of these runs in the CLI or the harness: an exhaustive OSPA, the
-per-measurement mass terms of the update, and a one-variant extract of the
-trials table.
+per-measurement mass terms of the update, resampling's selection in two
+steps, and a one-variant extract of the trials table.
 """
 
 import math
@@ -13,7 +13,7 @@ import numpy as np
 from smcphd.harness import _fmt
 from smcphd.metrics import OspaParams, _as_points, _cost_matrix, _finalize, _ordered_pair
 from smcphd.models import ModelSet, clutter_intensity, likelihood
-from smcphd.particles import ParticleSet
+from smcphd.particles import WEIGHT_FLOOR, ParticleSet
 
 BRUTEFORCE_LIMIT = 8
 
@@ -53,6 +53,21 @@ def measurement_mass_terms(pred: ParticleSet, measurements, models: ModelSet) ->
     c = models.detection.p_detect * np.array([row @ pred.weights for row in g])
     denom = clutter_intensity(z_arr, models.clutter) + c
     return np.divide(c, denom, out=np.zeros_like(c), where=denom > 0)
+
+
+def select_reference(weights, points) -> np.ndarray:
+    """Resampling's selection in two steps, the weights' total and then the
+    inverse of the cumulative weights at `points`, absolute points on
+    [0, total]; oracle for `resampling._select`.  A point that rounded to
+    the total goes to the last positive weight."""
+    w = np.asarray(weights, dtype=float)
+    total = w.sum()
+    if not total >= WEIGHT_FLOOR:
+        raise ValueError(f"total weight must be >= {WEIGHT_FLOOR}, got {total}")
+    cum = np.cumsum(w)
+    cum[-1] = total
+    last_positive = int(np.flatnonzero(w > 0).max())
+    return np.minimum(np.searchsorted(cum, points, side="right"), last_positive)
 
 
 def write_variant_table(results: list, variant_name: str, fileobj) -> None:

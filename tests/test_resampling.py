@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from oracles import select_reference
 from smcphd.filter import FilterConfig
 from smcphd.particles import MAX_PARTICLES, WEIGHT_FLOOR, ParticleSet
 from smcphd.resampling import (
     _equalized_weights,
+    _select,
     multinomial_indices,
     resample,
     systematic_indices,
@@ -38,6 +40,12 @@ def test_target_count_above_the_bound_raises():
         target_count(2**10 + 1, config)
     with pytest.raises(ValueError, match="MAX_PARTICLES"):
         target_count(1e300, config)
+
+
+@pytest.mark.parametrize("mass", [-1e-300, -1.0, math.nan])
+def test_target_count_rejects_a_negative_or_nan_mass(mass):
+    with pytest.raises(ValueError):
+        target_count(mass, FilterConfig(particles_per_target=200))
 
 
 def test_systematic_uniform_weights_copy_each_once():
@@ -247,3 +255,57 @@ def test_selection_rejects_a_total_below_the_floor(select):
     w = np.array([5e-324, 5e-324, 1e-323])
     with pytest.raises(ValueError, match="total weight"):
         select(w, 2, np.random.default_rng(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(_weight, min_size=1, max_size=40),
+    trailing_zeros=st.integers(0, 3),
+    count=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(weights=[0.0, 1.0, 0.0, 2.0], trailing_zeros=1, count=3, seed=0)
+def test_selection_matches_the_two_step_reference(weights, trailing_zeros, count, seed):
+    w = np.array(weights + [0.0] * trailing_zeros)
+    total = w.sum()
+    assume(total >= WEIGHT_FLOOR)
+    u = np.random.default_rng(seed).random()
+    expected = select_reference(w, (u + np.arange(count)) / count * total)
+    assert np.array_equal(systematic_indices(w, count, np.random.default_rng(seed)), expected)
+    draws = np.random.default_rng(seed).random(count)
+    expected = select_reference(w, draws * total)
+    assert np.array_equal(multinomial_indices(w, count, np.random.default_rng(seed)), expected)
+
+
+class _FixedOffset:
+    """A generator stand-in whose one uniform draw is fixed."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [0.3, 0.0, 0.7, 0.0, 0.0],
+        [1.0, 2.0, 3.0],
+        [0.0, 0.0, 5.0],
+        # The running sum of ten 0.7s exceeds their pairwise total, so only
+        # setting the last cumulative weight to the total keeps the point at
+        # the total on the last, tiny weight.
+        [0.7] * 10 + [WEIGHT_FLOOR],
+    ],
+)
+def test_a_unit_point_at_the_total_takes_the_last_positive_weight(weights):
+    w = np.array(weights)
+    last_positive = int(np.flatnonzero(w).max())
+    assert _select(w, np.array([1.0])).tolist() == [last_positive]
+    # u = 1 - 2**-53 over 3 points: (u + 2) / 3 rounds up to exactly 1.0.
+    u = 1.0 - 2.0**-53
+    assert (u + 2.0) / 3 == 1.0
+    idx = systematic_indices(w, 3, _FixedOffset(u))
+    assert idx[-1] == last_positive
+    assert np.array_equal(idx, select_reference(w, (u + np.arange(3)) / 3 * w.sum()))

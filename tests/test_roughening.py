@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smcphd.filter import FilterConfig, predict
 from smcphd.models import MeasurementModel, ModelSet, MotionModel, propagate
@@ -295,6 +295,7 @@ def test_direct_mode_with_adaptive_bandwidth_runs():
 
 _SIGMA_V = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
 _SIGMA_W = st.floats(1e-3, 100.0)
+_UNIT_MODELS = {"interval": 1.0, "sigma_w": (1.0, 1.0)}
 
 
 @settings(max_examples=100, deadline=None)
@@ -307,6 +308,13 @@ _SIGMA_W = st.floats(1e-3, 100.0)
     gordon=st.booleans(),
     cap=st.booleans(),
 )
+# The smallest subnormal and normal stds, zero, and a std near the largest
+# double; no particles there, whose noise would overflow to inf.
+@example(sigma_v=(0.0, 5e-324), n=4, seed=0, gordon=False, cap=True, **_UNIT_MODELS)
+@example(sigma_v=(5e-324, 0.0), n=4, seed=1, gordon=True, cap=False, **_UNIT_MODELS)
+@example(sigma_v=(2.0**-1022, 5e-324), n=4, seed=2, gordon=False, cap=False, **_UNIT_MODELS)
+@example(sigma_v=(1e308, 2.0**-1022), n=0, seed=3, gordon=False, cap=True, **_UNIT_MODELS)
+@example(sigma_v=(0.0, 1e308), n=0, seed=4, gordon=True, cap=True, **_UNIT_MODELS)
 def test_zero_jitter_keeps_the_model_bit_for_bit(interval, sigma_v, sigma_w, n, seed, gordon, cap):
     motion = MotionModel(interval, *sigma_v)
     meas = MeasurementModel(*sigma_w)
@@ -320,7 +328,7 @@ def test_zero_jitter_keeps_the_model_bit_for_bit(interval, sigma_v, sigma_w, n, 
 
     direct_cfg = RougheningConfig("direct", cap_to_measurement=cap, **zero)
     direct = direct_motion(pset, direct_cfg, motion, meas)
-    assert np.array_equal(direct.noise_stds(), motion.noise_stds())
+    assert direct.noise_stds().tobytes() == motion.noise_stds().tobytes()
     models = ModelSet(motion=motion, measurement=meas)
     plain = predict(pset, models, FilterConfig(), np.random.default_rng(seed))
     rough = predict(pset, replace(models, motion=direct), FilterConfig(), np.random.default_rng(seed))
