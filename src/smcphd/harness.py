@@ -174,9 +174,9 @@ def run_trial(config: RunConfig, trial_index: int) -> TrialResult:
     """
     truth, scans = realize_trial(config, trial_index)
 
-    steps = config.scenario.steps
-    true_counts = np.array([truth.count_at(k) for k in range(1, steps + 1)])
-    true_points = [_ospa_points(truth.states_at(k), config) for k in range(1, steps + 1)]
+    truth_states = [truth.states_at(k) for k in range(1, config.scenario.steps + 1)]
+    true_counts = np.array([len(states) for states in truth_states])
+    true_points = [_ospa_points(states, config) for states in truth_states]
 
     est_counts: dict = {}
     ospa_values: dict = {}

@@ -56,13 +56,6 @@ def _as_points(points) -> np.ndarray:
     return arr
 
 
-def _ordered_pair(xa: np.ndarray, ya: np.ndarray):
-    """The smaller set first, as the assignment solver takes rows <= columns."""
-    if len(xa) > len(ya):
-        return ya, xa
-    return xa, ya
-
-
 def _cost_matrix(x: np.ndarray, y: np.ndarray, params: OspaParams) -> np.ndarray:
     diff = x[:, None, :] - y[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
@@ -133,7 +126,8 @@ def ospa(x, y, params: OspaParams) -> float:
         return params.cutoff
     if xa.shape[1] != ya.shape[1]:
         raise ValueError("point sets must share one dimension")
-    xa, ya = _ordered_pair(xa, ya)
+    if len(xa) > len(ya):  # the solver takes rows <= columns
+        xa, ya = ya, xa
     costs = _cost_matrix(xa, ya, params).tolist()
     ratios = [[c.as_integer_ratio() for c in row] for row in costs]
     den = max(d for row in ratios for _, d in row)

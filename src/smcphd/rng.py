@@ -23,20 +23,16 @@ _PURPOSES = {
 }
 
 
-def purpose_code(purpose: str) -> int:
-    try:
-        return _PURPOSES[purpose]
-    except KeyError:
-        raise ValueError(f"unknown rng purpose {purpose!r}") from None
-
-
 def stream(master_seed: int, trial: int, purpose: str) -> np.random.Generator:
     """Generator for one (master seed, trial, purpose) triple.
 
     Repeated calls with the same arguments return independent generator
     objects positioned at the same initial state.
     """
-    seq = np.random.SeedSequence([int(master_seed), int(trial), purpose_code(purpose)])
+    code = _PURPOSES.get(purpose)
+    if code is None:
+        raise ValueError(f"unknown rng purpose {purpose!r}")
+    seq = np.random.SeedSequence([int(master_seed), int(trial), code])
     return np.random.default_rng(seq)
 
 

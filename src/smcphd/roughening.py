@@ -114,25 +114,6 @@ def velocity_jitter(delta: float) -> np.ndarray:
     return out
 
 
-def gordon_std(
-    tuning_constant: float,
-    spread,
-    count: int,
-    dimension: int,
-    positive_exponent: bool = False,
-) -> np.ndarray:
-    """Jitter std K * E * N^(-1/d) per dimension (N^(+1/d) if requested)."""
-    exponent = 1.0 / dimension if positive_exponent else -1.0 / dimension
-    return tuning_constant * np.asarray(spread, dtype=float) * float(count) ** exponent
-
-
-def state_spread(states: np.ndarray) -> np.ndarray:
-    """Per-dimension max - min over a particle population."""
-    if states.shape[0] == 0:
-        return np.zeros(states.shape[1])
-    return states.max(axis=0) - states.min(axis=0)
-
-
 def effective_jitter(
     pset: ParticleSet,
     config: RougheningConfig,
@@ -148,14 +129,13 @@ def effective_jitter(
     FloatingPointError.
     """
     if config.gordon_constant is not None:
+        # Gordon's K * E * N^(-1/d), E the states' per-dimension range.
+        d = config.gordon_dimension
+        exponent = 1.0 / d if config.gordon_positive_exponent else -1.0 / d
+        states = pset.states
         with np.errstate(over="ignore", invalid="ignore"):
-            jitter = gordon_std(
-                config.gordon_constant,
-                state_spread(pset.states),
-                max(len(pset), 1),
-                config.gordon_dimension,
-                config.gordon_positive_exponent,
-            )
+            spread = states.max(0) - states.min(0) if len(pset) else np.zeros(STATE_DIM)
+            jitter = config.gordon_constant * spread * float(max(len(pset), 1)) ** exponent
     else:
         jitter = np.array(config.jitter_std)
     if config.cap_to_measurement:

@@ -79,9 +79,6 @@ class GroundTruth:
             return np.empty((0, 4))
         return np.vstack([s for _, s in pairs])
 
-    def count_at(self, step: int) -> int:
-        return len(self.alive(step))
-
 
 @dataclass
 class ScanData:
@@ -125,38 +122,19 @@ def simulate_scans(
 ) -> ScanData:
     """Scans for every step, with one named stream per noise source so that
     changing e.g. the clutter rate cannot shift the detection coins."""
+    models = config.models
     scans = []
     for step in range(1, truth.steps + 1):
-        scans.append(
-            _compose_scan(
-                truth.states_at(step),
-                config,
-                detection_rng,
-                measurement_rng,
-                clutter_rng,
-                shuffle_rng,
-            )
+        states = truth.states_at(step)
+        detected = detection_rng.random(len(states)) < models.detection.p_detect
+        scan = np.vstack(
+            [
+                measure(states[detected], models.measurement, measurement_rng),
+                clutter_sample(models.clutter, clutter_rng),
+            ]
         )
+        scans.append(scan[shuffle_rng.permutation(len(scan))])
     return ScanData(scans=scans)
-
-
-def _compose_scan(
-    truth_states: np.ndarray,
-    config: ScenarioConfig,
-    detection_rng: np.random.Generator,
-    measurement_rng: np.random.Generator,
-    clutter_rng: np.random.Generator,
-    shuffle_rng: np.random.Generator,
-) -> np.ndarray:
-    models = config.models
-    detected = detection_rng.random(len(truth_states)) < models.detection.p_detect
-    scan = np.vstack(
-        [
-            measure(truth_states[detected], models.measurement, measurement_rng),
-            clutter_sample(models.clutter, clutter_rng),
-        ]
-    )
-    return scan[shuffle_rng.permutation(len(scan))]
 
 
 def write_truth(truth: GroundTruth, fileobj) -> None:

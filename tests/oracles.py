@@ -11,7 +11,7 @@ from itertools import permutations
 import numpy as np
 
 from smcphd.harness import _fmt
-from smcphd.metrics import OspaParams, _as_points, _cost_matrix, _finalize, _ordered_pair
+from smcphd.metrics import OspaParams, _as_points, _cost_matrix, _finalize
 from smcphd.models import ModelSet, clutter_intensity, likelihood
 from smcphd.particles import WEIGHT_FLOOR, ParticleSet
 
@@ -30,7 +30,8 @@ def ospa_bruteforce(x, y, params: OspaParams) -> float:
         return params.cutoff
     if xa.shape[1] != ya.shape[1]:
         raise ValueError("point sets must share one dimension")
-    xa, ya = _ordered_pair(xa, ya)
+    if len(xa) > len(ya):  # permutations(range(n), m) needs m <= n
+        xa, ya = ya, xa
     m, n = len(xa), len(ya)
     costs = _cost_matrix(xa, ya, params)
     perms = np.array(list(permutations(range(n), m)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smcphd.rng import TrialStreams, purpose_code, stream
+from smcphd.rng import TrialStreams, stream
 
 
 def test_same_triple_same_draws():
@@ -18,9 +18,7 @@ def test_streams_differ_across_purposes_trials_and_seeds():
 
 
 def test_unknown_purpose_rejected():
-    with pytest.raises(ValueError):
-        purpose_code("coffee")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown rng purpose 'coffee'"):
         stream(1, 0, "coffee")
 
 

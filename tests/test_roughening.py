@@ -13,9 +13,7 @@ from smcphd.roughening import (
     RougheningConfig,
     direct_motion,
     effective_jitter,
-    gordon_std,
     separate_roughen,
-    state_spread,
     unique_ancestor_fraction,
     velocity_jitter,
 )
@@ -32,21 +30,33 @@ def _cloud(n, rng, ancestry=None):
     )
 
 
+def _gordon_jitter(constant, spread, count, **options):
+    """Uncapped `effective_jitter` of `count` particles spanning `spread`."""
+    states = np.outer(np.linspace(0.0, 1.0, count), np.broadcast_to(spread, 4))
+    cfg = RougheningConfig(
+        mode="separate", gordon_constant=constant, cap_to_measurement=False, **options
+    )
+    return effective_jitter(ParticleSet(states, np.ones(count)), cfg, MOTION, MEAS)
+
+
 def test_gordon_std_values():
-    assert np.all(gordon_std(0.0, [3.0, 5.0, 1.0, 2.0], 50, 4) == 0.0)
-    val = gordon_std(0.2, 10.0, 100, 4)
-    assert float(val) == pytest.approx(0.2 * 10.0 * 100 ** (-0.25), rel=1e-12)
-    assert float(val) == pytest.approx(2.0 / math.sqrt(10.0), rel=1e-12)
-    assert float(gordon_std(0.3, 7.0, 1, 4)) == pytest.approx(0.3 * 7.0, rel=1e-12)
+    assert np.all(_gordon_jitter(0.0, [3.0, 5.0, 1.0, 2.0], 50) == 0.0)
+    val = _gordon_jitter(0.2, 10.0, 100)
+    assert np.all(val == 0.2 * 10.0 * 100.0 ** (-1.0 / 4))
+    assert float(val[0]) == pytest.approx(2.0 / math.sqrt(10.0), rel=1e-12)
+    # One particle spans nothing, and an empty set counts as N = 1.
+    assert np.all(_gordon_jitter(0.3, 7.0, 1) == 0.0)
+    assert np.all(_gordon_jitter(0.3, 7.0, 0) == 0.0)
 
 
 def test_gordon_std_shrinks_with_population():
     # The bandwidth must shrink as the particle count grows; the positive
     # exponent variant grows instead.
-    small = float(gordon_std(0.2, 10.0, 100, 4))
-    large = float(gordon_std(0.2, 10.0, 1_000_000, 4))
-    assert large < small
-    assert float(gordon_std(0.2, 10.0, 1_000_000, 4, positive_exponent=True)) > small
+    small = _gordon_jitter(0.2, 10.0, 100)
+    large = _gordon_jitter(0.2, 10.0, 10_000)
+    assert np.all(large < small)
+    assert np.all(_gordon_jitter(0.2, 10.0, 10_000, gordon_positive_exponent=True) > small)
+    assert np.all(large == 0.2 * 10.0 * 10_000.0 ** (-1.0 / 4))
 
 
 def test_zero_jitter_is_bitwise_noop_and_consumes_no_draws():
@@ -154,8 +164,8 @@ def test_gordon_auto_uses_population_spread():
     pset = _cloud(100, rng)
     cfg = RougheningConfig(mode="separate", gordon_constant=0.2, cap_to_measurement=False)
     jitter = effective_jitter(pset, cfg, MOTION, MEAS)
-    expected = 0.2 * state_spread(pset.states) * 100 ** (-0.25)
-    assert np.allclose(jitter, expected, rtol=1e-12)
+    expected = 0.2 * (pset.states.max(0) - pset.states.min(0)) * 100 ** (-0.25)
+    assert np.array_equal(jitter, expected)
 
 
 def test_direct_scale_values():
@@ -286,7 +296,7 @@ def test_direct_mode_with_adaptive_bandwidth_runs():
     pset = _cloud(200, rng)
     cfg = RougheningConfig(mode="direct", gordon_constant=0.2, cap_to_measurement=False)
     combined = direct_motion(pset, cfg, MOTION, MEAS).noise_stds()
-    spread = state_spread(pset.states)
+    spread = pset.states.max(0) - pset.states.min(0)
     channel = 0.2 * spread[[1, 3]] * 200 ** (-0.25) / MOTION.sampling_interval
     # Position spread is dropped: only the velocity bandwidth enters the noise.
     expected = np.sqrt(MOTION.noise_stds() ** 2 + channel**2)

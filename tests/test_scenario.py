@@ -12,8 +12,8 @@ from smcphd.models import (
 from smcphd.rng import TrialStreams
 from smcphd.scenario import (
     ScenarioConfig,
+    GroundTruth,
     TargetScript,
-    _compose_scan,
     generate_truth,
     benchmark_targets,
     simulate_scans,
@@ -33,8 +33,11 @@ def _models(**overrides):
 
 
 def single_stream_scan(truth_states, config, rng):
-    """One scan drawn from a single stream for every noise source."""
-    return _compose_scan(truth_states, config, rng, rng, rng, rng)
+    """One scan of the given (n, 4) states, drawn from a single stream for
+    every noise source."""
+    tracks = {tid: (1, state[None]) for tid, state in enumerate(truth_states, start=1)}
+    truth = GroundTruth(steps=1, tracks=tracks)
+    return simulate_scans(truth, config, rng, rng, rng, rng).at(1)
 
 
 def test_noise_free_single_target_integrates_velocity():
@@ -56,7 +59,7 @@ def test_default_schedule_bookkeeping():
     assert len(truth.tracks) == 4
     expected_counts = {1: 2, 7: 2, 8: 3, 14: 3, 15: 4, 28: 4, 29: 3, 40: 3}
     for step, count in expected_counts.items():
-        assert truth.count_at(step) == count
+        assert len(truth.states_at(step)) == count
     # track lengths match the schedules
     for tid, script in zip(truth.tracks, benchmark_targets()):
         birth, states = truth.tracks[tid]
@@ -106,7 +109,7 @@ def test_empty_truth_no_clutter_gives_empty_scan():
     config = ScenarioConfig(steps=1, targets=[TargetScript(1, 1)], models=models)
     streams = [np.random.default_rng(seed) for seed in range(4)]
     before = [rng.bit_generator.state for rng in streams]
-    scan = _compose_scan(np.empty((0, 4)), config, *streams)
+    scan = simulate_scans(GroundTruth(steps=1, tracks={}), config, *streams).at(1)
     assert scan.shape == (0, 2)
     # Nothing to detect, measure, scatter or shuffle: no stream moves.
     assert [rng.bit_generator.state for rng in streams] == before
@@ -161,7 +164,7 @@ def test_detections_bounded_by_alive_targets():
         streams.get("clutter"), streams.get("shuffle"),
     )
     for step in range(1, 41):
-        assert len(scans.at(step)) <= truth.count_at(step)
+        assert len(scans.at(step)) <= len(truth.states_at(step))
 
 
 def test_schedule_validation():
