@@ -275,6 +275,6 @@ def run_config_from_mapping(kv: dict) -> RunConfig:
 
 
 def load_run_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
         return run_config_from_mapping(parse_kv_text(fh.read()))
 

@@ -6,10 +6,10 @@ order before seeding, so the result depends only on the particle population
 (as a multiset) and the seeding stream, not on input ordering.
 
 The seeding, the Lloyd step and the canonical sort take faster routes than
-the plain formulation: distances built per dimension into kept buffers
-instead of as one (N, k, 4) array, the seeding's distances reused by the
-first assignment, a stop at Lloyd's fixed point (an assignment that
-repeats the previous one), and a one-key sort on px when it has no ties.
+the plain formulation: distances built per dimension instead of as one
+(N, k, 4) array, the seeding's distances reused by the first assignment,
+a stop at Lloyd's fixed point (an assignment that repeats the previous
+one), and a one-key sort on px when it has no ties.
 These are exact re-orderings or omissions of the same floating-point
 operations, not approximations: the results are bit-identical to the
 plain k-means, which the tests keep as a reference.  Every cluster count,
@@ -30,9 +30,8 @@ def _weighted_pick(cumulative: np.ndarray, rng: np.random.Generator) -> int:
     return int(min(np.searchsorted(cumulative, u, side="right"), len(cumulative) - 1))
 
 
-def _distance_rows(coords: np.ndarray, centers: np.ndarray, out: np.ndarray, term: np.ndarray):
-    """Squared distances from every point to each row of `centers`, written
-    into the rows of `out`; `term` is scratch of the same shape.
+def _distance_rows(coords: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """The (k, n) squared distances from every point to each row of `centers`.
 
     `coords` holds the points transposed, one contiguous row per dimension.
     The squares are summed over the dimensions left to right, the order
@@ -40,12 +39,14 @@ def _distance_rows(coords: np.ndarray, centers: np.ndarray, out: np.ndarray, ter
     are bit-identical to it.
     """
     c = centers.T[:, :, None]
-    np.subtract(coords[0], c[0], out=out)
-    np.multiply(out, out, out=out)
+    # Squared in place: a new array per square made np1000 extraction ~4% slower.
+    d2 = coords[0] - c[0]
+    d2 *= d2
     for d in range(1, len(coords)):
-        np.subtract(coords[d], c[d], out=term)
-        np.multiply(term, term, out=term)
-        np.add(out, term, out=out)
+        term = coords[d] - c[d]
+        term *= term
+        d2 += term
+    return d2
 
 
 def _seed_centers(coords: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Generator):
@@ -53,30 +54,22 @@ def _seed_centers(coords: np.ndarray, weights: np.ndarray, k: int, rng: np.rando
     first center by weight, then by weight times squared distance to the
     nearest chosen center.
 
-    Returns the centers and a (2, k, n) buffer: the squared distances from
-    each center to every point, for the first Lloyd assignment, then a
-    layer of scratch.
+    Returns the centers and their (k, n) squared distances to every point,
+    for the first Lloyd assignment.
     """
     centers = np.empty((k, len(coords)))
-    base = np.cumsum(weights / weights.sum())
-    centers[0] = coords[:, _weighted_pick(base, rng)]
-    buffers = np.empty((2, k, len(weights)))
-    d2, term = buffers
-    _distance_rows(coords, centers[:1], d2[:1], term[:1])
-    nearest = d2[0]
-    for j in range(1, k):
-        score = weights * nearest
-        total = score.sum()
-        if total > 0:
-            idx = _weighted_pick(np.cumsum(score / total), rng)
-        else:
-            # All mass sits on already-chosen centers; duplicates are allowed.
-            idx = _weighted_pick(base, rng)
-        centers[j] = coords[:, idx]
-        _distance_rows(coords, centers[j : j + 1], d2[j : j + 1], term[:1])
+    rows = []
+    base = cumulative = np.cumsum(weights / weights.sum())
+    for j in range(k):
+        centers[j] = coords[:, _weighted_pick(cumulative, rng)]
+        rows.append(_distance_rows(coords, centers[j : j + 1]))
         if j + 1 < k:
-            nearest = np.minimum(nearest, d2[j])
-    return centers, buffers
+            nearest = rows[0][0] if j == 0 else np.minimum(nearest, rows[j][0])
+            score = weights * nearest
+            total = score.sum()
+            # All mass sits on already-chosen centers; duplicates are allowed.
+            cumulative = np.cumsum(score / total) if total > 0 else base
+    return centers, np.concatenate(rows)
 
 
 def _nearest_center(d2: np.ndarray) -> np.ndarray:
@@ -126,11 +119,11 @@ def weighted_kmeans(
     if not (weights.min() >= 0 and 0 < weights.sum() < np.inf):
         raise ValueError("weighted_kmeans needs finite weights >= 0 with a positive total")
     coords = np.ascontiguousarray(points.T)
-    centers, (d2, term) = _seed_centers(coords, weights, k, rng)
+    centers, d2 = _seed_centers(coords, weights, k, rng)
     assign = None
     for i in range(MAX_ITERATIONS):
         if i:
-            _distance_rows(coords, centers, d2, term)
+            d2 = _distance_rows(coords, centers)
         previous, assign = assign, _nearest_center(d2)
         if i and np.array_equal(assign, previous):
             break

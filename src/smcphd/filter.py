@@ -15,6 +15,7 @@ import numpy as np
 
 from .models import (
     EXP_ZERO_BELOW,
+    POSITION_IDX,
     ModelSet,
     _as_rows,
     birth_sample,
@@ -159,7 +160,7 @@ def update(pred: ParticleSet, measurements, models: ModelSet) -> ParticleSet:
     # no such bound, and its column is dropped: inf * 0 would be NaN.
     dead = pred.weights == 0.0
     n = len(pred)
-    px, py = np.ascontiguousarray(pred.states[:, ::2].T)  # x, y; the set checked them
+    px, py = np.ascontiguousarray(pred.states[:, POSITION_IDX].T)  # the set checked them
     # The reduce below adds whole rows in scan order, but sums a single
     # column pairwise: a set of at most one particle takes one-row blocks.
     step = max(1, _BLOCK_DOUBLES // n) if n > 1 else 1

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import rng
 from .config import SWEEP_MODES, RunConfig, arm_name
 from .extraction import extract_states
 from .filter import predict, update
@@ -20,7 +21,6 @@ from .metrics import gain_ratio, ospa
 from .models import POSITION_IDX
 from .particles import empty_set, round_half_up
 from .resampling import resample
-from .rng import TrialStreams
 from .roughening import RougheningConfig, direct_motion, separate_roughen
 from .scenario import GroundTruth, ScanData, generate_truth, simulate_scans
 
@@ -70,7 +70,7 @@ def _run_variant(
     config: RunConfig,
     name: str,
     roughening: RougheningConfig,
-    streams: TrialStreams,
+    trial: int,
 ):
     """Run one filter variant over a trial's scans, scoring each step.
 
@@ -81,8 +81,15 @@ def _run_variant(
     keep a zero count and score an empty estimate against their truth: the
     OSPA cutoff while a target is alive, 0 when none is.  A ValueError,
     ArithmeticError or MemoryError inside a step is re-raised as a
-    TrialError that says where it happened.
+    TrialError that says where it happened.  Each purpose's generator is
+    made once, before the first step, and drawn from across the steps.
     """
+    seed = config.master_seed
+    prediction = rng.stream(seed, trial, "prediction")
+    extraction = rng.stream(seed, trial, "extraction")
+    resampling = rng.stream(seed, trial, "resampling")
+    if roughening.mode == "separate":
+        jitter = rng.stream(seed, trial, "roughening")
     models = config.scenario.models
     steps = config.scenario.steps
     pset = empty_set()
@@ -95,26 +102,25 @@ def _run_variant(
             if roughening.mode == "direct":
                 motion = direct_motion(pset, roughening, models.motion, models.measurement)
                 step_models = replace(models, motion=motion)
-            pset = predict(pset, step_models, config.filter, streams.get("prediction"))
+            pset = predict(pset, step_models, config.filter, prediction)
             pset = update(pset, scans.at(step), models)
             mass = pset.total_weight()
             n_hat = round_half_up(mass)
-            states = extract_states(pset, n_hat, streams.get("extraction"))
+            states = extract_states(pset, n_hat, extraction)
             est_counts[step - 1] = n_hat
             if mass <= 0:
                 collapsed_at = step
             else:
-                pset = resample(pset, mass, config.filter, streams.get("resampling"))
+                pset = resample(pset, mass, config.filter, resampling)
                 if roughening.mode == "separate":
-                    rng = streams.get("roughening")
                     pset = separate_roughen(
-                        pset, roughening, models.motion, models.measurement, rng
+                        pset, roughening, models.motion, models.measurement, jitter
                     )
             points = _ospa_points(states, config)
             ospa_values[step - 1] = ospa(points, true_points[step - 1], config.ospa)
         except (ValueError, ArithmeticError, MemoryError) as exc:
             where = f"variant {name!r}, step {step}"
-            raise _trial_error(streams.trial, where, exc) from exc
+            raise _trial_error(trial, where, exc) from exc
         if collapsed_at is not None:
             import logging  # only a collapse logs
 
@@ -138,16 +144,16 @@ def realize_trial(config: RunConfig, trial_index: int) -> tuple[GroundTruth, Sca
     """One trial's ground truth and scans, drawn from its scenario streams;
     a ValueError, ArithmeticError or MemoryError while drawing them becomes
     a TrialError."""
-    streams = TrialStreams(config.master_seed, trial_index)
+    seed = config.master_seed
     try:
-        truth = generate_truth(config.scenario, streams.get("truth"))
+        truth = generate_truth(config.scenario, rng.stream(seed, trial_index, "truth"))
         scans = simulate_scans(
             truth,
             config.scenario,
-            streams.get("detection"),
-            streams.get("measurement"),
-            streams.get("clutter"),
-            streams.get("shuffle"),
+            rng.stream(seed, trial_index, "detection"),
+            rng.stream(seed, trial_index, "measurement"),
+            rng.stream(seed, trial_index, "clutter"),
+            rng.stream(seed, trial_index, "shuffle"),
         )
     except (ValueError, ArithmeticError, MemoryError) as exc:
         raise _trial_error(trial_index, "scenario", exc) from exc
@@ -185,8 +191,7 @@ def run_trial(config: RunConfig, trial_index: int) -> TrialResult:
     for name, roughening in config.variants.items():
         key = _roughening_key(roughening)
         if key not in runs:
-            streams = TrialStreams(config.master_seed, trial_index)
-            runs[key] = _run_variant(scans, true_points, config, name, roughening, streams)
+            runs[key] = _run_variant(scans, true_points, config, name, roughening, trial_index)
         counts, values, collapsed_at = runs[key]
         est_counts[name] = counts.copy()
         ospa_values[name] = values.copy()

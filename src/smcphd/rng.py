@@ -35,23 +35,3 @@ def stream(master_seed: int, trial: int, purpose: str) -> np.random.Generator:
     seq = np.random.SeedSequence([int(master_seed), int(trial), code])
     return np.random.default_rng(seq)
 
-
-class TrialStreams:
-    """Named random streams for one trial.
-
-    `get(purpose)` creates the generator lazily on first use and then keeps
-    consuming from it, so a purpose's draws form one sequence per
-    instance.  Construct a fresh instance per (trial, variant) run.
-    """
-
-    def __init__(self, master_seed: int, trial: int):
-        self.master_seed = int(master_seed)
-        self.trial = int(trial)
-        self._streams: dict[str, np.random.Generator] = {}
-
-    def get(self, purpose: str) -> np.random.Generator:
-        gen = self._streams.get(purpose)
-        if gen is None:
-            gen = stream(self.master_seed, self.trial, purpose)
-            self._streams[purpose] = gen
-        return gen

@@ -102,6 +102,18 @@ def test_config_file_roundtrip(tmp_path):
     assert config.trials == 25
 
 
+def test_config_file_with_a_byte_order_mark_loads_as_without(tmp_path):
+    # Some editors save UTF-8 with a byte-order mark; it must not join the
+    # first key.
+    for text in ("run.trials = 3\n", CONFIG_TEXT):
+        plain = tmp_path / "plain.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked = tmp_path / "marked.cfg"
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        assert repr(load_run_config(marked)) == repr(load_run_config(plain))
+
+
 def test_presets():
     np200 = load_preset("paper-np200")
     np1000 = load_preset("paper-np1000")

@@ -227,9 +227,8 @@ def test_distance_rows_have_the_bits_of_numpy_row_sums(columns):
     shape = (5000, columns)
     points = 10.0 ** rng.uniform(-8, 8, shape) * rng.choice([-1.0, 1.0], shape)
     centers = points[rng.integers(0, len(points), 5)] + 10.0 ** rng.uniform(-8, 8, (5, columns))
-    out, term = np.empty((2, len(centers), len(points)))
-    _distance_rows(np.ascontiguousarray(points.T), centers, out, term)
-    assert np.array_equal(out, ((points[None] - centers[:, None]) ** 2).sum(axis=-1))
+    rows = _distance_rows(np.ascontiguousarray(points.T), centers)
+    assert np.array_equal(rows, ((points[None] - centers[:, None]) ** 2).sum(axis=-1))
 
 
 @pytest.mark.parametrize("columns", [0, 8])

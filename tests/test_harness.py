@@ -109,9 +109,9 @@ def record_runs(monkeypatch) -> list:
     ran = []
     real = harness._run_variant
 
-    def recording(scans, true_points, config, name, roughening, streams):
-        ran.append((streams.trial, name))
-        return real(scans, true_points, config, name, roughening, streams)
+    def recording(scans, true_points, config, name, roughening, trial):
+        ran.append((trial, name))
+        return real(scans, true_points, config, name, roughening, trial)
 
     monkeypatch.setattr(harness, "_run_variant", recording)
     return ran

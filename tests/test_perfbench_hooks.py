@@ -4,10 +4,11 @@
 by name.  The gated benchmark runs with tracing off, which wraps only
 `run_trial`, so a renamed or inlined layer function would break a traced
 run without any gated figure changing.  This test loads the tracer by path
-and runs it over a tiny run and sweep.
+and runs it over a tiny run and sweep, serial and in a process pool.
 """
 
 import importlib.util
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -55,3 +56,21 @@ def test_a_traced_run_and_sweep_record_every_layer():
     for results in (run_results, sweep_results):
         layers = {span[tracing.NAME].split(":", 1)[0] for span in results[0].bench_spans}
         assert set(tracing.LAYERS) <= layers
+
+
+def test_a_traced_pool_sweep_records_every_layer_in_a_worker(monkeypatch):
+    # The pool path the sweep-w2 workload measures: the tracer is installed
+    # before the pool forks, and the spans travel back with each result.
+    tracing = _load_tracing()
+    config = replace(_tiny_config(), trials=2)
+    # Two workers even where fewer CPUs are reported.
+    monkeypatch.setattr(harness, "pool_size", lambda workers, trials, cpus: workers)
+    tracer = tracing.Tracer(layers=True).install()
+    try:
+        _, _, results = harness.sweep(config, workers=2)
+    finally:
+        tracer.uninstall()
+    spans = results[0].bench_spans
+    assert set(tracing.LAYERS) <= {span[tracing.NAME].split(":", 1)[0] for span in spans}
+    assert spans[0][tracing.NAME] == "harness:run_trial"
+    assert spans[0][tracing.DATA] != os.getpid()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smcphd.rng import TrialStreams, stream
+from smcphd.rng import stream
 
 
 def test_same_triple_same_draws():
@@ -20,18 +20,6 @@ def test_streams_differ_across_purposes_trials_and_seeds():
 def test_unknown_purpose_rejected():
     with pytest.raises(ValueError, match="unknown rng purpose 'coffee'"):
         stream(1, 0, "coffee")
-
-
-def test_trial_streams_are_lazy_and_persistent():
-    streams = TrialStreams(11, 2)
-    first = streams.get("prediction").random(4)
-    # the same purpose keeps consuming the same generator
-    second = streams.get("prediction").random(4)
-    fresh = stream(11, 2, "prediction")
-    assert np.array_equal(first, fresh.random(4))
-    assert np.array_equal(second, fresh.random(4))
-    # a purpose left untouched is not consumed by other purposes
-    assert np.array_equal(streams.get("roughening").random(4), stream(11, 2, "roughening").random(4))
 
 
 def test_zero_size_draws_leave_the_stream_in_place():

@@ -9,7 +9,7 @@ from smcphd.models import (
     ModelSet,
     MotionModel,
 )
-from smcphd.rng import TrialStreams
+from smcphd.rng import stream
 from smcphd.scenario import (
     ScenarioConfig,
     GroundTruth,
@@ -38,6 +38,11 @@ def single_stream_scan(truth_states, config, rng):
     tracks = {tid: (1, state[None]) for tid, state in enumerate(truth_states, start=1)}
     truth = GroundTruth(steps=1, tracks=tracks)
     return simulate_scans(truth, config, rng, rng, rng, rng).at(1)
+
+
+def _scan_streams(seed):
+    """Trial 0's detection, measurement, clutter and shuffle streams."""
+    return [stream(seed, 0, p) for p in ("detection", "measurement", "clutter", "shuffle")]
 
 
 def test_noise_free_single_target_integrates_velocity():
@@ -133,12 +138,8 @@ def test_same_seed_reproduces_truth_and_scans_bitwise():
     )
 
     def realize(seed):
-        streams = TrialStreams(seed, 0)
-        truth = generate_truth(config, streams.get("truth"))
-        scans = simulate_scans(
-            truth, config, streams.get("detection"), streams.get("measurement"),
-            streams.get("clutter"), streams.get("shuffle"),
-        )
+        truth = generate_truth(config, stream(seed, 0, "truth"))
+        scans = simulate_scans(truth, config, *_scan_streams(seed))
         return truth, scans
 
     t1, s1 = realize(123)
@@ -157,12 +158,8 @@ def test_detections_bounded_by_alive_targets():
     # size cannot exceed the number of alive targets.
     models = _models(clutter=ClutterModel(rate=0.0))
     config = ScenarioConfig(steps=40, targets=benchmark_targets(), models=models)
-    streams = TrialStreams(9, 0)
-    truth = generate_truth(config, streams.get("truth"))
-    scans = simulate_scans(
-        truth, config, streams.get("detection"), streams.get("measurement"),
-        streams.get("clutter"), streams.get("shuffle"),
-    )
+    truth = generate_truth(config, stream(9, 0, "truth"))
+    scans = simulate_scans(truth, config, *_scan_streams(9))
     for step in range(1, 41):
         assert len(scans.at(step)) <= len(truth.states_at(step))
 
