@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 
 from .filter import FilterConfig
 from .metrics import OspaParams
-from .models import ModelSet, check_number
+from .models import ModelSet, check_numbers
 from .roughening import RougheningConfig
 from .scenario import ScenarioConfig, TargetScript
 
@@ -49,9 +49,7 @@ class RunConfig:
             if "\t" in name or name.splitlines() != [name]:
                 raise ValueError(f"roughening.<variant>: empty name, tab or line break in {name!r}")
         self.filter.birth_particle_count(self.scenario.models.birth.mass)  # checks the bound
-        self.sweep_grid = tuple(float(v) for v in self.sweep_grid)
-        for v in self.sweep_grid:
-            check_number("run.sweep_grid", v, 0.0)
+        self.sweep_grid = check_numbers("run.sweep_grid", self.sweep_grid, minimum=0.0)
         self.sweep_variants()  # checks that there is one baseline, and the arm names
 
     @property
@@ -155,16 +153,11 @@ def _parse_targets(value: str) -> list:
     scripts = []
     for token in value.replace(",", " ").split():
         parts = token.split(":")
-        if len(parts) == 2:
-            scripts.append(TargetScript(int(parts[0]), int(parts[1])))
-        elif len(parts) == 6:
-            scripts.append(
-                TargetScript(int(parts[0]), int(parts[1]), [float(p) for p in parts[2:]])
-            )
-        else:
+        if len(parts) not in (2, 6):
             raise ValueError(
                 f"target token {token!r} must be birth:death or birth:death:px:vx:py:vy"
             )
+        scripts.append(TargetScript(int(parts[0]), int(parts[1]), parts[2:] or None))
     return scripts
 
 

@@ -40,6 +40,19 @@ def check_number(key: str, value, minimum: float | None = None, *, strict: bool 
         raise ValueError(f"{key} must be a finite number{bound}, got {value}")
 
 
+def check_numbers(
+    key: str, values, length: int | None = None, minimum: float | None = None, *, strict=False
+) -> tuple:
+    """`values` as a tuple of floats, each checked by `check_number` under
+    `key`; with `length`, a different count is rejected too."""
+    values = tuple(float(v) for v in values)
+    if length is not None and len(values) != length:
+        raise ValueError(f"{key} must have {length} values, got {len(values)}")
+    for v in values:
+        check_number(key, v, minimum, strict=strict)
+    return values
+
+
 def _as_rows(x, width: int = STATE_DIM) -> np.ndarray:
     """States as a float (n, 4) array, or with `width` 2 measurements as an
     (m, 2) one; every component must be finite."""
@@ -145,13 +158,8 @@ class BirthModel:
 
     def __post_init__(self):
         check_number("birth.mass", self.mass, 0.0)
-        self.mean = tuple(float(v) for v in self.mean)
-        self.cov_diag = tuple(float(v) for v in self.cov_diag)
-        for key, values, minimum in (("mean", self.mean, None), ("cov_diag", self.cov_diag, 0.0)):
-            if len(values) != STATE_DIM:
-                raise ValueError(f"birth.{key} must have {STATE_DIM} components, got {len(values)}")
-            for v in values:
-                check_number(f"birth.{key}", v, minimum, strict=True)
+        self.mean = check_numbers("birth.mean", self.mean, STATE_DIM)
+        self.cov_diag = check_numbers("birth.cov_diag", self.cov_diag, STATE_DIM, 0.0, strict=True)
 
 
 @dataclass
@@ -163,14 +171,7 @@ class ClutterModel:
 
     def __post_init__(self):
         check_number("clutter.rate", self.rate, 0.0)
-        self.region = tuple(float(v) for v in self.region)
-        if len(self.region) != 4:
-            raise ValueError(
-                f"clutter.region must have 4 values (xmin, xmax, ymin, ymax), "
-                f"got {len(self.region)}"
-            )
-        for v in self.region:
-            check_number("clutter.region", v)
+        self.region = check_numbers("clutter.region", self.region, 4)
         xmin, xmax, ymin, ymax = self.region
         if xmax <= xmin or ymax <= ymin:
             raise ValueError(f"clutter.region must have positive area, got {self.region!r}")

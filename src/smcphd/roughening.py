@@ -20,6 +20,7 @@ from .models import (
     MeasurementModel,
     MotionModel,
     check_number,
+    check_numbers,
 )
 from .particles import ParticleSet
 
@@ -60,14 +61,12 @@ class RougheningConfig:
             raise ValueError(f"unknown roughening mode {self.mode!r}")
         jitter = self.jitter_std
         if jitter is not None:
-            arr = np.asarray(jitter, dtype=float)
+            arr = np.ravel(jitter)
             if arr.size == 1:
-                arr = velocity_jitter(arr.item())
+                arr = velocity_jitter(arr[0])
             elif arr.size != STATE_DIM:
                 raise ValueError(f"jitter_std must be a scalar or a length-{STATE_DIM} vector")
-            jitter = tuple(arr.ravel().tolist())
-            for v in jitter:
-                check_number("jitter_std", v, 0.0)
+            jitter = check_numbers("jitter_std", arr, minimum=0.0)
             object.__setattr__(self, "jitter_std", jitter)
         if self.gordon_constant is not None:
             check_number("gordon_constant", self.gordon_constant, 0.0)

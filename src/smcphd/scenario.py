@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import ModelSet, birth_sample, check_number, clutter_sample, measure, propagate
+from .models import ModelSet, birth_sample, check_numbers, clutter_sample, measure, propagate
 
 
 @dataclass
@@ -20,15 +20,11 @@ class TargetScript:
 
     birth_step: int
     death_step: int
-    initial_state: object = None  # length-4 state, or None to sample at birth
+    initial_state: tuple | None = None  # 4 floats (px, vx, py, vy), or None to sample at birth
 
     def __post_init__(self):
         if self.initial_state is not None:
-            self.initial_state = np.asarray(self.initial_state, dtype=float).ravel()
-            if self.initial_state.shape[0] != 4:
-                raise ValueError("initial_state must have 4 components")
-            for v in self.initial_state:
-                check_number("scenario.targets", v)
+            self.initial_state = check_numbers("scenario.targets", self.initial_state, 4)
 
 
 def benchmark_targets() -> list[TargetScript]:
@@ -101,7 +97,7 @@ def generate_truth(config: ScenarioConfig, rng: np.random.Generator) -> GroundTr
     tracks = {}
     for tid, script in enumerate(config.targets, start=1):
         if script.initial_state is not None:
-            state = script.initial_state.reshape(1, 4)
+            state = np.array([script.initial_state])
         else:
             state = birth_sample(models.birth, rng, 1)
         states = [state]

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from smcphd.cli import _load_config, build_parser, main as cli_main
 from smcphd.config import (
@@ -64,7 +65,7 @@ def test_full_config_document():
     assert len(config.scenario.targets) == 3
     fixed = config.scenario.targets[2]
     assert fixed.birth_step == 5 and fixed.death_step == 30
-    assert np.array_equal(fixed.initial_state, [1.5, 2.0, 0.0, -2.0])
+    assert fixed.initial_state == (1.5, 2.0, 0.0, -2.0)
     assert config.filter.particles_per_target == 100
     assert config.filter.min_particles == 50
     assert config.filter.resample_scheme == "systematic"
@@ -111,7 +112,45 @@ def test_config_file_with_a_byte_order_mark_loads_as_without(tmp_path):
         marked = tmp_path / "marked.cfg"
         marked.write_text(text, encoding="utf-8-sig")
         assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
-        assert repr(load_run_config(marked)) == repr(load_run_config(plain))
+        assert load_run_config(marked) == load_run_config(plain)
+
+
+_JITTER = st.floats(0, 5).map(repr)
+
+
+@st.composite
+def _config_mappings(draw):
+    """Config mappings of 0-4 targets, each with or without a scripted
+    state `b:d:px:vx:py:vy`, and a separate variant with a scalar or a
+    4-value jitter beside a direct one."""
+    steps = draw(st.integers(1, 40))
+    state = st.lists(st.floats(-1e6, 1e6).map(repr), min_size=4, max_size=4)
+    tokens = []
+    for _ in range(draw(st.integers(0, 4))):
+        birth, death = sorted(draw(st.tuples(st.integers(1, steps), st.integers(1, steps))))
+        tokens.append(":".join([str(birth), str(death), *draw(st.one_of(st.just([]), state))]))
+    return {
+        "scenario.steps": str(steps),
+        "scenario.targets": ", ".join(tokens),
+        "roughening.basic.mode": "none",
+        "roughening.sep.mode": "separate",
+        "roughening.sep.jitter_std": draw(
+            st.one_of(_JITTER, st.lists(_JITTER, min_size=4, max_size=4).map(", ".join))
+        ),
+        "roughening.dir.mode": "direct",
+        "roughening.dir.jitter_std": draw(_JITTER),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(kv=_config_mappings())
+@example(kv=parse_kv_text(CONFIG_TEXT))  # target 5:30:1.5:2:0:-2
+def test_two_loads_of_one_mapping_compare_equal(kv):
+    first, second = run_config_from_mapping(kv), run_config_from_mapping(kv)
+    assert first == second
+    assert list(first.variants) == list(second.variants)
+    for name, roughening in first.variants.items():
+        assert hash(roughening) == hash(second.variants[name])
 
 
 def test_presets():

@@ -169,5 +169,5 @@ def test_schedule_validation():
         ScenarioConfig(steps=10, targets=[TargetScript(0, 5)], models=_models())
     with pytest.raises(ValueError):
         ScenarioConfig(steps=10, targets=[TargetScript(3, 11)], models=_models())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"scenario\.targets must have 4 values, got 2"):
         TargetScript(1, 5, initial_state=[1.0, 2.0])
