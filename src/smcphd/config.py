@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 
 from .filter import FilterConfig
 from .metrics import OspaParams
-from .models import ModelSet, check_numbers
+from .models import ModelSet, check_count, check_numbers
 from .roughening import RougheningConfig
 from .scenario import ScenarioConfig, TargetScript
 
@@ -41,10 +41,8 @@ class RunConfig:
     sweep_grid: tuple = DEFAULT_SWEEP_GRID
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"run.trials must be >= 1, got {self.trials}")
-        if self.master_seed < 0:
-            raise ValueError(f"run.master_seed must be >= 0, got {self.master_seed}")
+        check_count("run.trials", self.trials, 1)
+        check_count("run.master_seed", self.master_seed, 0)
         for name in self.variants:  # one column of a tab-separated row, one line of text
             if "\t" in name or name.splitlines() != [name]:
                 raise ValueError(f"roughening.<variant>: empty name, tab or line break in {name!r}")

@@ -19,6 +19,7 @@ from .models import (
     ModelSet,
     _as_rows,
     birth_sample,
+    check_count,
     clutter_intensity,
     likelihood,
     propagate,
@@ -47,17 +48,12 @@ class FilterConfig:
     resample_scheme: str = "systematic"
 
     def __post_init__(self):
+        check_count("filter.particles_per_target", self.particles_per_target, 1, MAX_PARTICLES)
+        if self.birth_particles is not None:
+            check_count("filter.birth_particles", self.birth_particles, 0, MAX_PARTICLES)
         if self.min_particles is None:
             self.min_particles = math.ceil(self.particles_per_target / 2)
-        for key, value, low in (
-            ("particles_per_target", self.particles_per_target, 1),
-            ("birth_particles", self.birth_particles, 0),
-            ("min_particles", self.min_particles, 1),
-        ):
-            if value is not None and not low <= value <= MAX_PARTICLES:
-                raise ValueError(
-                    f"filter.{key} must be in [{low}, MAX_PARTICLES = {MAX_PARTICLES}], got {value}"
-                )
+        check_count("filter.min_particles", self.min_particles, 1, MAX_PARTICLES)
         if self.resample_scheme not in RESAMPLE_SCHEMES:
             raise ValueError(
                 f"resample.scheme must be one of {', '.join(RESAMPLE_SCHEMES)}, "

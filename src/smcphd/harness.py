@@ -41,7 +41,6 @@ class TrialResult:
     true_counts: np.ndarray  # (steps,)
     est_counts: dict  # variant name -> (steps,)
     ospa_values: dict  # variant name -> (steps,)
-    collapsed_at: dict  # variant name -> step or None
 
 
 @dataclass
@@ -76,10 +75,9 @@ def _run_variant(
 
     The one place a variant's roughening mode enters a step: direct mode
     predicts with `direct_motion`, separate mode jitters the resampled set.
-    Returns per-step cardinality estimates and OSPA values, and the step at
-    which the posterior mass collapsed to zero (None if never); later steps
-    keep a zero count and score an empty estimate against their truth: the
-    OSPA cutoff while a target is alive, 0 when none is.  A ValueError,
+    Returns per-step cardinality estimates and OSPA values.  A step whose
+    updated mass is zero estimates no target and hands the next step an
+    empty set, so that step's births alone carry mass.  A ValueError,
     ArithmeticError or MemoryError inside a step is re-raised as a
     TrialError that says where it happened.  Each purpose's generator is
     made once, before the first step, and drawn from across the steps.
@@ -95,7 +93,6 @@ def _run_variant(
     pset = empty_set()
     est_counts = np.zeros(steps, dtype=int)
     ospa_values = np.zeros(steps)
-    collapsed_at = None
     for step in range(1, steps + 1):
         try:
             step_models = models
@@ -108,30 +105,20 @@ def _run_variant(
             n_hat = round_half_up(mass)
             states = extract_states(pset, n_hat, extraction)
             est_counts[step - 1] = n_hat
-            if mass <= 0:
-                collapsed_at = step
-            else:
+            if mass > 0:
                 pset = resample(pset, mass, config.filter, resampling)
                 if roughening.mode == "separate":
                     pset = separate_roughen(
                         pset, roughening, models.motion, models.measurement, jitter
                     )
+            else:
+                pset = empty_set()
             points = _ospa_points(states, config)
             ospa_values[step - 1] = ospa(points, true_points[step - 1], config.ospa)
         except (ValueError, ArithmeticError, MemoryError) as exc:
             where = f"variant {name!r}, step {step}"
             raise _trial_error(trial, where, exc) from exc
-        if collapsed_at is not None:
-            import logging  # only a collapse logs
-
-            logging.getLogger(__name__).warning(
-                "track loss: posterior mass collapsed to zero at step %d", step
-            )
-            # With no mass left the filter estimates no target, so each later
-            # step scores the empty `points` against its truth.
-            ospa_values[step:] = [ospa(points, truth, config.ospa) for truth in true_points[step:]]
-            break
-    return est_counts, ospa_values, collapsed_at
+    return est_counts, ospa_values
 
 
 def _ospa_points(states: np.ndarray, config: RunConfig) -> np.ndarray:
@@ -186,22 +173,19 @@ def run_trial(config: RunConfig, trial_index: int) -> TrialResult:
 
     est_counts: dict = {}
     ospa_values: dict = {}
-    collapsed: dict = {}
     runs: dict = {}
     for name, roughening in config.variants.items():
         key = _roughening_key(roughening)
         if key not in runs:
             runs[key] = _run_variant(scans, true_points, config, name, roughening, trial_index)
-        counts, values, collapsed_at = runs[key]
+        counts, values = runs[key]
         est_counts[name] = counts.copy()
         ospa_values[name] = values.copy()
-        collapsed[name] = collapsed_at
     return TrialResult(
         trial=trial_index,
         true_counts=true_counts,
         est_counts=est_counts,
         ospa_values=ospa_values,
-        collapsed_at=collapsed,
     )
 
 

@@ -40,6 +40,16 @@ def check_number(key: str, value, minimum: float | None = None, *, strict: bool 
         raise ValueError(f"{key} must be a finite number{bound}, got {value}")
 
 
+def check_count(key: str, value, low: int, high: int | None = None) -> None:
+    """Reject a parameter that is not an integer (a bool is not one), or
+    that lies below `low` or above `high`; the message names `key`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{key} must be {bound}, got {value}")
+
+
 def check_numbers(
     key: str, values, length: int | None = None, minimum: float | None = None, *, strict=False
 ) -> tuple:

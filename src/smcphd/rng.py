@@ -7,6 +7,8 @@ cannot shift the draws seen by any other component, which makes ablations
 bitwise comparable.
 """
 
+import operator
+
 import numpy as np
 
 # Stable purpose codes; never renumber, only append.
@@ -32,6 +34,6 @@ def stream(master_seed: int, trial: int, purpose: str) -> np.random.Generator:
     code = _PURPOSES.get(purpose)
     if code is None:
         raise ValueError(f"unknown rng purpose {purpose!r}")
-    seq = np.random.SeedSequence([int(master_seed), int(trial), code])
+    seq = np.random.SeedSequence([operator.index(master_seed), operator.index(trial), code])
     return np.random.default_rng(seq)
 

@@ -19,6 +19,7 @@ from .models import (
     VELOCITY_IDX,
     MeasurementModel,
     MotionModel,
+    check_count,
     check_number,
     check_numbers,
 )
@@ -70,8 +71,7 @@ class RougheningConfig:
             object.__setattr__(self, "jitter_std", jitter)
         if self.gordon_constant is not None:
             check_number("gordon_constant", self.gordon_constant, 0.0)
-        if self.gordon_dimension < 1:
-            raise ValueError(f"gordon_dimension must be >= 1, got {self.gordon_dimension}")
+        check_count("gordon_dimension", self.gordon_dimension, 1)
         gordon_options = (self.gordon_dimension, self.gordon_positive_exponent)
         if self.gordon_constant is None and gordon_options != (STATE_DIM, False):
             raise ValueError(

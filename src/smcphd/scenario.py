@@ -11,7 +11,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import ModelSet, birth_sample, check_numbers, clutter_sample, measure, propagate
+from .models import (
+    ModelSet,
+    birth_sample,
+    check_count,
+    check_numbers,
+    clutter_sample,
+    measure,
+    propagate,
+)
 
 
 @dataclass
@@ -23,6 +31,8 @@ class TargetScript:
     initial_state: tuple | None = None  # 4 floats (px, vx, py, vy), or None to sample at birth
 
     def __post_init__(self):
+        check_count("scenario.targets birth step", self.birth_step, 1)
+        check_count("scenario.targets death step", self.death_step, self.birth_step)
         if self.initial_state is not None:
             self.initial_state = check_numbers("scenario.targets", self.initial_state, 4)
 
@@ -44,14 +54,9 @@ class ScenarioConfig:
     models: ModelSet = field(default_factory=ModelSet)
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError(f"scenario.steps must be >= 1, got {self.steps}")
+        check_count("scenario.steps", self.steps, 1)
         for t in self.targets:
-            if not (1 <= t.birth_step <= t.death_step <= self.steps):
-                raise ValueError(
-                    f"scenario.targets: schedule {t.birth_step}..{t.death_step} "
-                    f"outside 1..{self.steps}"
-                )
+            check_count("scenario.targets death step", t.death_step, t.birth_step, self.steps)
 
 
 @dataclass

@@ -15,8 +15,10 @@ from smcphd.config import (
     benchmark_preset,
     run_config_from_mapping,
 )
+from smcphd.filter import FilterConfig
 from smcphd.resampling import target_count
 from smcphd.roughening import RougheningConfig
+from smcphd.scenario import ScenarioConfig, TargetScript
 
 CONFIG_TEXT = """
 # benchmark configuration
@@ -335,6 +337,31 @@ def test_nonfinite_or_degenerate_parameter_fails_at_load(tmp_path, capsys, key, 
         assert cli_main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "3"])
+@pytest.mark.parametrize(
+    "key, build",
+    [
+        ("run.trials", lambda v: RunConfig(trials=v)),
+        ("run.master_seed", lambda v: replace(benchmark_preset(), master_seed=v)),
+        ("scenario.steps", lambda v: ScenarioConfig(steps=v, targets=[])),
+        ("scenario.targets birth step", lambda v: TargetScript(v, 3)),
+        ("scenario.targets death step", lambda v: TargetScript(1, v)),
+        ("filter.particles_per_target", lambda v: FilterConfig(particles_per_target=v)),
+        ("filter.birth_particles", lambda v: FilterConfig(birth_particles=v)),
+        ("filter.min_particles", lambda v: FilterConfig(min_particles=v)),
+        (
+            "gordon_dimension",
+            lambda v: RougheningConfig(mode="separate", gordon_constant=0.1, gordon_dimension=v),
+        ),
+    ],
+)
+def test_integer_field_given_a_non_integer_fails_at_construction(key, build, value):
+    # A config file's parser makes these ints; from Python a float or a bool
+    # would build a config whose run truncates it or fails with a TypeError.
+    with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be an integer, got "):
+        build(value)
 
 
 def test_roughening_parameter_errors_name_the_variant(tmp_path, capsys):

@@ -1,6 +1,5 @@
 import concurrent.futures
 import io
-import logging
 import os
 import subprocess
 import sys
@@ -101,7 +100,6 @@ def test_zero_jitter_variants_match_baseline_bitwise(monkeypatch):
             for result in (r, s):
                 assert np.array_equal(result.est_counts[name], r.est_counts["basic"])
                 assert np.array_equal(result.ospa_values[name], r.ospa_values["basic"])
-                assert result.collapsed_at[name] == r.collapsed_at["basic"]
 
 
 def record_runs(monkeypatch) -> list:
@@ -269,25 +267,23 @@ def collapse_config(death_step):
     return replace(base, scenario=ScenarioConfig(steps=6, targets=[target], models=models))
 
 
-def test_mass_collapse_records_cutoff_for_remaining_steps():
+def test_mass_collapse_records_cutoff_for_remaining_steps(monkeypatch):
+    # Every step's mass is zero, yet every step runs: each of a filter run's
+    # six predictions starts from the empty set the step before handed on.
+    received = []
+    real = harness.predict
+
+    def recording(pset, *args):
+        received.append(len(pset))
+        return real(pset, *args)
+
+    monkeypatch.setattr(harness, "predict", recording)
     config = collapse_config(6)
     result = run_trial(config, 0)
+    assert received == [0] * (6 * len(config.variants))
     for name in config.variants:
-        assert result.collapsed_at[name] == 1
         assert np.all(result.est_counts[name] == 0)
         assert np.all(result.ospa_values[name][1:] == config.ospa.cutoff)
-
-
-def test_mass_collapse_logs_a_track_loss_warning(caplog):
-    # One warning per filter run: the three variants' roughening configs
-    # differ, so each runs the filter and each collapses at step 1.
-    config = collapse_config(6)
-    with caplog.at_level(logging.WARNING, logger="smcphd.harness"):
-        run_trial(config, 0)
-    message = "track loss: posterior mass collapsed to zero at step 1"
-    expected = ("smcphd.harness", logging.WARNING, message)
-    records = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
-    assert records == [expected] * len(config.variants)
 
 
 def test_mass_collapse_scores_zero_once_no_target_is_alive():
@@ -295,7 +291,6 @@ def test_mass_collapse_scores_zero_once_no_target_is_alive():
     config = collapse_config(3)
     result = run_trial(config, 0)
     for name in config.variants:
-        assert result.collapsed_at[name] == 1
         assert np.all(result.est_counts[name] == 0)
         assert np.array_equal(result.ospa_values[name], [100.0] * 3 + [0.0] * 3)
 
@@ -706,6 +701,26 @@ def test_cli_rejects_bad_config(tmp_path):
     assert cli_main(["run", "--config", str(unknown), "--out", str(tmp_path / "y")]) == 2
 
 
+# Certain detection, no clutter and no target before step 3: the scans of
+# steps 1 and 2 are empty, so both updates leave zero mass.
+ZERO_MASS_START_CONFIG = {
+    "detection.p_detect": "1",
+    "clutter.rate": "0",
+    "scenario.steps": "12",
+    "scenario.targets": "3:12, 8:12",
+}
+
+
+def test_a_zero_mass_step_hands_the_next_step_births():
+    # A zero mass is no target now, not a lost track: the next step's births
+    # pick up the targets born at steps 3 and 8.
+    config = run_config_from_mapping({**ZERO_MASS_START_CONFIG, "run.trials": "1"})
+    result = run_trial(config, 0)
+    for name in config.variants:
+        assert np.any(result.est_counts[name][2:] >= 1)
+        assert np.mean(result.ospa_values[name][2:]) < 20.0
+
+
 # Birth weights of 1e-308 / 400 and no survivors: every weight that reaches
 # the update is subnormal unless predict flushes it.
 SUBNORMAL_BIRTH_CONFIG = {
@@ -724,7 +739,8 @@ def test_cli_run_with_subnormal_birth_weights_writes_both_tables(tmp_path, capsy
     out = tmp_path / "o"
     assert cli_main(["run", "--config", str(cfg), "--out", str(out), "--trials", "2"]) == 0
     assert "error" not in capsys.readouterr().err
-    # Every variant collapses at step 1 and scores the cutoff against four targets.
+    # Every variant's step-1 mass is zero: it estimates no target and scores
+    # the cutoff against four.
     assert (out / "trials.txt").read_text().split("\n")[1] == "0\t1\tbasic\t4\t0\t100"
     assert (out / "summary.txt").exists()
 
@@ -786,6 +802,16 @@ def _loadable_configs(draw):
 @settings(max_examples=100, deadline=None)
 @given(kv=_loadable_configs())
 @example(kv=SUBNORMAL_BIRTH_CONFIG)
+@example(  # roughening with both guards on the set that a zero-mass step resets
+    kv={
+        **ZERO_MASS_START_CONFIG,
+        "roughening.basic.mode": "none",
+        "roughening.separate.mode": "separate",
+        "roughening.separate.jitter_std": "0.4",
+        "roughening.separate.selective_threshold": "0.9",
+        "roughening.separate.overlapped_only": "true",
+    }
+)
 def test_every_loadable_config_runs_cleanly(kv):
     # A config that loads runs to the end with no numeric warning: the
     # suite turns every RuntimeWarning into an error.
@@ -925,8 +951,8 @@ def test_runtime_imports_load_no_scipy():
 
 
 def test_serial_run_loads_no_pool_logging_or_fractions():
-    # A serial run needs none of these: the pool, the collapse warning's
-    # logger and exact fractions are imported where they are used.  What
+    # A serial run needs none of these: the pool, a logger and exact
+    # fractions are imported where they are used.  What
     # every run needs, numpy.random, is loaded with the library.
     src = str(Path(smcphd.__file__).resolve().parents[1])
     code = (

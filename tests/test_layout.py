@@ -8,7 +8,7 @@ belongs in `tests/` (see `tests/oracles.py`).  The harness reads no
 field of a roughening config but its mode, and neither the harness nor
 the CLI names a sweep arm or picks the baseline on its own, only
 `particles.py` holds the weight floor, and no module imports at load what
-only a pool, a collapse or a test needs.
+only a pool, a logger or a test needs.
 """
 
 import ast
@@ -113,8 +113,9 @@ def test_only_particle_sets_hold_the_weight_floor():
             assert "WEIGHT_FLOOR" not in stored, f"{path.name} assigns WEIGHT_FLOOR"
 
 
-# Modules a serial run never uses: the process pool's, the collapse
-# warning's logger, and exact fractions (with `decimal`, which they load).
+# Modules a serial run never uses: the process pool's, `logging` (nothing
+# logs, and code that did would import it where it logs), and exact
+# fractions (with `decimal`, which they load).
 LAZY_IMPORTS = {"concurrent", "multiprocessing", "logging", "fractions", "decimal"}
 
 

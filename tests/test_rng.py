@@ -22,6 +22,12 @@ def test_unknown_purpose_rejected():
         stream(1, 0, "coffee")
 
 
+def test_a_float_seed_is_not_truncated():
+    with pytest.raises(TypeError):
+        stream(1.5, 0, "truth")
+    assert np.array_equal(stream(np.int64(7), 3, "truth").random(4), stream(7, 3, "truth").random(4))
+
+
 def test_zero_size_draws_leave_the_stream_in_place():
     # The filter and the scenario draw for empty sets and empty scans with
     # no special case: a zero-size request must not move the stream.
