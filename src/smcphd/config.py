@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 
 from .filter import FilterConfig
 from .metrics import OspaParams
-from .models import ModelSet, check_count, check_numbers
+from .models import ModelSet, check_count, check_flag, check_numbers
 from .roughening import RougheningConfig
 from .scenario import ScenarioConfig, TargetScript
 
@@ -43,6 +43,7 @@ class RunConfig:
     def __post_init__(self):
         check_count("run.trials", self.trials, 1)
         check_count("run.master_seed", self.master_seed, 0)
+        check_flag("ospa.full_state", self.ospa_full_state)
         for name in self.variants:  # one column of a tab-separated row, one line of text
             if "\t" in name or name.splitlines() != [name]:
                 raise ValueError(f"roughening.<variant>: empty name, tab or line break in {name!r}")

@@ -8,7 +8,6 @@ per-measurement association terms.  Particle states are never moved by the
 update.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,17 +42,16 @@ class FilterConfig:
     """
 
     particles_per_target: int = 200
-    birth_particles: int | None = None  # default round(birth mass * particles_per_target)
-    min_particles: int | None = None  # default ceil(particles_per_target / 2)
+    birth_particles: int | None = None  # derived at use: round(birth mass * particles_per_target)
+    min_particles: int | None = None  # derived at use: ceil(particles_per_target / 2)
     resample_scheme: str = "systematic"
 
     def __post_init__(self):
         check_count("filter.particles_per_target", self.particles_per_target, 1, MAX_PARTICLES)
         if self.birth_particles is not None:
             check_count("filter.birth_particles", self.birth_particles, 0, MAX_PARTICLES)
-        if self.min_particles is None:
-            self.min_particles = math.ceil(self.particles_per_target / 2)
-        check_count("filter.min_particles", self.min_particles, 1, MAX_PARTICLES)
+        if self.min_particles is not None:
+            check_count("filter.min_particles", self.min_particles, 1, MAX_PARTICLES)
         if self.resample_scheme not in RESAMPLE_SCHEMES:
             raise ValueError(
                 f"resample.scheme must be one of {', '.join(RESAMPLE_SCHEMES)}, "

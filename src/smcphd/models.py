@@ -26,18 +26,17 @@ _NORMAL_MIN = float(np.finfo(float).tiny)
 _LN_NORMAL_MIN = math.log(_NORMAL_MIN)
 
 
-def check_number(key: str, value, minimum: float | None = None, *, strict: bool = False) -> None:
-    """Reject a parameter that is not a finite number, or that lies below
-    `minimum` (at or below it when `strict`); the message names `key`, the
-    parameter's config-file key."""
-    if minimum is None:
-        ok = math.isfinite(value)
-        bound = ""
-    else:
-        ok = math.isfinite(value) and (value > minimum if strict else value >= minimum)
-        bound = f" {'>' if strict else '>='} {minimum:g}"
-    if not ok:
-        raise ValueError(f"{key} must be a finite number{bound}, got {value}")
+def check_number(
+    key: str, value, minimum: float = -math.inf, maximum: float = math.inf, *, strict: bool = False
+) -> None:
+    """Reject a parameter that is not a finite number (a bool is not one), or that lies below
+    `minimum` (at or below it when `strict`) or above `maximum`; the message names `key`."""
+    ok = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    ok = ok and math.isfinite(value) and value <= maximum
+    if not (ok and (value > minimum if strict else value >= minimum)):
+        low = f" {'>' if strict else '>='} {minimum:g}" if minimum > -math.inf else ""
+        high = f" and <= {maximum:g}" if maximum < math.inf else ""
+        raise ValueError(f"{key} must be a finite number{low}{high}, got {value!r}")
 
 
 def check_count(key: str, value, low: int, high: int | None = None) -> None:
@@ -50,8 +49,14 @@ def check_count(key: str, value, low: int, high: int | None = None) -> None:
         raise ValueError(f"{key} must be {bound}, got {value}")
 
 
+def check_flag(key: str, value) -> None:
+    """Reject a flag that is not a bool (numpy's included); the message names `key`."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+
+
 def check_numbers(
-    key: str, values, length: int | None = None, minimum: float | None = None, *, strict=False
+    key: str, values, length: int | None = None, minimum: float = -math.inf, *, strict=False
 ) -> tuple:
     """`values` as a tuple of floats, each checked by `check_number` under
     `key`; with `length`, a different count is rejected too."""
@@ -204,9 +209,8 @@ class DetectionModel:
     p_detect: float = 0.95
 
     def __post_init__(self):
-        for key, p in (("p_survive", self.p_survive), ("p_detect", self.p_detect)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"detection.{key} must lie in [0, 1], got {p}")
+        check_number("detection.p_survive", self.p_survive, 0.0, 1.0)
+        check_number("detection.p_detect", self.p_detect, 0.0, 1.0)
 
 
 @dataclass

@@ -17,9 +17,10 @@ if TYPE_CHECKING:  # `filter` imports this module for its scheme table
 
 
 def target_count(mass: float, config: "FilterConfig") -> int:
-    """Particle budget for an expected target count: round(mass) per-target
-    blocks, hard-floored at `min_particles`, and at most MAX_PARTICLES."""
-    count = max(round_half_up(mass) * config.particles_per_target, config.min_particles)
+    """Particle budget for an expected target count: round(mass) per-target blocks,
+    hard-floored at `min_particles` (if None, half a block rounded up), at most MAX_PARTICLES."""
+    floor = config.min_particles or math.ceil(config.particles_per_target / 2)
+    count = max(round_half_up(mass) * config.particles_per_target, floor)
     if count > MAX_PARTICLES:
         raise ValueError(f"mass {mass:g} needs {count} particles > MAX_PARTICLES {MAX_PARTICLES}")
     return count

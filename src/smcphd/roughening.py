@@ -20,6 +20,7 @@ from .models import (
     MeasurementModel,
     MotionModel,
     check_count,
+    check_flag,
     check_number,
     check_numbers,
 )
@@ -72,6 +73,8 @@ class RougheningConfig:
         if self.gordon_constant is not None:
             check_number("gordon_constant", self.gordon_constant, 0.0)
         check_count("gordon_dimension", self.gordon_dimension, 1)
+        for key in ("gordon_positive_exponent", "overlapped_only", "cap_to_measurement"):
+            check_flag(key, getattr(self, key))
         gordon_options = (self.gordon_dimension, self.gordon_positive_exponent)
         if self.gordon_constant is None and gordon_options != (STATE_DIM, False):
             raise ValueError(
@@ -82,8 +85,8 @@ class RougheningConfig:
             raise ValueError("set either a fixed jitter_std or gordon_constant, not both")
         if self.mode != "none" and jitter is None and self.gordon_constant is None:
             raise ValueError(f"mode {self.mode!r} requires jitter_std or gordon_constant")
-        if self.selective_threshold is not None and not (0 < self.selective_threshold <= 1):
-            raise ValueError("selective_threshold must lie in (0, 1]")
+        if self.selective_threshold is not None:
+            check_number("selective_threshold", self.selective_threshold, 0.0, 1.0, strict=True)
         if self.mode == "direct":
             if jitter is not None and any(jitter[i] for i in POSITION_IDX):
                 raise ValueError(
@@ -210,21 +213,15 @@ def direct_motion(
 
     The propagation noise enters velocity with gain T, so velocity jitter
     delta becomes channel jitter d = delta / T and each axis's noise std
-    sqrt(sigma_v^2 + d^2).  Position components of the jitter (which a
-    Gordon bandwidth has) are not expressible and are dropped.  The squares
-    are scaled by a power of two, exact where they are normal, so they
-    overflow only where d or the std itself does (a T near the smallest
-    double), which raises FloatingPointError.  A zero-jitter axis keeps the
-    model std bit for bit (but for the sign of a -0.0), so disabling the
-    jitter reproduces the unmodified dynamics: with d = 0 the scaled std a
-    is 0 or lies in [0.5, 1), where sqrt(fl(a * a)) = a exactly in binary
-    floating point, and the power-of-two scalings are exact.
+    sqrt(sigma_v^2 + d^2), as np.hypot.  Position components of the jitter
+    (which a Gordon bandwidth has) are not expressible and are dropped.
+    hypot(s, 0) is s bit for bit (but for the sign of a -0.0), so a
+    zero-jitter axis reproduces the unmodified dynamics.  hypot overflows
+    only where the std itself does; that, or a d that overflows (a T near
+    the smallest double), raises FloatingPointError.
     """
     jitter = effective_jitter(pset, config, motion, meas)
     with np.errstate(over="raise", invalid="raise"):
         d = jitter[list(VELOCITY_IDX)] / motion.sampling_interval
-        s = motion.noise_stds()
-        e = np.frexp(np.maximum(s, d))[1]
-        a, b = np.ldexp(s, -e), np.ldexp(d, -e)
-        sigma_v1, sigma_v2 = np.ldexp(np.sqrt(a * a + b * b), e)
+        sigma_v1, sigma_v2 = np.hypot(motion.noise_stds(), d)
     return replace(motion, sigma_v1=float(sigma_v1), sigma_v2=float(sigma_v2))

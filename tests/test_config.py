@@ -16,6 +16,7 @@ from smcphd.config import (
     run_config_from_mapping,
 )
 from smcphd.filter import FilterConfig
+from smcphd.models import BirthModel, DetectionModel, MotionModel
 from smcphd.resampling import target_count
 from smcphd.roughening import RougheningConfig
 from smcphd.scenario import ScenarioConfig, TargetScript
@@ -69,7 +70,7 @@ def test_full_config_document():
     assert fixed.birth_step == 5 and fixed.death_step == 30
     assert fixed.initial_state == (1.5, 2.0, 0.0, -2.0)
     assert config.filter.particles_per_target == 100
-    assert config.filter.min_particles == 50
+    assert target_count(0.0, config.filter) == 50
     assert config.filter.resample_scheme == "systematic"
     assert config.trials == 25
     assert config.master_seed == 77
@@ -167,6 +168,16 @@ def test_presets():
     assert np200.scenario.models.detection.p_detect == 0.95
     with pytest.raises(ValueError):
         load_preset("paper-np5")
+
+
+@pytest.mark.parametrize("budget", [50, 100, 200, 500, 1000])
+def test_a_replaced_particle_budget_derives_its_own_floor(budget):
+    # An unset floor stays None, so a config built with `replace` equals
+    # one built with the new budget, and floors at half a block.
+    base = benchmark_preset(200)
+    config = replace(base, filter=replace(base.filter, particles_per_target=budget))
+    assert config == benchmark_preset(budget)
+    assert target_count(0.0, config.filter) == -(-budget // 2)
 
 
 def test_exactly_one_baseline_required():
@@ -361,6 +372,51 @@ def test_integer_field_given_a_non_integer_fails_at_construction(key, build, val
     # A config file's parser makes these ints; from Python a float or a bool
     # would build a config whose run truncates it or fails with a TypeError.
     with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be an integer, got "):
+        build(value)
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1, None])
+@pytest.mark.parametrize(
+    "key, build",
+    [
+        ("ospa.full_state", lambda v: replace(benchmark_preset(), ospa_full_state=v)),
+        (
+            "overlapped_only",
+            lambda v: RougheningConfig(mode="separate", jitter_std=0.4, overlapped_only=v),
+        ),
+        ("cap_to_measurement", lambda v: RougheningConfig(cap_to_measurement=v)),
+        (
+            "gordon_positive_exponent",
+            lambda v: RougheningConfig(
+                mode="separate", gordon_constant=0.1, gordon_positive_exponent=v
+            ),
+        ),
+    ],
+)
+def test_flag_field_given_a_non_bool_fails_at_construction(key, build, value):
+    # A config file's parser makes these bools; from Python a truthy string
+    # such as "false" would switch the flag on.
+    with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be true or false, got "):
+        build(value)
+
+
+@pytest.mark.parametrize("value", [True, "1"])
+@pytest.mark.parametrize(
+    "key, build",
+    [
+        ("motion.sigma_v1", lambda v: MotionModel(sigma_v1=v)),
+        ("birth.mass", lambda v: BirthModel(mass=v)),
+        ("detection.p_detect", lambda v: DetectionModel(p_detect=v)),
+        (
+            "selective_threshold",
+            lambda v: RougheningConfig(mode="separate", jitter_std=0.4, selective_threshold=v),
+        ),
+    ],
+)
+def test_number_field_given_a_bool_or_a_string_fails_at_construction(key, build, value):
+    # From Python a bool would build as 0 or 1, and a string would fail
+    # with a bare TypeError that names no key.
+    with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be a finite number"):
         build(value)
 
 

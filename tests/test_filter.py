@@ -27,6 +27,7 @@ from smcphd.models import (
     propagate,
 )
 from smcphd.particles import MAX_PARTICLES, WEIGHT_FLOOR, ParticleSet, empty_set, round_half_up
+from smcphd.resampling import target_count
 from smcphd.roughening import RougheningConfig, direct_motion, velocity_jitter
 
 
@@ -600,7 +601,7 @@ def test_estimate_cardinality_rounding():
 
 def test_filter_config_defaults_and_validation():
     config = FilterConfig(particles_per_target=200)
-    assert config.min_particles == 100
+    assert target_count(0.0, config) == 100
     assert config.birth_particle_count(0.2) == 40
     assert FilterConfig(particles_per_target=1000).birth_particle_count(0.2) == 200
     assert FilterConfig(particles_per_target=200, birth_particles=17).birth_particle_count(0.2) == 17

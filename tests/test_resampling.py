@@ -26,7 +26,7 @@ def _pset(weights, rng=None):
 
 def test_target_count_policy():
     config = FilterConfig(particles_per_target=200)
-    assert config.min_particles == 100
+    assert config.min_particles is None  # unset: target_count derives the floor
     assert target_count(3.2, config) == 600
     assert target_count(0.3, config) == 100
     assert target_count(0.0, config) == 100
@@ -130,7 +130,7 @@ def test_config_validation():
         FilterConfig(resample_scheme="stratified")
     with pytest.raises(ValueError):
         FilterConfig(particles_per_target=0)
-    assert FilterConfig(particles_per_target=7).min_particles == 4
+    assert target_count(0.0, FilterConfig(particles_per_target=7)) == 4
 
 
 def test_equalized_weights_are_near_uniform():

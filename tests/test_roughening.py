@@ -188,26 +188,24 @@ def test_direct_noise_with_zero_model_noise_is_the_jitter():
     assert combined[0] == pytest.approx(0.4, rel=1e-12)  # absolute std still defined
 
 
-# Stds whose squares and their sum are normal doubles.
-_NORMAL_STDS = st.floats(2.0**-500, 2.0**500)
+# Every finite std, subnormals included, up to 2^1023: the root sum of
+# squares of two of them, at most 2^1023 sqrt(2), is still finite.
+_STDS = st.floats(0.0, 2.0**1023)
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    sigma_v1=st.one_of(st.just(0.0), _NORMAL_STDS),
-    sigma_v2=st.one_of(st.just(0.0), _NORMAL_STDS),
-    delta=_NORMAL_STDS,
-)
+@given(sigma_v1=_STDS, sigma_v2=_STDS, delta=_STDS)
+@example(sigma_v1=5e-324, sigma_v2=2.0**1023, delta=2.0**1023)
 def test_direct_noise_has_the_bits_of_the_root_sum_of_squares(sigma_v1, sigma_v2, delta):
-    # The squares are scaled by a power of two, which moves no bit while
-    # they stay normal.
+    # The std is np.hypot, within one ulp of Python's math.hypot.
     motion = MotionModel(sampling_interval=1.0, sigma_v1=sigma_v1, sigma_v2=sigma_v2)
     cfg = RougheningConfig(
         mode="direct", jitter_std=velocity_jitter(delta), cap_to_measurement=False
     )
     combined = direct_motion(empty_set(), cfg, motion, MEAS).noise_stds()
-    s = np.array([sigma_v1, sigma_v2])
-    assert np.array_equal(combined, np.sqrt(s * s + delta * delta))
+    for std, sigma_v in zip(combined, (sigma_v1, sigma_v2)):
+        exact = math.hypot(sigma_v, delta)
+        assert abs(std - exact) <= math.ulp(exact)
 
 
 def test_mode_equivalence_velocity_moments():
